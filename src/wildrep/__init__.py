@@ -15,7 +15,6 @@ from .exactfield import (
     SamplingError,
     SeededRng,
     kernel_basis,
-    matmul,
     nullity,
     random_field_element,
     rank,
@@ -34,7 +33,6 @@ from .polyspace import (
     koszul_degree_data,
     monomial_basis,
     mult_map,
-    mult_map_on_X,
 )
 from .presentation import (
     GenericityError,
@@ -56,7 +54,6 @@ from .cohomology import (
     CohomologyTable,
     closed_form_cohomology,
     closed_form_table,
-    cohomology_table_exact,
     default_window,
     euler_characteristic,
     h_line,
@@ -68,6 +65,7 @@ from .restriction import (
     ExactModeError,
     VanishingChaseTrace,
     acm_with_respect_to_s,
+    cohomology_table_exact,
     degree_data_variety,
     line_cohomology_on_ci,
     make_ci_variety,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .exactfield import DEFAULT_PRIME, FieldSpec, SamplingError, SeededRng
-from .cohomology import CohomologyTable, cohomology_table_exact, default_window
+from .cohomology import CohomologyTable, default_window
 from .moduli import (
     RefusalError,
     StabilizerReport,
@@ -39,6 +39,7 @@ from .restriction import (
     AcmVerdict,
     DimensionError,
     ExactModeError,
+    cohomology_table_exact,
     make_ci_variety,
     restricted_cohomology_table,
 )
@@ -196,18 +197,23 @@ def render_table_markdown(table: CohomologyTable, header: str) -> str:
 
 
 def _window(config: RunConfig, dim: int) -> tuple[int, int]:
-    lo, hi = default_window(dim) if dim is not None else (None, None)
+    lo, hi = default_window(dim)
     if config.t_min is not None:
         lo = config.t_min
     if config.t_max is not None:
         hi = config.t_max
+    if lo > hi:
+        raise ValueError(f"empty twist window: t-min {lo} > t-max {hi}")
     return (lo, hi)
 
 
 def _emit(text: str, config: RunConfig) -> None:
     if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {config.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -222,6 +228,8 @@ def _variety(config: RunConfig, rng: SeededRng, field: FieldSpec):
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the exit code, writing output as asked."""
+    if not 0 <= config.seed < 1 << 64:
+        raise ValueError(f"seed {config.seed} outside [0, 2^64)")
     field = FieldSpec.prime(config.prime)
     rng = SeededRng(config.seed)
     if config.command == "construct":
@@ -237,8 +245,9 @@ def run(config: RunConfig) -> int:
         _emit(serialize_report(payload), config)
         return EXIT_OK
     if config.command == "table":
+        window = _window(config, config.n)
         kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
-        table = cohomology_table_exact(kb, _window(config, config.n))
+        table = cohomology_table_exact(kb, window)
         if config.format == "json":
             payload = {
                 **_meta(config),
@@ -258,8 +267,9 @@ def run(config: RunConfig) -> int:
         return EXIT_OK
     if config.command == "restrict":
         x = _variety(config, rng, field)
+        window = _window(config, x.d)
         kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
-        table = restricted_cohomology_table(kb, x, _window(config, x.d))
+        table = restricted_cohomology_table(kb, x, window)
         if config.format == "json":
             payload = {
                 **_meta(config),

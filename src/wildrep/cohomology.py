@@ -1,18 +1,15 @@
-"""Cohomology tables of kernel bundles on P^n, exact and closed-form.
+"""Cohomology tables of kernel bundles on P^n: the table type and closed forms.
 
-Twisting the presentation 0 -> E(t) -> O(1+t)^b -> O(2+t)^a -> 0 and
-taking sections turns h^0 and h^1 into the nullity and corank of one
-multiplication-map matrix.  Rows 2..n-1 vanish because both line-bundle
-neighbors in the long exact sequence vanish; those cells are certified
-rather than computed.  The top row comes from the rank of the Serre-dual
-map (multiplication by the transpose of phi in complementary degrees),
-cross-checked against the value the Euler characteristic forces.
-
-For a sheaf-surjective phi the two top-row paths agree everywhere.  For a
-degenerate phi the presentation is not exact on the right and the dual
-rank can overshoot; the table then stores the Euler-consistent value and
-marks the cell "euler-forced", keeping the alternating-sum identity true
-for arbitrary input.
+A CohomologyTable holds h^i(E(t)) over a twist window with a provenance
+tag per cell.  The exact tables are filled by the one table loop in the
+restriction module, which treats P^n as the complete intersection of
+codimension 0: twisting 0 -> E(t) -> O(1+t)^b -> O(2+t)^a -> 0 and taking
+sections turns h^0 and h^1 into the nullity and corank of one
+multiplication-map matrix, the middle rows are certified zero, and the
+top row is the Euler-forced value, on P^n cross-checked against the rank
+of the Serre-dual map.  This module supplies the line-bundle cohomology,
+the Euler characteristic and the closed forms those tables are checked
+against.
 
 The closed forms: h^0(E(t)) = a((n+2) C(n+t+1, n) - 2 C(n+t+2, n)) for
 t > 0 and 0 otherwise; h^1 is an at t = -1, 2a at t = -2, else 0; middle
@@ -24,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .exactfield import rank
-from .polyspace import basis_dim, binom, chi_binom, mult_map
-from .presentation import KernelBundlePresentation
+from .polyspace import binom, chi_binom
 
 PROV_EXACT = "exact-rank"
 PROV_CERTIFIED = "certified-vanishing"
@@ -131,62 +126,6 @@ def default_window(dim: int) -> tuple[int, int]:
     """Default twist window [-dim - 4, 4]: covers every nonzero closed-form
     feature plus two zero columns on each side."""
     return (-dim - 4, 4)
-
-
-def cohomology_table_exact(
-    kb: KernelBundlePresentation,
-    t_range: tuple[int, int] | None = None,
-    audit_vanishing: bool = False,
-) -> CohomologyTable:
-    """Exact cohomology table of E(t) over a twist window.
-
-    Each column needs two ranks: the degree-(1+t) multiplication map for
-    h^0 and h^1, and the Serre-dual transpose map for h^n.  Middle rows
-    are certified zero; with audit_vanishing the vanishing of both
-    line-bundle neighbors is re-derived per cell instead of trusted.
-
-    Columns are independent; the computation is a pure function of
-    (kb, t_range), so callers may parallelize over t if they wish.
-    """
-    n, a, phi = kb.n, kb.a, kb.phi
-    b = kb.b_src
-    if t_range is None:
-        t_range = default_window(n)
-    t_min, t_max = t_range
-    cells: dict[tuple[int, int], int] = {}
-    prov: dict[tuple[int, int], str] = {}
-    phi_t = phi.transpose()
-    for t in range(t_min, t_max + 1):
-        m = mult_map(phi, 1 + t)
-        r = rank(m)
-        cells[(0, t)] = m.cols - r
-        prov[(0, t)] = PROV_EXACT
-        cells[(1, t)] = m.rows - r
-        prov[(1, t)] = PROV_EXACT
-        for i in range(2, n):
-            if audit_vanishing:
-                squeeze = kb.a_tgt * h_line(n, i - 1, 2 + t) + b * h_line(n, i, 1 + t)
-                if squeeze != 0:
-                    raise AssertionError(
-                        f"vanishing certificate broken at (i, t) = ({i}, {t})"
-                    )
-            cells[(i, t)] = 0
-            prov[(i, t)] = PROV_CERTIFIED
-        if n >= 2:
-            dual = mult_map(phi_t, -t - n - 3)
-            h_top_dual = b * h_line(n, n, 1 + t) - rank(dual)
-            forced = euler_characteristic(n, a, t) - (cells[(0, t)] - cells[(1, t)])
-            if n % 2 == 1:
-                forced = -forced
-            if h_top_dual == forced:
-                cells[(n, t)] = h_top_dual
-                prov[(n, t)] = PROV_EXACT
-            else:
-                # phi is not sheaf-surjective; keep the table consistent
-                # with the Euler characteristic of the two-term complex
-                cells[(n, t)] = forced
-                prov[(n, t)] = PROV_EULER
-    return CohomologyTable(n, t_min, t_max, cells, prov)
 
 
 def closed_form_table(

@@ -1,11 +1,9 @@
-"""Exact dense linear algebra over a prime field or the rationals.
+"""Exact dense linear algebra over a prime field F_p.
 
 Everything downstream (multiplication-map matrices, cohomology tables,
 stabilizer systems) reduces to ranks and kernels computed here, so this
-module is deliberately small and deterministic.  Prime-field matrices are
-stored as int64 numpy arrays with entries reduced to [0, p); the rationals
-path keeps Fraction entries in object arrays and exists for small
-prime-independent spot checks, not for speed.
+module is deliberately small and deterministic.  Matrices are stored as
+int64 numpy arrays with entries reduced to [0, p).
 
 Row reduction always produces the reduced row echelon form.  RREF is unique
 for a fixed column order, so ranks and kernel bases are reproducible
@@ -19,7 +17,6 @@ reconstructed from the numbers recorded in a report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,44 +56,23 @@ def _is_prime(m: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: a prime field F_p or the rationals.
+    """Coefficient field F_p for a prime p < 2^31."""
 
-    kind is "prime" or "rationals"; p holds the modulus in the prime case
-    and None otherwise.
-    """
-
-    kind: str
-    p: int | None = None
+    p: int
 
     def __post_init__(self):
-        if self.kind == "prime":
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"modulus {self.p!r} is not prime")
-            if self.p >= _MAX_PRIME:
-                raise ValueError(f"modulus {self.p} too large for int64 arithmetic")
-        elif self.kind == "rationals":
-            if self.p is not None:
-                raise ValueError("rationals take no modulus")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        if not _is_prime(self.p):
+            raise ValueError(f"modulus {self.p!r} is not prime")
+        if self.p >= _MAX_PRIME:
+            raise ValueError(f"modulus {self.p} too large for int64 arithmetic")
 
     @staticmethod
     def prime(p: int = DEFAULT_PRIME) -> "FieldSpec":
-        return FieldSpec("prime", p)
+        return FieldSpec(p)
 
-    @staticmethod
-    def rationals() -> "FieldSpec":
-        return FieldSpec("rationals")
-
-    @property
-    def is_prime(self) -> bool:
-        return self.kind == "prime"
-
-    def element(self, value) -> int | Fraction:
+    def element(self, value) -> int:
         """Canonical representative of a scalar in this field."""
-        if self.is_prime:
-            return int(value) % self.p
-        return Fraction(value)
+        return int(value) % self.p
 
 
 class SeededRng:
@@ -129,11 +105,9 @@ def random_field_element(rng: SeededRng, field: FieldSpec) -> int:
     """Uniform element of F_p; advances the counter by exactly one draw.
 
     The value is next_u64() mod p.  The modulo bias is below p / 2**64 and
-    is irrelevant for genericity sampling.  Rationals and small primes are
-    refused: sampling-based genericity arguments need p >= 101.
+    is irrelevant for genericity sampling.  Small primes are refused:
+    sampling-based genericity arguments need p >= 101.
     """
-    if not field.is_prime:
-        raise SamplingError("uniform sampling is only defined over prime fields")
     if field.p < _MIN_SAMPLING_PRIME:
         raise SamplingError(
             f"sampling needs a prime >= {_MIN_SAMPLING_PRIME}, got {field.p}"
@@ -142,11 +116,7 @@ def random_field_element(rng: SeededRng, field: FieldSpec) -> int:
 
 
 class DenseMatrix:
-    """Dense matrix with exact entries over a FieldSpec.
-
-    data is a 2-D numpy array: int64 with entries in [0, p) over a prime
-    field, object dtype holding Fractions over the rationals.
-    """
+    """Dense matrix over F_p: data is a 2-D int64 array with entries in [0, p)."""
 
     __slots__ = ("rows", "cols", "field", "data")
 
@@ -160,19 +130,11 @@ class DenseMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int, field: FieldSpec) -> "DenseMatrix":
-        if field.is_prime:
-            data = np.zeros((rows, cols), dtype=np.int64)
-        else:
-            data = np.full((rows, cols), Fraction(0), dtype=object)
-        return DenseMatrix(rows, cols, field, data)
+        return DenseMatrix(rows, cols, field, np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
     def identity(size: int, field: FieldSpec) -> "DenseMatrix":
-        m = DenseMatrix.zeros(size, size, field)
-        one = 1 if field.is_prime else Fraction(1)
-        for i in range(size):
-            m.data[i, i] = one
-        return m
+        return DenseMatrix(size, size, field, np.eye(size, dtype=np.int64))
 
     @staticmethod
     def from_rows(entries, field: FieldSpec) -> "DenseMatrix":
@@ -203,20 +165,11 @@ class DenseMatrix:
         )
 
     def __repr__(self):
-        return f"DenseMatrix({self.rows}x{self.cols} over {self.field.kind})"
+        return f"DenseMatrix({self.rows}x{self.cols} over F_{self.field.p})"
 
 
 def transpose(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(m.cols, m.rows, m.field, m.data.T.copy())
-
-
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    if a.cols != b.rows or a.field != b.field:
-        raise ValueError("incompatible matmul operands")
-    prod = a.data @ b.data if a.cols else DenseMatrix.zeros(a.rows, b.cols, a.field).data
-    if a.field.is_prime:
-        prod = prod % a.field.p
-    return DenseMatrix(a.rows, b.cols, a.field, prod)
 
 
 def _rank_mod(a: np.ndarray, p: int) -> int:
@@ -269,39 +222,10 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _rref_frac(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """RREF over the rationals; same pivot discipline as the mod-p path."""
-    a = a.copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = None
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = a[r] / a[r, c]
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def rank(m: DenseMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.field.is_prime:
-        return _rank_mod(m.data, m.field.p)
-    return len(_rref_frac(m.data)[1])
+    return _rank_mod(m.data, m.field.p)
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
@@ -312,10 +236,7 @@ def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
     """
     if m.rows == 0 or m.cols == 0:
         return DenseMatrix(m.rows, m.cols, m.field, m.data.copy()), ()
-    if m.field.is_prime:
-        red, piv = _rref_mod(m.data, m.field.p)
-    else:
-        red, piv = _rref_frac(m.data)
+    red, piv = _rref_mod(m.data, m.field.p)
     return DenseMatrix(m.rows, m.cols, m.field, red), tuple(piv)
 
 
@@ -327,18 +248,13 @@ def kernel_basis(m: DenseMatrix) -> DenseMatrix:
     matrix whose columns are ordered by increasing free column index.
     """
     red, piv = rref(m)
-    pivset = set(piv)
-    free = [c for c in range(m.cols) if c not in pivset]
-    k = DenseMatrix.zeros(m.cols, len(free), m.field)
-    one = 1 if m.field.is_prime else Fraction(1)
-    for j, f in enumerate(free):
-        k.data[f, j] = one
-        for r, c in enumerate(piv):
-            v = red.data[r, f]
-            if m.field.is_prime:
-                k.data[c, j] = (-int(v)) % m.field.p
-            else:
-                k.data[c, j] = -v
+    piv = list(piv)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    k = DenseMatrix.zeros(m.cols, free.size, m.field)
+    k.data[free, np.arange(free.size)] = 1
+    k.data[piv, :] = -red.data[: len(piv), free] % m.field.p
     return k
 
 

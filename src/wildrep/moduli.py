@@ -19,13 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exactfield import DenseMatrix, FieldSpec, SeededRng, rank
 from .cohomology import CohomologyTable
 from .polyspace import binom, hilbert_function
 from .presentation import (
-    KernelBundlePresentation,
     LinearFormMatrix,
     ShapeError,
     SurjectivityCertificate,
@@ -67,7 +64,8 @@ def family_dimension(n: int, a: int) -> int:
     counted = (
         2 * a * a * (n + 2) * (n + 1) - a * a * (n + 2) ** 2 - 4 * a * a + 1
     )
-    assert direct == counted
+    if direct != counted:
+        raise AssertionError(f"family dimension counts disagree: {direct} != {counted}")
     return direct
 
 
@@ -123,8 +121,7 @@ def intertwiner_system(a_mat: LinearFormMatrix) -> DenseMatrix:
                     system.data[eq, nb + j * cols_a + s] += a_mat.coeffs[r, j, k]
                 for i in range(rows_a):
                     system.data[eq, r * rows_a + i] -= a_mat.coeffs[i, s, k]
-    if a_mat.field.is_prime:
-        system.data %= a_mat.field.p
+    system.data %= a_mat.field.p
     return system
 
 

@@ -3,30 +3,39 @@
 Monomial bases of R_d = K[x_0..x_n]_d are enumerated once, in graded
 reverse lexicographic order with x_0 > x_1 > ... > x_n, and that order is
 fixed forever: matrix columns, kernel bases and serialized reports all
-refer to it.  A matrix of linear forms phi induces, in each degree m, a
-linear map H^0(O(m))^b -> H^0(O(m+1))^a whose matrix mult_map assembles
-from shift tables.
+refer to it.
 
 Hilbert functions of quotient rings come from graded Betti data: for a
 complete intersection the twists are the Koszul sums of sub-multisets of
 the degrees.  Normal forms modulo an ideal are computed degree by degree
 from a reduced row echelon basis of the ideal's graded piece; monomials
 outside the pivot set represent the quotient, so no Groebner machinery is
-needed.
+needed.  The normal-form matrix N_k of R_k -> (R/I)_k is the transposed
+canonical kernel basis of that echelon basis.
+
+A matrix of linear forms phi induces, in each degree m, a linear map
+(R/I)_m^b -> (R/I)_(m+1)^a.  mult_map builds it in one way for every
+complete intersection, P^n being the one of codimension 0 where N is the
+identity: with Phi_k = phi's coefficients of x_k and S_k the shift
+table of multiplication by x_k,
+
+    M = sum_k Phi_k (x) N_(m+1)[:, S_k(surviving degree-m monomials)],
+
+each term a column gather from N, summed in int64 with a reduction mod p
+often enough that no partial sum overflows for any accepted prime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exactfield import DenseMatrix, FieldSpec, rref
+from .exactfield import DenseMatrix, kernel_basis, transpose
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .presentation import LinearFormMatrix
@@ -98,48 +107,17 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
 
 
 @lru_cache(maxsize=None)
-def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """shift[k][q] = index of (q-th degree-d monomial) * x_k in degree d+1."""
-    src = _monomials(n, d)
-    tgt_index = _monomial_index(n, d + 1)
-    table = []
-    for k in range(n + 1):
-        row = []
-        for mono in src:
-            bumped = list(mono)
-            bumped[k] += 1
-            row.append(tgt_index[tuple(bumped)])
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def mult_map(phi: "LinearFormMatrix", m: int) -> DenseMatrix:
-    """Matrix of H^0(O(m))^b_src -> H^0(O(m+1))^a_tgt induced by phi.
-
-    Block (i, j) is multiplication by the linear form phi[i][j].  Rows and
-    columns follow the fixed monomial order within each block; blocks are
-    stacked row-major.  m < 0 gives a matrix with zero columns.
-    """
-    n = phi.n
-    nsrc = basis_dim(n, m)
-    ntgt = basis_dim(n, m + 1)
-    out = DenseMatrix.zeros(phi.a_tgt * ntgt, phi.b_src * nsrc, phi.field)
-    if nsrc == 0 or ntgt == 0:
-        return out
-    shifts = _shift_table(n, m)
-    rows_idx = [np.asarray(s, dtype=np.intp) for s in shifts]
-    cols_idx = np.arange(nsrc, dtype=np.intp)
-    for i in range(phi.a_tgt):
-        for j in range(phi.b_src):
-            block = out.data[i * ntgt : (i + 1) * ntgt, j * nsrc : (j + 1) * nsrc]
-            for k in range(n + 1):
-                c = phi.coeffs[i, j, k]
-                if c == 0:
-                    continue
-                block[rows_idx[k], cols_idx] += c
-    if phi.field.is_prime:
-        out.data %= phi.field.p
-    return out
+def _product_table(n: int, d: int, e: int) -> np.ndarray:
+    """table[u, w] = index of (u-th degree-d monomial) * (w-th degree-e
+    monomial) in degree d + e; e = 1 gives the shift by each variable."""
+    index = _monomial_index(n, d + e)
+    table = np.array(
+        [[index[tuple(a + b for a, b in zip(u, w))] for w in _monomials(n, e)]
+         for u in _monomials(n, d)],
+        dtype=np.intp,
+    ).reshape(len(_monomials(n, d)), len(_monomials(n, e)))
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -233,52 +211,28 @@ class QuotientPiece:
 
 
 def _quotient_piece(x: "ACMVarietyDescriptor", k: int) -> QuotientPiece:
-    n = x.n
-    field = x.field
-    nk = basis_dim(n, k)
-    span_rows = []
+    nk = basis_dim(x.n, k)
+    # I_k is spanned by u * f for each form f and each monomial u of degree
+    # k - deg f; row u of a block holds the coefficients of u * f
+    blocks = [np.zeros((0, nk), dtype=np.int64)]
     for e_deg, coeff in zip(x.degrees, x.forms):
-        shift = k - e_deg
-        if shift < 0:
-            continue
-        form_basis = _monomials(n, e_deg)
-        tgt_index = _monomial_index(n, k)
-        for u in _monomials(n, shift):
-            row = np.zeros(nk, dtype=coeff.dtype)
-            for w, c in zip(form_basis, coeff):
-                if c == 0:
-                    continue
-                prod = tuple(a + b for a, b in zip(w, u))
-                row[tgt_index[prod]] += c
-            span_rows.append(row)
-    if span_rows:
-        data = np.vstack(span_rows)
-        if field.is_prime:
-            data %= field.p
-        span = DenseMatrix(len(span_rows), nk, field, data)
-        red, piv = rref(span)
-    else:
-        red, piv = None, ()
-    pivset = set(piv)
-    free = tuple(c for c in range(nk) if c not in pivset)
+        table = _product_table(x.n, k - e_deg, e_deg)
+        block = np.zeros((table.shape[0], nk), dtype=np.int64)
+        block[np.arange(table.shape[0])[:, None], table] = coeff
+        blocks.append(block)
+    data = np.vstack(blocks)
+    span = DenseMatrix(data.shape[0], nk, x.field, data)
+    # row j of the transposed kernel basis is the normal form map's row for
+    # free column f_j: a 1 at f_j, minus the echelon entries at the pivot
+    # columns (all before f_j), so f_j is its last nonzero position
+    nf = transpose(kernel_basis(span))
+    free = tuple(int(np.flatnonzero(row)[-1]) for row in nf.data)
     expected = hilbert_function(x.res, k)
     if len(free) != expected:
         raise RegularityError(
             f"degree {k}: quotient dimension {len(free)} != {expected} predicted "
             "by the resolution data; the chosen forms are not a regular sequence"
         )
-    nf = DenseMatrix.zeros(len(free), nk, field)
-    one = 1 if field.is_prime else Fraction(1)
-    for r, c in enumerate(free):
-        nf.data[r, c] = one
-    # pivot monomial reduces to minus the free part of its echelon row
-    for r, c in enumerate(piv):
-        for q, f in enumerate(free):
-            v = red.data[r, f]
-            if field.is_prime:
-                nf.data[q, c] = (-int(v)) % field.p
-            else:
-                nf.data[q, c] = -v
     return QuotientPiece(k, free, nf)
 
 
@@ -290,41 +244,39 @@ def quotient_piece(x: "ACMVarietyDescriptor", k: int) -> QuotientPiece:
     return cache[k]
 
 
-def mult_map_on_X(phi: "LinearFormMatrix", m: int, x: "ACMVarietyDescriptor") -> DenseMatrix:
-    """Matrix of (R_X)_m^b_src -> (R_X)_(m+1)^a_tgt in normal-form bases.
+def mult_map(
+    phi: "LinearFormMatrix", m: int, x: "ACMVarietyDescriptor | None" = None
+) -> DenseMatrix:
+    """Matrix of (R_X)_m^b_src -> (R_X)_(m+1)^a_tgt induced by phi.
 
-    The basis of (R_X)_k is the set of monomials outside the echelon basis
-    of (I_X)_k, included into R_k as themselves.  Each block multiplies by
-    a linear form on the ambient space and reduces to normal form.
+    X is P^n when x is None.  Bases are the surviving monomials of each
+    degree (all of them on P^n) in the fixed order; blocks are stacked
+    row-major, block (i, j) multiplying by the linear form phi[i][j] and
+    reducing to normal form.  m < 0 gives a matrix with zero columns.
     """
-    if x.forms is None:
-        from .restriction import ExactModeError
+    n, p = phi.n, phi.field.p
+    if x is None:
+        src = np.arange(basis_dim(n, m))
+        nf = np.eye(basis_dim(n, m + 1), dtype=np.int64)
+    else:
+        if x.forms is None:
+            from .restriction import ExactModeError
 
-        raise ExactModeError("variety has no explicit forms; exact mode unavailable")
-    if phi.n != x.n or phi.field != x.field:
-        raise ValueError("phi and variety live over different ambient data")
-    src = quotient_piece(x, m) if m >= 0 else None
-    tgt = quotient_piece(x, m + 1) if m + 1 >= 0 else None
-    ncols = len(src.monomial_indices) if src else 0
-    nrows = len(tgt.monomial_indices) if tgt else 0
-    out = DenseMatrix.zeros(phi.a_tgt * nrows, phi.b_src * ncols, phi.field)
-    if ncols == 0 or nrows == 0:
-        return out
-    n = phi.n
-    shifts = _shift_table(n, m)
-    src_cols = np.asarray(src.monomial_indices, dtype=np.intp)
-    ntgt_full = basis_dim(n, m + 1)
-    for i in range(phi.a_tgt):
-        for j in range(phi.b_src):
-            full = np.zeros((ntgt_full, ncols), dtype=out.data.dtype)
-            for k in range(n + 1):
-                c = phi.coeffs[i, j, k]
-                if c == 0:
-                    continue
-                rows_idx = np.asarray(shifts[k], dtype=np.intp)[src_cols]
-                full[rows_idx, np.arange(ncols)] += c
-            block = tgt.nf.data @ full
-            if phi.field.is_prime:
-                block %= phi.field.p
-            out.data[i * nrows : (i + 1) * nrows, j * ncols : (j + 1) * ncols] = block
-    return out
+            raise ExactModeError("variety has no explicit forms; exact mode unavailable")
+        if phi.n != x.n or phi.field != x.field:
+            raise ValueError("phi and variety live over different ambient data")
+        src = np.asarray(quotient_piece(x, m).monomial_indices, dtype=np.intp)
+        nf = quotient_piece(x, m + 1).nf.data
+    out = np.zeros((phi.a_tgt, nf.shape[0], phi.b_src, src.size), dtype=np.int64)
+    shifts = _product_table(n, m, 1)[src]
+    # M = sum_k Phi_k (x) N[:, shift_k(src)]; each term is at most (p-1)^2
+    # and a reduced partial sum below p, so reducing after every
+    # terms_per_reduction terms keeps every partial sum inside int64
+    terms_per_reduction = ((1 << 63) - p) // (p - 1) ** 2
+    for k in range(n + 1):
+        if k and k % terms_per_reduction == 0:
+            out %= p
+        out += phi.coeffs[:, None, :, k, None] * nf[:, shifts[:, k]][None, :, None, :]
+    out %= p
+    rows, cols = phi.a_tgt * nf.shape[0], phi.b_src * src.size
+    return DenseMatrix(rows, cols, phi.field, out.reshape(rows, cols))

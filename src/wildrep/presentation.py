@@ -13,11 +13,10 @@ are resampled a bounded number of times and then rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exactfield import DenseMatrix, FieldSpec, SeededRng, rank, random_field_element
+from .exactfield import FieldSpec, SeededRng, rank, random_field_element
 from .polyspace import basis_dim, mult_map
 
 
@@ -54,10 +53,7 @@ class LinearFormMatrix:
 
     @staticmethod
     def zero(n: int, a_tgt: int, b_src: int, field: FieldSpec) -> "LinearFormMatrix":
-        if field.is_prime:
-            coeffs = np.zeros((a_tgt, b_src, n + 1), dtype=np.int64)
-        else:
-            coeffs = np.full((a_tgt, b_src, n + 1), Fraction(0), dtype=object)
+        coeffs = np.zeros((a_tgt, b_src, n + 1), dtype=np.int64)
         return LinearFormMatrix(n, a_tgt, b_src, field, coeffs)
 
     @staticmethod

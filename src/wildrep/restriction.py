@@ -7,6 +7,13 @@ restricted presentation 0 -> E|_X(t) -> O_X(1+t)^b -> O_X(2+t)^a -> 0
 stays exact, so h^0 and h^1 on X are again the nullity and corank of one
 multiplication-map matrix, now in normal-form monomial bases.
 
+restricted_cohomology_table is the one loop that fills exact tables.  P^n
+is the complete intersection of codimension 0 (make_ci_variety(n, ())),
+so the ambient table cohomology_table_exact runs the same loop.  Only the
+top row differs: on X it is forced by the Euler characteristic, on P^n it
+is also the rank of the Serre-dual map, tagged "exact-rank" where the two
+agree.
+
 Middle rows 2..d-1 vanish for every twist.  The proof tensors the Koszul
 resolution of O_X with E and chases: each consulted ambient group is
 H^(i+k)(P^n, E(t - n_j^k)) with index between 1 and n - 1, and such a
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .exactfield import DenseMatrix, FieldSpec, SeededRng, rank, random_field_element
+from .exactfield import FieldSpec, SeededRng, rank, random_field_element
 from .cohomology import (
     PROV_CERTIFIED,
     PROV_CLOSED,
@@ -34,7 +41,7 @@ from .cohomology import (
     PROV_EULER,
     CohomologyTable,
     closed_form_cohomology,
-    cohomology_table_exact,
+    default_window,
     h_line,
 )
 from .polyspace import (
@@ -43,8 +50,7 @@ from .polyspace import (
     hilbert_function,
     hilbert_polynomial,
     koszul_degree_data,
-    monomial_basis,
-    mult_map_on_X,
+    mult_map,
 )
 from .presentation import KernelBundlePresentation
 
@@ -254,9 +260,7 @@ def structure_table(
     row is forced by the Hilbert polynomial.  Works in degree-data mode.
     """
     d = x.d
-    if t_range is None:
-        t_range = (-d - 4, 4)
-    t_min, t_max = t_range
+    t_min, t_max = default_window(d) if t_range is None else t_range
     cells = {}
     prov = {}
     for t in range(t_min, t_max + 1):
@@ -264,7 +268,10 @@ def structure_table(
         cells[(0, t)] = h0
         prov[(0, t)] = PROV_CLOSED
         for i in range(1, d):
-            assert line_cohomology_on_ci(x, i, t) == 0
+            if line_cohomology_on_ci(x, i, t) != 0:
+                raise AssertionError(
+                    f"line-bundle vanishing broken at (i, t) = ({i}, {t})"
+                )
             cells[(i, t)] = 0
             prov[(i, t)] = PROV_CERTIFIED
         forced = hilbert_polynomial(x.res, t) - h0
@@ -293,25 +300,28 @@ def restricted_cohomology_table(
 ) -> CohomologyTable:
     """Exact table of E|_X(t), rows 0..d, over a twist window.
 
-    h^0 and h^1 come from the normal-form multiplication map; middle rows
-    carry the certified vanishing; the top row h^d is forced by the Euler
-    characteristic on X.  With c = 0 this is exactly the ambient table.
-    Needs exact mode (explicit forms).
+    Each column costs one rank: h^0 and h^1 are the nullity and corank of
+    the normal-form multiplication map in degree 1 + t.  Middle rows carry
+    the certified vanishing; with audit_vanishing both line-bundle
+    neighbors of each cell are re-derived instead of trusted.  The top row
+    h^d is the value the Euler characteristic on X forces.  On P^n
+    (codimension 0) it is also the rank of the Serre-dual map, the
+    transpose of phi in complementary degrees, and the cell is tagged
+    "exact-rank" where the two agree; they disagree only for a phi that is
+    not sheaf-surjective, and the cell then stays "euler-forced", keeping
+    the alternating-sum identity true for arbitrary input.  Needs exact
+    mode (explicit forms).
     """
     if kb.n != x.n:
         raise ValueError(f"bundle on P^{kb.n} but variety in P^{x.n}")
     if not x.exact_mode:
         raise ExactModeError("restricted table needs explicit forms")
-    if x.codim == 0:
-        return cohomology_table_exact(kb, t_range, audit_vanishing=audit_vanishing)
-    d = x.d
-    if t_range is None:
-        t_range = (-d - 4, 4)
-    t_min, t_max = t_range
+    n, d = x.n, x.d
+    t_min, t_max = default_window(d) if t_range is None else t_range
     cells = {}
     prov = {}
     for t in range(t_min, t_max + 1):
-        m = mult_map_on_X(kb.phi, 1 + t, x)
+        m = mult_map(kb.phi, 1 + t, x)
         r = rank(m)
         cells[(0, t)] = m.cols - r
         prov[(0, t)] = PROV_EXACT
@@ -324,19 +334,36 @@ def restricted_cohomology_table(
                 ) * line_cohomology_on_ci(x, i, 1 + t)
                 if squeeze != 0:
                     raise AssertionError(
-                        f"restricted vanishing broken at (i, t) = ({i}, {t})"
+                        f"vanishing certificate broken at (i, t) = ({i}, {t})"
                     )
             cells[(i, t)] = 0
             prov[(i, t)] = PROV_CERTIFIED
-        forced = restricted_euler_characteristic(x, kb.a, t)
-        for i in range(d):
-            v = cells[(i, t)]
-            forced -= v if i % 2 == 0 else -v
+        forced = restricted_euler_characteristic(x, kb.a, t) - (
+            cells[(0, t)] - cells[(1, t)]
+        )
         if d % 2 == 1:
             forced = -forced
         cells[(d, t)] = forced
         prov[(d, t)] = PROV_EULER
+        if x.codim == 0:
+            dual = mult_map(kb.phi.transpose(), -t - n - 3)
+            if kb.b_src * h_line(n, n, 1 + t) - rank(dual) == forced:
+                prov[(d, t)] = PROV_EXACT
     return CohomologyTable(d, t_min, t_max, cells, prov)
+
+
+def cohomology_table_exact(
+    kb: KernelBundlePresentation,
+    t_range: tuple[int, int] | None = None,
+    audit_vanishing: bool = False,
+) -> CohomologyTable:
+    """Exact cohomology table of E(t) on P^n over a twist window.
+
+    P^n is the complete intersection of codimension 0, so this is the
+    restricted table on make_ci_variety(n, ()).
+    """
+    x = make_ci_variety(kb.n, (), field=kb.phi.field)
+    return restricted_cohomology_table(kb, x, t_range, audit_vanishing)
 
 
 @dataclass(frozen=True)

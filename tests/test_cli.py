@@ -159,3 +159,30 @@ def test_run_config_direct(capsys):
     code = run(RunConfig(command="bound", n=2, ci_degrees=(), s=3, format="json"))
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["veronese_bound"] == 9
+
+
+def test_empty_twist_window_exits_usage(capsys):
+    code = main(["table", "--n", "2", "--t-min", "3", "--t-max", "1"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:")
+    assert captured.err.count("\n") == 1
+
+
+def test_unwritable_output_exits_usage(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["bound", "--n", "2", "--output", str(target)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
+def test_seed_outside_u64_exits_usage(seed, capsys):
+    code = main(["construct", "--n", "2", "--seed", seed])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1

@@ -19,7 +19,6 @@ from wildrep import (
     make_ci_variety,
     monomial_basis,
     mult_map,
-    mult_map_on_X,
     sample_phi,
 )
 from wildrep.polyspace import quotient_piece
@@ -273,15 +272,75 @@ def test_mult_map_on_X_shape_18x20():
     f = FieldSpec.prime()
     x = make_ci_variety(3, (2,), SeededRng(5), f)
     phi = sample_phi(3, 2, 5, SeededRng(0), f)
-    m = mult_map_on_X(phi, 1, x)
+    m = mult_map(phi, 1, x)
     assert (m.rows, m.cols) == (18, 20)
 
 
 def test_mult_map_on_X_trivial_ci_matches_ambient():
-    f = FieldSpec.prime()
-    x = make_ci_variety(3, (), None, f)
-    phi = sample_phi(3, 2, 5, SeededRng(0), f)
-    assert mult_map_on_X(phi, 1, x).data.tolist() == mult_map(phi, 1).data.tolist()
+    phi = sample_phi(3, 2, 5, SeededRng(0), FieldSpec.prime())
+    assert mult_map(phi, 1, make_ci_variety(3, ())) == mult_map(phi, 1)
+
+
+def _normal_form_columns(phi, m, x):
+    """Columns of the map on X by hand: reduce phi[i][j] * u with Python ints.
+
+    The product of a linear form and a monomial u is summed term by term
+    in R_(m+1) and then multiplied by the normal-form matrix of degree
+    m + 1, all in unbounded integers.
+    """
+    p, n = phi.field.p, phi.n
+    src = quotient_piece(x, m).monomial_indices
+    nf = [[int(v) for v in row] for row in quotient_piece(x, m + 1).nf.data]
+    deg_m = monomial_basis(n, m).monomials
+    deg_next = monomial_basis(n, m + 1).monomials
+    columns = []
+    for j in range(phi.b_src):
+        for q in src:
+            column = []
+            for i in range(phi.a_tgt):
+                vec = [0] * len(deg_next)
+                for k in range(n + 1):
+                    w = list(deg_m[q])
+                    w[k] += 1
+                    vec[deg_next.index(tuple(w))] += int(phi.coeffs[i, j, k])
+                column += [sum(a * b for a, b in zip(row, vec)) % p for row in nf]
+            columns.append(column)
+    return columns
+
+
+@st.composite
+def small_complete_intersections(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    codim = draw(st.integers(min_value=0, max_value=n - 2))
+    degrees = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=codim, max_size=codim)))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    return make_ci_variety(n, degrees, SeededRng(seed), FieldSpec.prime())
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_complete_intersections(), st.integers(min_value=-1, max_value=2))
+def test_mult_map_matches_normal_form_oracle(x, m):
+    phi = sample_phi(x.n, 2, 3, SeededRng(m + 7), x.field)
+    mat = mult_map(phi, m, x)
+    assert mat.data.T.tolist() == _normal_form_columns(phi, m, x)
+
+
+@pytest.mark.parametrize(
+    "n, degrees, m", [(3, (2,), 2), (4, (2, 2), 2), (5, (2, 2, 2), 2)]
+)
+def test_mult_map_exact_at_largest_prime(n, degrees, m):
+    # every coefficient p - 1 against normal forms with entries near p, so
+    # each term is close to 2^62 and three of them overflow int64; in
+    # codimension c up to c shifted monomials of one column reduce to dense
+    # normal forms, so the codimension-3 case is the one where a reduction
+    # bound that is too loose shows
+    f = FieldSpec.prime((1 << 31) - 1)
+    x = make_ci_variety(n, degrees, SeededRng(3), f)
+    phi = LinearFormMatrix.zero(n, 2, 3, f)
+    phi.coeffs[...] = f.p - 1
+    mat = mult_map(phi, m, x)
+    assert mat.data.max() < f.p
+    assert mat.data.T.tolist() == _normal_form_columns(phi, m, x)
 
 
 def test_resolution_degree_data_validation():

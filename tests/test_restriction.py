@@ -280,3 +280,14 @@ def test_hilbert_function_agrees_with_quotient_dims(fp):
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     for k in range(5):
         assert hilbert_function(x.res, k) == (k + 1) ** 2
+
+
+def test_structure_table_raises_on_broken_vanishing(fp, monkeypatch):
+    # the vanishing check must survive python -O, so it is a raise, not
+    # an assert
+    import wildrep.restriction as restriction
+
+    monkeypatch.setattr(restriction, "line_cohomology_on_ci", lambda x, i, k: 1)
+    x = make_ci_variety(3, (2,), SeededRng(5), fp)
+    with pytest.raises(AssertionError, match="vanishing broken"):
+        structure_table(x, (-2, 2))
