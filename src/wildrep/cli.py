@@ -5,7 +5,7 @@ output is deterministic given (seed, prime): JSON is emitted with sorted
 keys, two-space indent, integers only, and a trailing newline, so a
 repeated run is byte-identical.  Exit codes: 0 on success or a true
 verdict, 1 on a failed certificate or refused precondition, 2 on invalid
-input.
+input, which includes a request whose matrices would not fit in memory.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .exactfield import DEFAULT_PRIME, FieldSpec, SamplingError, SeededRng
 from .cohomology import CohomologyTable, default_window
 from .moduli import (
     RefusalError,
-    StabilizerReport,
     WildnessReport,
     embedding_dimension,
     family_dimension,
@@ -28,15 +27,14 @@ from .moduli import (
     veronese_bound,
     wildness_certificate,
 )
-from .polyspace import RegularityError
+from .polyspace import RegularityError, basis_dim, hilbert_function, koszul_degree_data
 from .presentation import (
+    SURJECTIVITY_SEARCH_MAX,
     GenericityError,
     ShapeError,
-    SurjectivityCertificate,
     build_kernel_bundle,
 )
 from .restriction import (
-    AcmVerdict,
     DimensionError,
     ExactModeError,
     cohomology_table_exact,
@@ -47,6 +45,11 @@ from .restriction import (
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+
+# requests whose largest matrix has more int64 cells than this are refused
+# before anything is sampled: 2^26 cells take 512 MiB, and row reduction
+# works on a second copy
+MAX_MATRIX_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -64,28 +67,6 @@ class RunConfig:
     ci_degrees: tuple[int, ...] = ()
     format: str = "markdown"
     output: str | None = None
-
-
-def certificate_dict(cert: SurjectivityCertificate) -> dict:
-    return {
-        "surjective_at_degree": cert.surjective_at_degree,
-        "searched_up_to": cert.searched_up_to,
-        "h0_phi1_iso": cert.h0_phi1_iso,
-        "seed": cert.seed,
-        "counter": cert.counter,
-    }
-
-
-def stabilizer_dict(rep: StabilizerReport) -> dict:
-    return {
-        "n": rep.n,
-        "a": rep.a,
-        "stab_dimension": rep.stab_dimension,
-        "simple": rep.simple,
-        "kac_value": rep.kac_value,
-        "system_rows": rep.system_rows,
-        "system_cols": rep.system_cols,
-    }
 
 
 def table_dict(table: CohomologyTable) -> dict:
@@ -108,17 +89,6 @@ def table_from_dict(data: dict) -> CohomologyTable:
         for off, v in enumerate(row):
             prov[(i, data["t_min"] + off)] = v
     return CohomologyTable(data["dim"], data["t_min"], data["t_max"], cells, prov)
-
-
-def acm_dict(v: AcmVerdict) -> dict:
-    return {
-        "s": v.s,
-        "dim": v.dim,
-        "is_acm": v.is_acm,
-        "witnesses": [list(w) for w in v.witnesses],
-        "checked_twists": list(v.checked_twists),
-        "missing_twists": list(v.missing_twists),
-    }
 
 
 def phi_dict(phi) -> dict:
@@ -151,25 +121,14 @@ def wildness_dict(rep: WildnessReport) -> dict:
         "family_dim": rep.family_dim,
         "veronese_bound": rep.veronese,
         "embedding_dim": rep.embedding_dim,
-        "certificate": certificate_dict(rep.certificate),
-        "stabilizer": stabilizer_dict(rep.stabilizer),
+        "certificate": asdict(rep.certificate),
+        "stabilizer": asdict(rep.stabilizer),
+        # a trace lists its failures only when it has some
         "vanishing_traces": [
-            {
-                "target_index": tr.target_index,
-                "excluded_twists": list(tr.excluded_twists),
-                "chain": [
-                    {
-                        "index": cell.index,
-                        "offsets": list(cell.offsets),
-                        "justification": cell.justification,
-                    }
-                    for cell in tr.chain
-                ],
-                "verified": tr.verified,
-            }
+            {k: v for k, v in asdict(tr).items() if k != "failures" or v}
             for tr in rep.traces
         ],
-        "acm": acm_dict(rep.acm),
+        "acm": asdict(rep.acm),
         "checks": dict(rep.checks),
         "verdict": rep.verdict,
     }
@@ -207,6 +166,41 @@ def _window(config: RunConfig, dim: int) -> tuple[int, int]:
     return (lo, hi)
 
 
+def largest_matrix(config: RunConfig) -> tuple[int, int]:
+    """Shape of the largest matrix a request builds, from closed forms.
+
+    Counts the maps of the surjectivity search, the stabilizer system and,
+    over the twist window, the maps in degree 1 + t, the ideal spans and
+    normal-form matrices on X, and the Serre-dual maps on P^n.  Each grows
+    monotonically in its degree, so the last search degree and the two
+    ends of the window bound the rest.  Parts that a later check refuses
+    to build count as empty.
+    """
+    n, a = config.n, config.a
+    if config.command == "bound" or n < 2 or a < 1:
+        return (0, 0)
+    a_tgt, b_src = 2 * a, (n + 2) * a
+    m = SURJECTIVITY_SEARCH_MAX
+    shapes = [(a_tgt * basis_dim(n, m + 1), b_src * basis_dim(n, m))]
+    if config.command in ("simplicity", "certify"):
+        shapes.append((a_tgt * b_src * (n + 1), a_tgt * a_tgt + b_src * b_src))
+    degrees = () if config.command == "table" else config.ci_degrees
+    d = n - len(degrees)
+    if config.command in ("table", "restrict", "certify") and d >= 2:
+        res = koszul_degree_data(n, degrees)
+        window = default_window(d) if config.command == "certify" else _window(config, d)
+        for t in window:
+            k = 2 + t
+            hf, hf_src = hilbert_function(res, k), hilbert_function(res, k - 1)
+            span_rows = sum(basis_dim(n, k - e) for e in degrees)
+            shapes += [(a_tgt * hf, b_src * hf_src), (max(span_rows, hf), basis_dim(n, k))]
+            if not degrees:
+                shapes.append(
+                    (b_src * basis_dim(n, -k - n), a_tgt * basis_dim(n, -k - n - 1))
+                )
+    return max(shapes, key=lambda shape: shape[0] * shape[1])
+
+
 def _emit(text: str, config: RunConfig) -> None:
     if config.output:
         try:
@@ -222,15 +216,17 @@ def _meta(config: RunConfig) -> dict:
     return {"prime": config.prime, "seed": config.seed}
 
 
-def _variety(config: RunConfig, rng: SeededRng, field: FieldSpec):
-    return make_ci_variety(config.n, config.ci_degrees, rng, field)
-
-
 def run(config: RunConfig) -> int:
     """Execute one command; returns the exit code, writing output as asked."""
     if not 0 <= config.seed < 1 << 64:
         raise ValueError(f"seed {config.seed} outside [0, 2^64)")
     field = FieldSpec.prime(config.prime)
+    rows, cols = largest_matrix(config)
+    if rows * cols > MAX_MATRIX_CELLS:
+        raise ValueError(
+            f"request needs a {rows}x{cols} matrix, more than the "
+            f"{MAX_MATRIX_CELLS} cells allowed"
+        )
     rng = SeededRng(config.seed)
     if config.command == "construct":
         kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
@@ -239,7 +235,7 @@ def run(config: RunConfig) -> int:
             "n": config.n,
             "a": config.a,
             "bundle_rank": kb.rank,
-            "certificate": certificate_dict(cert),
+            "certificate": asdict(cert),
             "phi": phi_dict(kb.phi),
         }
         _emit(serialize_report(payload), config)
@@ -253,7 +249,7 @@ def run(config: RunConfig) -> int:
                 **_meta(config),
                 "n": config.n,
                 "a": config.a,
-                "certificate": certificate_dict(cert),
+                "certificate": asdict(cert),
                 "table": table_dict(table),
             }
             _emit(serialize_report(payload), config)
@@ -266,7 +262,7 @@ def run(config: RunConfig) -> int:
             _emit(render_table_markdown(table, header), config)
         return EXIT_OK
     if config.command == "restrict":
-        x = _variety(config, rng, field)
+        x = make_ci_variety(config.n, config.ci_degrees, rng, field)
         window = _window(config, x.d)
         kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
         table = restricted_cohomology_table(kb, x, window)
@@ -276,7 +272,7 @@ def run(config: RunConfig) -> int:
                 "n": config.n,
                 "a": config.a,
                 "ci_degrees": list(config.ci_degrees),
-                "certificate": certificate_dict(cert),
+                "certificate": asdict(cert),
                 "table": table_dict(table),
             }
             _emit(serialize_report(payload), config)
@@ -295,8 +291,8 @@ def run(config: RunConfig) -> int:
             **_meta(config),
             "n": config.n,
             "a": config.a,
-            "certificate": certificate_dict(cert),
-            "stabilizer": stabilizer_dict(rep),
+            "certificate": asdict(cert),
+            "stabilizer": asdict(rep),
         }
         _emit(serialize_report(payload), config)
         return EXIT_OK if rep.simple else EXIT_FAILED
@@ -315,7 +311,7 @@ def run(config: RunConfig) -> int:
         _emit(serialize_report(payload), config)
         return EXIT_OK
     if config.command == "certify":
-        x = _variety(config, rng, field)
+        x = make_ci_variety(config.n, config.ci_degrees, rng, field)
         rep = wildness_certificate(x, config.s, config.a, rng, field)
         _emit(serialize_report(wildness_dict(rep)), config)
         return EXIT_OK if rep.verdict else EXIT_FAILED

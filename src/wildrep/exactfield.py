@@ -5,9 +5,14 @@ stabilizer systems) reduces to ranks and kernels computed here, so this
 module is deliberately small and deterministic.  Matrices are stored as
 int64 numpy arrays with entries reduced to [0, p).
 
-Row reduction always produces the reduced row echelon form.  RREF is unique
-for a fixed column order, so ranks and kernel bases are reproducible
-bit-for-bit across platforms regardless of pivot search details.
+One forward elimination pass does all the row reduction: it brings a copy
+of the matrix to row echelon form with unit pivots, taking as pivot the
+first nonzero entry at or below the current row, and clears only below
+each pivot.  rank counts its pivots.  rref follows it with back
+substitution, clearing above each pivot from the last to the first, which
+yields the reduced row echelon form; that form is unique for a fixed
+column order, so kernel bases are reproducible bit-for-bit whatever the
+pivot choice.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
 A (seed, counter) pair determines every draw, so any sampled object can be
@@ -149,11 +154,6 @@ class DenseMatrix:
                 m.data[i, j] = field.element(v)
         return m
 
-    @property
-    def entries(self) -> list:
-        """Entries in row-major order (canonical representatives)."""
-        return [self.data[i, j] for i in range(self.rows) for j in range(self.cols)]
-
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
@@ -172,71 +172,61 @@ def transpose(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(m.cols, m.rows, m.field, m.data.T.copy())
 
 
-def _rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank via forward elimination mod p; destroys its copy of a."""
-    a = a % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        pivot_row = (a[r, c:] * inv) % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], pivot_row)) % p
-        r += 1
-    return r
+def _clear(a: np.ndarray, rows: np.ndarray, r: int, c: int, p: int) -> None:
+    """Zero column c of the given rows with multiples of unit-pivot row r.
+
+    All these rows are zero before column c, so only columns c on change.
+    """
+    a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
 
 
-def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p with pivot column list."""
+def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form of a reduced copy of a, with unit pivots.
+
+    The pivot for column c is the first row at or below the next pivot
+    position with a nonzero entry there; entries below each pivot are
+    cleared, entries above are left alone.  Returns the echelon matrix and
+    the pivot columns.
+    """
     a = a % p
     rows, cols = a.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = r + np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+        if nz[0] != r:
+            # the row swapped down is zero in column c, so the rows below r
+            # that still need clearing are exactly nz[1:]
+            a[[r, nz[0]]] = a[[nz[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        if nz.size > 1:
+            _clear(a, nz[1:], r, c, p)
         pivots.append(c)
-        r += 1
     return a, pivots
 
 
 def rank(m: DenseMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _rank_mod(m.data, m.field.p)
+    return len(_echelon_mod(m.data, m.field.p)[1])
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
-    The result is canonical: it depends only on the row space and the
-    column order, never on pivot search details.
+    The echelon pass followed by clearing above each pivot, last pivot
+    first.  The result is canonical: it depends only on the row space and
+    the column order, never on pivot search details.
     """
-    if m.rows == 0 or m.cols == 0:
-        return DenseMatrix(m.rows, m.cols, m.field, m.data.copy()), ()
-    red, piv = _rref_mod(m.data, m.field.p)
+    p = m.field.p
+    red, piv = _echelon_mod(m.data, p)
+    for r in range(len(piv) - 1, 0, -1):
+        c = piv[r]
+        above = np.flatnonzero(red[:r, c])
+        if above.size:
+            _clear(red, above, r, c, p)
     return DenseMatrix(m.rows, m.cols, m.field, red), tuple(piv)
 
 

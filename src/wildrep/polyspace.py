@@ -93,12 +93,6 @@ class MonomialBasis:
     d: int
     monomials: tuple[tuple[int, ...], ...]
 
-    def index(self, exponent: tuple[int, ...]) -> int:
-        return _monomial_index(self.n, self.d)[exponent]
-
-    def __len__(self):
-        return len(self.monomials)
-
 
 def monomial_basis(n: int, d: int) -> MonomialBasis:
     if n < 1:

@@ -20,6 +20,10 @@ from .exactfield import FieldSpec, SeededRng, rank, random_field_element
 from .polyspace import basis_dim, mult_map
 
 
+# last degree the sheaf surjectivity certificate tries by default
+SURJECTIVITY_SEARCH_MAX = 3
+
+
 class GenericityError(RuntimeError):
     """Sampling failed to produce a matrix passing the genericity certificates."""
 
@@ -144,7 +148,7 @@ def h0_phi1_is_isomorphism(phi: LinearFormMatrix) -> bool:
 
 
 def sheaf_surjectivity_certificate(
-    phi: LinearFormMatrix, t_max: int = 3
+    phi: LinearFormMatrix, t_max: int = SURJECTIVITY_SEARCH_MAX
 ) -> SurjectivityCertificate:
     """Search degrees -1..t_max for a vanishing cokernel piece.
 
@@ -212,7 +216,8 @@ def build_kernel_bundle(
     stream; the returned certificate records the (seed, counter) state
     from which the accepted phi was drawn.  Raises GenericityError when
     every attempt fails, which over a field of size >= 101 signals a bug
-    or adversarial inputs rather than bad luck.
+    or adversarial inputs rather than bad luck; its one-line message names
+    each attempt's (seed, counter) and the outcome of both checks.
     """
     if field is None:
         field = FieldSpec.prime()
@@ -220,6 +225,7 @@ def build_kernel_bundle(
     if n < 2 or a < 1 or not check_generic_conditions(a_tgt, b_src, n):
         raise ShapeError(f"no kernel-bundle shape for n = {n}, a = {a}")
     attempts = 1 + max_resample
+    failed = []
     for _ in range(attempts):
         seed, counter = rng.state()
         phi = sample_phi(n, a_tgt, b_src, rng, field)
@@ -231,6 +237,11 @@ def build_kernel_bundle(
                 seed=seed, counter=counter,
             )
             return kb, full
+        failed.append(
+            f"(seed {seed}, counter {counter}): surjective_at_degree="
+            f"{cert.surjective_at_degree}, h0_phi1_iso={cert.h0_phi1_iso}"
+        )
     raise GenericityError(
-        f"no generic sample for (n, a) = ({n}, {a}) after {attempts} attempts"
+        f"no generic sample for (n, a) = ({n}, {a}) after {attempts} attempts; "
+        + "; ".join(failed)
     )

@@ -1,23 +1,33 @@
 """Command line behavior: parsing, rendering, serialization, exit codes."""
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
-from wildrep import SeededRng, cohomology_table_exact
+from wildrep import (
+    SeededRng,
+    cli,
+    cohomology_table_exact,
+    make_ci_variety,
+    wildness_certificate,
+)
 from wildrep.cli import (
     EXIT_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_MATRIX_CELLS,
     RunConfig,
     build_parser,
+    largest_matrix,
     main,
     render_table_markdown,
     run,
     serialize_report,
     table_dict,
     table_from_dict,
+    wildness_dict,
 )
 from conftest import GOLDEN_DIR, cached_bundle
 
@@ -186,3 +196,68 @@ def test_seed_outside_u64_exits_usage(seed, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+
+
+def test_wildness_dict_emits_trace_failures_only_when_present(fp):
+    # degree data only, so no table is computed; d = 3 gives two traces
+    rep = wildness_certificate(make_ci_variety(4, (2,)), 3, 1, SeededRng(0), fp)
+    assert len(rep.traces) == 2
+    assert all("failures" not in tr for tr in wildness_dict(rep)["vanishing_traces"])
+    broken = dataclasses.replace(
+        rep.traces[0], verified=False, failures=((1, -1), (1, -2))
+    )
+    rep = dataclasses.replace(rep, traces=(broken, rep.traces[1]))
+    first, second = json.loads(serialize_report(wildness_dict(rep)))["vanishing_traces"]
+    assert first["verified"] is False
+    assert first["failures"] == [[1, -1], [1, -2]]
+    assert "failures" not in second
+
+
+@pytest.mark.parametrize(
+    "config, shape",
+    [
+        # the degree-5 map: 2a C(14, 8) rows by (n+2)a C(13, 8) columns
+        (RunConfig("table", n=8, a=2), (12012, 25740)),
+        # the degree-401 map: 2 C(404, 2) rows by 4 C(403, 2) columns
+        (RunConfig("table", n=2, t_max=400), (162812, 324012)),
+    ],
+)
+def test_largest_matrix_refuses_oversized_requests(config, shape):
+    assert largest_matrix(config) == shape
+    assert shape[0] * shape[1] > MAX_MATRIX_CELLS
+
+
+@pytest.mark.parametrize(
+    "config, shape",
+    [
+        # the golden config, also the certify-family benchmark workload
+        (RunConfig("certify", n=3, a=2, ci_degrees=(2,)), (196, 360)),
+        # the ambient-table and ci-restrict benchmark workloads
+        (RunConfig("table", n=4, a=2), (840, 1512)),
+        (RunConfig("restrict", n=5, a=1, ci_degrees=(2, 2)), (462, 1022)),
+        # the largest configurations in the performance ladder
+        (RunConfig("table", n=5, a=2), (1848, 3528)),
+        (RunConfig("restrict", n=5, a=2, ci_degrees=(2,)), (1344, 2744)),
+        (RunConfig("restrict", n=5, a=2, ci_degrees=(2, 2)), (924, 2044)),
+        (RunConfig("table", n=6, a=1), (1848, 3696)),
+        (RunConfig("restrict", n=6, a=1, ci_degrees=(2,)), (1428, 3024)),
+    ],
+)
+def test_largest_matrix_admits_benchmarked_requests(config, shape):
+    assert largest_matrix(config) == shape
+    assert shape[0] * shape[1] <= MAX_MATRIX_CELLS
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", "--n", "8", "--a", "2"], ["table", "--n", "2", "--t-max", "400"]]
+)
+def test_oversized_request_exits_usage_before_sampling(argv, monkeypatch, capsys):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("an oversized request reached sampling")
+
+    monkeypatch.setattr(cli, "build_kernel_bundle", must_not_sample)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: request needs a ")
+    assert captured.err.count("\n") == 1

@@ -46,6 +46,37 @@ def _bareiss_rank(rows):
     return r
 
 
+def _gauss_jordan(rows, ncols, p):
+    """Reduced row echelon form mod p with Python ints, and pivot columns."""
+    a = [[v % p for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, tuple(pivots)
+
+
+def _reference_kernel(red, pivots, ncols, p):
+    """Kernel basis read off a reduced echelon form, as a list of rows."""
+    free = [f for f in range(ncols) if f not in pivots]
+    basis = [[0] * len(free) for _ in range(ncols)]
+    for j, f in enumerate(free):
+        basis[f][j] = 1
+        for i, c in enumerate(pivots):
+            basis[c][j] = -red[i][f] % p
+    return basis
+
+
 def test_default_prime():
     assert DEFAULT_PRIME == 32003
 
@@ -177,6 +208,43 @@ def test_rref_pivot_columns_are_unit(m):
         col = r.data[:, c]
         assert col[j] == 1
         assert not np.any(col[np.arange(r.rows) != j])
+
+
+ORACLE_PRIMES = (2, 3, 101, 32003, (1 << 31) - 1)
+
+
+@st.composite
+def matrix_with_rows(draw):
+    """Up to 8 x 8, empty shapes included; some rows are multiples of
+    earlier rows, which forces rank deficiency at every prime."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    entry = st.integers(min_value=0, max_value=p - 1)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            j = draw(st.integers(min_value=0, max_value=i - 1))
+            k = draw(st.integers(min_value=1, max_value=p - 1))
+            rows[i] = [v * k % p for v in rows[j]]
+    data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    return rows, DenseMatrix(nrows, ncols, FieldSpec.prime(p), data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_with_rows())
+def test_elimination_matches_gauss_jordan_reference(case):
+    rows, m = case
+    p = m.field.p
+    red, pivots = _gauss_jordan(rows, m.cols, p)
+    assert rank(m) == len(pivots)
+    r, piv = rref(m)
+    assert piv == pivots
+    assert r.data.tolist() == red
+    k = kernel_basis(m)
+    assert (k.rows, k.cols) == (m.cols, m.cols - len(pivots))
+    assert k.data.tolist() == _reference_kernel(red, pivots, m.cols, p)
+    assert m.data.tolist() == rows  # the input is left untouched
 
 
 def test_rng_frozen_first_draws(fp, vectors):

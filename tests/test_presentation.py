@@ -128,5 +128,15 @@ class _ZeroRng(SeededRng):
 
 def test_build_exhausts_on_degenerate_stream(fp):
     # a stream of zeros can never produce a generic sample
-    with pytest.raises(GenericityError):
+    with pytest.raises(GenericityError) as exc:
         build_kernel_bundle(2, 1, _ZeroRng(0), fp, max_resample=2)
+    message = str(exc.value)
+    assert "\n" not in message
+    # each attempt draws 2 * 4 * 3 coefficients, so attempts start at
+    # counters 0, 24 and 48; the zero matrix fails both checks
+    for counter in (0, 24, 48):
+        assert (
+            f"(seed 0, counter {counter}): surjective_at_degree=None, "
+            "h0_phi1_iso=False"
+        ) in message
+    assert "counter 72" not in message
