@@ -173,8 +173,10 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
     over the twist window, the maps in degree 1 + t, the ideal spans and
     normal-form matrices on X, and the Serre-dual maps on P^n.  Each grows
     monotonically in its degree, so the last search degree and the two
-    ends of the window bound the rest.  Parts that a later check refuses
-    to build count as empty.
+    ends of the window bound the rest.  A form of degree e is sampled as
+    C(n+e, n) coefficients, so the ideal span and normal-form matrix of
+    degree e, the first piece that reduces it, count too.  Parts that a
+    later check refuses to build count as empty.
     """
     n, a = config.n, config.a
     if config.command == "bound" or n < 2 or a < 1:
@@ -188,16 +190,18 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
     d = n - len(degrees)
     if config.command in ("table", "restrict", "certify") and d >= 2:
         res = koszul_degree_data(n, degrees)
-        window = default_window(d) if config.command == "certify" else _window(config, d)
-        for t in window:
-            k = 2 + t
-            hf, hf_src = hilbert_function(res, k), hilbert_function(res, k - 1)
-            span_rows = sum(basis_dim(n, k - e) for e in degrees)
-            shapes += [(a_tgt * hf, b_src * hf_src), (max(span_rows, hf), basis_dim(n, k))]
+        ends = [2 + t for t in _window(config, d)]
+        for k in ends:
+            shapes.append(
+                (a_tgt * hilbert_function(res, k), b_src * hilbert_function(res, k - 1))
+            )
             if not degrees:
                 shapes.append(
                     (b_src * basis_dim(n, -k - n), a_tgt * basis_dim(n, -k - n - 1))
                 )
+        for k in (*ends, *degrees):
+            span_rows = sum(basis_dim(n, k - e) for e in degrees)
+            shapes.append((max(span_rows, hilbert_function(res, k)), basis_dim(n, k)))
     return max(shapes, key=lambda shape: shape[0] * shape[1])
 
 
@@ -220,6 +224,8 @@ def run(config: RunConfig) -> int:
     """Execute one command; returns the exit code, writing output as asked."""
     if not 0 <= config.seed < 1 << 64:
         raise ValueError(f"seed {config.seed} outside [0, 2^64)")
+    if config.command == "certify" and (config.t_min, config.t_max) != (None, None):
+        raise ValueError("certify always uses the default twist window; drop --t-min/--t-max")
     field = FieldSpec.prime(config.prime)
     rows, cols = largest_matrix(config)
     if rows * cols > MAX_MATRIX_CELLS:

@@ -5,14 +5,25 @@ stabilizer systems) reduces to ranks and kernels computed here, so this
 module is deliberately small and deterministic.  Matrices are stored as
 int64 numpy arrays with entries reduced to [0, p).
 
-One forward elimination pass does all the row reduction: it brings a copy
-of the matrix to row echelon form with unit pivots, taking as pivot the
-first nonzero entry at or below the current row, and clears only below
-each pivot.  rank counts its pivots.  rref follows it with back
-substitution, clearing above each pivot from the last to the first, which
-yields the reduced row echelon form; that form is unique for a fixed
-column order, so kernel bases are reproducible bit-for-bit whatever the
-pivot choice.
+All row reduction is one recursive routine that brings a matrix to
+reduced row echelon form in place.  A block of at most 32 rows is reduced
+one pivot at a time in int64: the pivot is the first nonzero entry at or
+below the next pivot row, scaled to 1 and cleared from every other row.  A
+taller block is split in half; the top half is reduced, its pivot columns
+are cleared from the bottom half by one matrix product, the bottom half is
+reduced, and its pivot columns are cleared from the top by a second
+product.  This is the recursive block elimination of FFLAS-FFPACK (Dumas,
+Giorgi and Pernet) and of Albrecht, Bard and Pernet.
+
+The products run through float64 BLAS, with float64 only as a carrier for
+exact integers: a bound checked at every product keeps each partial sum
+below 2^53.  When k (p-1)^2 + p <= 2^53 for inner dimension k one gemm is
+exact; otherwise both factors are split into 16-bit limbs and four gemms
+are combined, which covers every prime below 2^31.  Sums are reduced with
+floor(z * (1/p)) and one correction by p.  rank counts the pivots and rref
+sorts the rows by pivot.  The reduced echelon form is unique for a fixed
+column order, so ranks and kernel bases are reproducible bit-for-bit
+whatever the split or the pivot choice.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
 A (seed, counter) pair determines every draw, so any sampled object can be
@@ -33,8 +44,8 @@ _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
-# pivot inversion uses pow(x, p - 2, p); row updates form products < p**2,
-# which must stay inside int64
+# pivot inversion uses pow(x, p - 2, p); int64 row updates form products
+# < p**2, and float64 products split entries into two 16-bit limbs
 _MAX_PRIME = 1 << 31
 
 # uniform sampling below this modulus is rejected: genericity arguments need
@@ -172,62 +183,143 @@ def transpose(m: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(m.cols, m.rows, m.field, m.data.T.copy())
 
 
-def _clear(a: np.ndarray, rows: np.ndarray, r: int, c: int, p: int) -> None:
-    """Zero column c of the given rows with multiples of unit-pivot row r.
+# blocks of at most this many rows are reduced one pivot at a time in int64;
+# taller ones are split in half and joined by two matrix products
+_LEAF_ROWS = 32
 
-    All these rows are zero before column c, so only columns c on change.
+# float64 holds every integer of absolute value up to 2^53 exactly
+_EXACT = 1 << 53
+
+# the limb path splits entries below 2^31 into 16-bit halves and sums at
+# most k = _LIMB_INNER_MAX products of halves in one gemm, so that k * 2^32
+# plus a reduced term shifted by 2^16, plus p, stays within 2^53
+_LIMB = 1 << 16
+_LIMB_INNER_MAX = (_EXACT - (1 << 48)) >> 32
+
+
+def _reduce(z: np.ndarray, p: int) -> None:
+    """Reduce float64 integers with |z| + p <= 2^53 into [0, p), in place.
+
+    The float quotient z * (1/p) is within 2/p of z / p, so its floor is off
+    by at most one, which one correction by p repairs.
     """
-    a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
+    q = z * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    z -= q
+    np.add(z, p, out=z, where=z < 0)
+    np.subtract(z, p, out=z, where=z >= p)
 
 
-def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of a reduced copy of a, with unit pivots.
+def _single_gemm_max(p: int) -> int:
+    """Largest inner dimension k with k * (p-1)^2 + p <= 2^53."""
+    return (_EXACT - p) // (p - 1) ** 2
 
-    The pivot for column c is the first row at or below the next pivot
-    position with a nonzero entry there; entries below each pivot are
-    cleared, entries above are left alone.  Returns the echelon matrix and
-    the pivot columns.
+
+def _sub_mul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
+    """c <- (c - a @ b) mod p in place, exactly; all hold integers in [0, p).
+
+    Up to _single_gemm_max(p) terms every partial sum and c - a @ b stay
+    within 2^53, so one float64 gemm is exact.  Beyond it both factors are
+    split into 16-bit limbs, a = a1 * 2^16 + a0, and the four limb
+    products are combined Horner-style with a reduction after each step.
     """
-    a = a % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        nz = r + np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        if nz[0] != r:
-            # the row swapped down is zero in column c, so the rows below r
-            # that still need clearing are exactly nz[1:]
-            a[[r, nz[0]]] = a[[nz[0], r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-        if nz.size > 1:
-            _clear(a, nz[1:], r, c, p)
-        pivots.append(c)
-    return a, pivots
+    k = a.shape[1]
+    if k <= _single_gemm_max(p):
+        c -= a @ b
+        _reduce(c, p)
+        return
+    for s in range(0, k, _LIMB_INNER_MAX):
+        a1, a0 = np.divmod(a[:, s : s + _LIMB_INNER_MAX], _LIMB)
+        b1, b0 = np.divmod(b[s : s + _LIMB_INNER_MAX], _LIMB)
+        t = a1 @ b1
+        _reduce(t, p)
+        t *= _LIMB
+        t += a1 @ b0
+        t += a0 @ b1
+        _reduce(t, p)
+        t *= _LIMB
+        t += a0 @ b0
+        c -= t
+        _reduce(c, p)
+
+
+def _echelon_mod(a: np.ndarray, p: int) -> list[int]:
+    """Bring a to reduced row echelon form in place; return its pivots.
+
+    a is a float64 array of integers in [0, p).  On return its first r
+    rows are the nonzero rows of the reduced echelon form, row i with its
+    pivot in the i-th returned column; they are not sorted by pivot, and
+    the rows below them hold leftovers.  A block of at most _LEAF_ROWS
+    rows is the int64 base case; a taller one recurses on its halves as the
+    module docstring describes, then moves the bottom's nonzero rows up
+    under the top's.
+    """
+    rows = a.shape[0]
+    if rows <= _LEAF_ROWS:
+        x = a.astype(np.int64)
+        pivots: list[int] = []
+        c = 0
+        while len(pivots) < rows:
+            r = len(pivots)
+            live = np.flatnonzero(x[r:, c:].any(axis=0))
+            if live.size == 0:
+                break
+            c += int(live[0])
+            nz = r + np.flatnonzero(x[r:, c])
+            if nz[0] != r:
+                x[[r, nz[0]]] = x[[nz[0], r]]
+            x[r, c:] = x[r, c:] * pow(int(x[r, c]), p - 2, p) % p
+            others = np.flatnonzero(x[:, c])
+            others = others[others != r]
+            if others.size:
+                # row r is zero before column c, so only columns c on change
+                x[others, c:] = (x[others, c:] - np.outer(x[others, c], x[r, c:])) % p
+            pivots.append(c)
+            c += 1
+        a[...] = x
+        return pivots
+    h = rows // 2
+    top, bottom = a[:h], a[h:]
+    top_piv = _echelon_mod(top, p)
+    r1 = len(top_piv)
+    if r1:
+        # the top's reduced rows are zero before their first pivot
+        c0 = min(top_piv)
+        _sub_mul_mod(bottom[:, c0:], bottom[:, top_piv], top[:r1, c0:], p)
+    bottom_piv = _echelon_mod(bottom, p)
+    r2 = len(bottom_piv)
+    if r1 and r2:
+        c0 = min(bottom_piv)
+        _sub_mul_mod(top[:r1, c0:], top[:r1, bottom_piv], bottom[:r2, c0:], p)
+    if r2 and r1 < h:
+        a[r1 : r1 + r2] = bottom[:r2]
+    return top_piv + bottom_piv
+
+
+def _carrier(m: DenseMatrix) -> np.ndarray:
+    """float64 copy of m's entries, reduced into [0, p)."""
+    a = np.empty(m.data.shape)
+    np.remainder(m.data, m.field.p, out=a)
+    return a
 
 
 def rank(m: DenseMatrix) -> int:
-    return len(_echelon_mod(m.data, m.field.p)[1])
+    return len(_echelon_mod(_carrier(m), m.field.p))
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
-    The echelon pass followed by clearing above each pivot, last pivot
-    first.  The result is canonical: it depends only on the row space and
-    the column order, never on pivot search details.
+    The result is canonical: it depends only on the row space and the
+    column order, never on pivot search details.
     """
-    p = m.field.p
-    red, piv = _echelon_mod(m.data, p)
-    for r in range(len(piv) - 1, 0, -1):
-        c = piv[r]
-        above = np.flatnonzero(red[:r, c])
-        if above.size:
-            _clear(red, above, r, c, p)
-    return DenseMatrix(m.rows, m.cols, m.field, red), tuple(piv)
+    a = _carrier(m)
+    piv = _echelon_mod(a, m.field.p)
+    order = np.argsort(piv)
+    red = np.zeros(m.data.shape, dtype=np.int64)
+    red[: len(piv)] = a[order]
+    return DenseMatrix(m.rows, m.cols, m.field, red), tuple(sorted(piv))
 
 
 def kernel_basis(m: DenseMatrix) -> DenseMatrix:

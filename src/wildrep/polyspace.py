@@ -103,13 +103,15 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
 @lru_cache(maxsize=None)
 def _product_table(n: int, d: int, e: int) -> np.ndarray:
     """table[u, w] = index of (u-th degree-d monomial) * (w-th degree-e
-    monomial) in degree d + e; e = 1 gives the shift by each variable."""
+    monomial) in degree d + e; e = 1 gives the shift by each variable.
+    For d < 0 the table is empty and the degree-e monomials are never
+    enumerated."""
     index = _monomial_index(n, d + e)
     table = np.array(
         [[index[tuple(a + b for a, b in zip(u, w))] for w in _monomials(n, e)]
          for u in _monomials(n, d)],
         dtype=np.intp,
-    ).reshape(len(_monomials(n, d)), len(_monomials(n, e)))
+    ).reshape(len(_monomials(n, d)), basis_dim(n, e))
     table.flags.writeable = False
     return table
 

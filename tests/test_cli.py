@@ -261,3 +261,58 @@ def test_oversized_request_exits_usage_before_sampling(argv, monkeypatch, capsys
     assert captured.out == ""
     assert captured.err.startswith("invalid input: request needs a ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "window", [["--t-min", "-1", "--t-max", "0"], ["--t-max", "4"], ["--t-min", "-7"]]
+)
+def test_certify_refuses_explicit_window(window, monkeypatch, capsys):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("a refused request reached sampling")
+
+    monkeypatch.setattr(cli, "make_ci_variety", must_not_sample)
+    argv = ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"]
+    assert main(argv + window) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: certify always uses the default")
+    assert captured.err.count("\n") == 1
+
+
+def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
+    # the window never reaches degree 40, but the form alone would draw
+    # C(46, 6) coefficients; its degree-40 normal-form matrix is counted
+    config = RunConfig("restrict", n=6, t_max=0, ci_degrees=(40,))
+    assert largest_matrix(config) == (9366818, 9366819)
+
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("an oversized request reached sampling")
+
+    monkeypatch.setattr(cli, "make_ci_variety", must_not_sample)
+    argv = ["restrict", "--n", "6", "--ci-degrees", "40", "--t-max", "0"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: request needs a 9366818x9366819 ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"],
+        ["table", "--n", "4", "--a", "2", "--format", "json"],
+    ],
+)
+def test_verdict_and_table_agree_at_two_primes(argv, capsys):
+    # 32003 takes single float64 gemms, 2^31 - 1 the 16-bit limbs; the
+    # sampled phi differs, the cohomology and the verdict must not
+    reports = []
+    for prime in ("32003", str((1 << 31) - 1)):
+        assert main(argv + ["--prime", prime]) == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out))
+    low, high = reports
+    assert (low["prime"], high["prime"]) == (32003, (1 << 31) - 1)
+    assert low["table"]["cells"] == high["table"]["cells"]
+    assert low["table"]["provenance"] == high["table"]["provenance"]
+    assert low.get("verdict") == high.get("verdict")

@@ -17,6 +17,8 @@ from wildrep import (
     rref,
     transpose,
 )
+from wildrep import exactfield
+from wildrep.exactfield import _LIMB_INNER_MAX, _reduce, _single_gemm_max, _sub_mul_mod
 
 
 def _product_mod_p(a, b):
@@ -245,6 +247,129 @@ def test_elimination_matches_gauss_jordan_reference(case):
     assert (k.rows, k.cols) == (m.cols, m.cols - len(pivots))
     assert k.data.tolist() == _reference_kernel(red, pivots, m.cols, p)
     assert m.data.tolist() == rows  # the input is left untouched
+
+
+# the top half of a full-rank 96-row matrix has 48 pivots, so the first
+# product of the recursion has inner dimension 48; below P_FLOAT it is one
+# float64 gemm, from P_LIMBS on it goes through 16-bit limbs
+INNER = 48
+P_FLOAT, P_LIMBS = 13698533, 13698577
+DIFF_PRIMES = (2, 3, 101, 32003, 65537, P_FLOAT, P_LIMBS, (1 << 31) - 1)
+
+
+def _random_rows(rng, p, nrows, ncols, fresh):
+    """Rows of entries in [0, p); each row after the first is, with
+    probability 1 - fresh, a random combination of up to three earlier
+    rows, possibly all zero."""
+    rows = rng.integers(0, p, size=(nrows, ncols)).tolist()
+    for i in range(1, nrows):
+        if rng.random() >= fresh:
+            picks = rng.integers(0, i, size=3).tolist()
+            coeffs = rng.integers(0, p, size=3).tolist()
+            rows[i] = [
+                sum(k * rows[j][c] for j, k in zip(picks, coeffs)) % p
+                for c in range(ncols)
+            ]
+    return rows
+
+
+# (rows, cols, share of fresh rows, None for the zero matrix); every block
+# taller than 32 rows is split, so all but the first three shapes reach
+# the recursion
+DIFF_SHAPES = (
+    (0, 9, 1.0),
+    (9, 0, 1.0),
+    (1, 300, 1.0),
+    (300, 1, 0.5),
+    (150, 200, None),
+    (33, 40, 1.0),
+    (65, 31, 1.0),
+    (97, 60, 0.3),
+    (2 * INNER, 60, 1.0),
+    (201, 300, 0.06),
+)
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_recursive_elimination_matches_gauss_jordan(p):
+    assert _single_gemm_max(P_FLOAT) >= INNER > _single_gemm_max(P_LIMBS)
+    rng = np.random.default_rng(p)
+    for nrows, ncols, fresh in DIFF_SHAPES:
+        if fresh is None:
+            rows = [[0] * ncols for _ in range(nrows)]
+        else:
+            rows = _random_rows(rng, p, nrows, ncols, fresh)
+        data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+        m = DenseMatrix(nrows, ncols, FieldSpec.prime(p), data)
+        red, pivots = _gauss_jordan(rows, ncols, p)
+        assert rank(m) == len(pivots)
+        r, piv = rref(m)
+        assert piv == pivots
+        assert r.data.dtype == np.int64
+        assert r.data.tolist() == red
+        k = kernel_basis(m)
+        assert k.data.dtype == np.int64
+        assert k.data.tolist() == _reference_kernel(red, pivots, ncols, p)
+        assert 0 <= k.data.min(initial=0) and k.data.max(initial=0) < p
+        assert m.data.tolist() == rows  # the input is left untouched
+
+
+def _sub_mul_reference(c, a, b, p):
+    ci, ai, bi = (x.astype(np.int64).tolist() for x in (c, a, b))
+    return [
+        [(ci[i][j] - sum(x * y[j] for x, y in zip(ai[i], bi))) % p for j in range(len(ci[0]))]
+        for i in range(len(ci))
+    ]
+
+
+def test_product_exact_at_single_gemm_bound():
+    # all entries p - 1 at the largest inner dimension one float64 gemm may
+    # take, and one past it, where the limbs take over; at P_FLOAT a single
+    # gemm one term past the bound rounds, so a looser bound fails here
+    p = P_FLOAT
+    k_max = _single_gemm_max(p)
+    assert k_max * (p - 1) ** 2 + p <= 1 << 53 < (k_max + 1) * (p - 1) ** 2 + p
+    for k in (k_max, k_max + 1):
+        a = np.full((2, k), p - 1.0)
+        b = np.full((k, 3), p - 1.0)
+        c = np.full((2, 3), p - 1.0)
+        _sub_mul_mod(c, a, b, p)
+        assert c.tolist() == [[(-1 - k) % p] * 3] * 2
+
+
+@pytest.mark.parametrize(
+    "p, z",
+    [
+        (2731, 385 * 2731),  # the float quotient falls just below 385
+        (32003, -281448588904 * 32003 - 1),  # rounds up to -281448588904
+    ],
+)
+def test_reduce_repairs_off_by_one_quotients(p, z):
+    assert np.floor(z * (1.0 / p)) != z // p
+    x = np.array([float(z)])
+    _reduce(x, p)
+    assert x.tolist() == [z % p]
+
+
+@pytest.mark.parametrize("p", [P_FLOAT, (1 << 31) - 1])
+@pytest.mark.parametrize("fill", [None, "p-1"])
+def test_product_limb_path_is_exact(p, fill, monkeypatch):
+    # 100 terms take the limb path at both primes; capped at 7 terms per
+    # limb gemm, the inner dimension is also split into chunks
+    k = 100
+    assert k > _single_gemm_max(p)
+    rng = np.random.default_rng(p)
+    shapes = ((4, k), (k, 5), (4, 5))
+    if fill is None:
+        a, b, c = (rng.integers(0, p, size=s).astype(np.float64) for s in shapes)
+    else:
+        a, b, c = (np.full(s, p - 1.0) for s in shapes)
+    want = _sub_mul_reference(c, a, b, p)
+    for inner_max in (_LIMB_INNER_MAX, 7):
+        monkeypatch.setattr(exactfield, "_LIMB_INNER_MAX", inner_max)
+        out = c.copy()
+        _sub_mul_mod(out, a, b, p)
+        assert out.tolist() == want
 
 
 def test_rng_frozen_first_draws(fp, vectors):

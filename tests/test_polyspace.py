@@ -21,6 +21,7 @@ from wildrep import (
     mult_map,
     sample_phi,
 )
+from wildrep import polyspace
 from wildrep.polyspace import quotient_piece
 from wildrep.restriction import ACMVarietyDescriptor
 
@@ -346,3 +347,19 @@ def test_mult_map_exact_at_largest_prime(n, degrees, m):
 def test_resolution_degree_data_validation():
     with pytest.raises(ValueError):
         ResolutionDegreeData(3, ((0,),))
+
+
+def test_product_table_skips_high_degree_monomials_when_empty(monkeypatch):
+    # a degree-20 form in degree 2 has no multiples; its C(26, 6) monomials
+    # must not be enumerated just to size the empty table
+    requested = []
+    enumerate_monomials = polyspace._monomials
+
+    def recording(n, d):
+        requested.append((n, d))
+        return enumerate_monomials(n, d)
+
+    monkeypatch.setattr(polyspace, "_monomials", recording)
+    table = polyspace._product_table(6, -18, 20)
+    assert table.shape == (0, basis_dim(6, 20))
+    assert (6, 20) not in requested
