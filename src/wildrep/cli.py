@@ -51,21 +51,40 @@ EXIT_USAGE = 2
 # works on a second copy
 MAX_MATRIX_CELLS = 1 << 26
 
+# re-embedding degree of bound and certify when --s is not given
+DEFAULT_S = 3
+
+# the optional flags each command reads; run refuses any other it is given.
+# Commands without "--format markdown" write JSON only, and --s counts as
+# given when it differs from DEFAULT_S
+_READS = {
+    "construct": (),
+    "table": ("--t-min", "--t-max", "--format markdown"),
+    "restrict": ("--t-min", "--t-max", "--ci-degrees", "--format markdown"),
+    "simplicity": (),
+    "bound": ("--s", "--ci-degrees"),
+    "certify": ("--s", "--ci-degrees"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed invocation; one instance fully determines one run."""
+    """Parsed invocation; one instance fully determines one run.
+
+    A window end of None, or an empty ci_degrees, means the flag was not
+    given; format None is the command's own default.
+    """
 
     command: str
     n: int
     a: int = 1
-    s: int = 3
+    s: int = DEFAULT_S
     prime: int = DEFAULT_PRIME
     seed: int = 0
     t_min: int | None = None
     t_max: int | None = None
     ci_degrees: tuple[int, ...] = ()
-    format: str = "markdown"
+    format: str | None = None
     output: str | None = None
 
 
@@ -186,7 +205,7 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
     shapes = [(a_tgt * basis_dim(n, m + 1), b_src * basis_dim(n, m))]
     if config.command in ("simplicity", "certify"):
         shapes.append((a_tgt * b_src * (n + 1), a_tgt * a_tgt + b_src * b_src))
-    degrees = () if config.command == "table" else config.ci_degrees
+    degrees = config.ci_degrees
     d = n - len(degrees)
     if config.command in ("table", "restrict", "certify") and d >= 2:
         res = koszul_degree_data(n, degrees)
@@ -226,6 +245,17 @@ def run(config: RunConfig) -> int:
         raise ValueError(f"seed {config.seed} outside [0, 2^64)")
     if config.command == "certify" and (config.t_min, config.t_max) != (None, None):
         raise ValueError("certify always uses the default twist window; drop --t-min/--t-max")
+    given = {
+        "--s": config.s != DEFAULT_S,
+        "--t-min": config.t_min is not None,
+        "--t-max": config.t_max is not None,
+        "--ci-degrees": bool(config.ci_degrees),
+        "--format markdown": config.format == "markdown",
+    }
+    reads = _READS.get(config.command, ())
+    unused = [flag for flag, on in given.items() if on and flag not in reads]
+    if unused:
+        raise ValueError(f"{config.command} does not use {', '.join(unused)}")
     field = FieldSpec.prime(config.prime)
     rows, cols = largest_matrix(config)
     if rows * cols > MAX_MATRIX_CELLS:
@@ -342,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, required=True, help="ambient projective dimension")
         p.add_argument("--a", type=int, default=1, help="family parameter (bundle rank is n*a)")
-        p.add_argument("--s", type=int, default=3, help="re-embedding degree")
+        p.add_argument("--s", type=int, default=DEFAULT_S, help="re-embedding degree")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--t-min", type=int, default=None, dest="t_min")
@@ -351,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--ci-degrees", type=int, nargs="*", default=[], dest="ci_degrees",
             help="degrees of the complete intersection forms (empty for P^n)",
         )
-        default_fmt = "json" if name in ("construct", "simplicity", "bound", "certify") else "markdown"
+        default_fmt = "markdown" if "--format markdown" in _READS[name] else "json"
         p.add_argument("--format", choices=("markdown", "json"), default=default_fmt)
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
     return parser

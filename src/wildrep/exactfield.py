@@ -6,14 +6,24 @@ module is deliberately small and deterministic.  Matrices are stored as
 int64 numpy arrays with entries reduced to [0, p).
 
 All row reduction is one recursive routine that brings a matrix to
-reduced row echelon form in place.  A block of at most 32 rows is reduced
-one pivot at a time in int64: the pivot is the first nonzero entry at or
-below the next pivot row, scaled to 1 and cleared from every other row.  A
-taller block is split in half; the top half is reduced, its pivot columns
-are cleared from the bottom half by one matrix product, the bottom half is
-reduced, and its pivot columns are cleared from the top by a second
-product.  This is the recursive block elimination of FFLAS-FFPACK (Dumas,
-Giorgi and Pernet) and of Albrecht, Bard and Pernet.
+reduced row echelon form in place.  A block of at most 32 rows (a leaf) is
+reduced one pivot at a time in int64: the pivot is the first nonzero entry
+at or below the next pivot row, scaled to 1 and cleared from every other
+row.  A leaf wider than 128 columns plus its row count works in column
+panels of 128.  The per-pivot loop runs on one panel beside the leaf's
+accumulated row operations T, which start as the identity, and searches
+for pivots only within the panel; the next panel, or once every row has a
+pivot all the remaining columns, is brought up to date by one product with
+T.  So each pivot updates a panel rather than the leaf's full width.
+
+A taller block is split in half; the top half is reduced, its pivot
+columns are cleared from the bottom half by one matrix product, the bottom
+half is reduced, and its pivot columns are cleared from the top by a
+second product.  This is the recursive block elimination of FFLAS-FFPACK
+(Dumas, Giorgi and Pernet) and of Albrecht, Bard and Pernet.  rank needs
+only the pivots, so it skips the second product: a block's bottom half
+then skips it too, while its top half, whose rows clear the bottom, is
+always fully reduced.
 
 The products run through float64 BLAS, with float64 only as a carrier for
 exact integers: a bound checked at every product keeps each partial sum
@@ -23,7 +33,7 @@ are combined, which covers every prime below 2^31.  Sums are reduced with
 floor(z * (1/p)) and one correction by p.  rank counts the pivots and rref
 sorts the rows by pivot.  The reduced echelon form is unique for a fixed
 column order, so ranks and kernel bases are reproducible bit-for-bit
-whatever the split or the pivot choice.
+whatever the split, the panel width or the pivot choice.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
 A (seed, counter) pair determines every draw, so any sampled object can be
@@ -187,6 +197,10 @@ def transpose(m: DenseMatrix) -> DenseMatrix:
 # taller ones are split in half and joined by two matrix products
 _LEAF_ROWS = 32
 
+# a leaf searches for pivots in panels of this many columns, so each pivot
+# updates a panel rather than the leaf's full width
+_PANEL_COLS = 128
+
 # float64 holds every integer of absolute value up to 2^53 exactly
 _EXACT = 1 << 53
 
@@ -244,52 +258,76 @@ def _sub_mul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
         _reduce(c, p)
 
 
-def _echelon_mod(a: np.ndarray, p: int) -> list[int]:
-    """Bring a to reduced row echelon form in place; return its pivots.
+def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
+    """Bring a to row echelon form in place; return its pivots.
 
     a is a float64 array of integers in [0, p).  On return its first r
-    rows are the nonzero rows of the reduced echelon form, row i with its
-    pivot in the i-th returned column; they are not sorted by pivot, and
-    the rows below them hold leftovers.  A block of at most _LEAF_ROWS
-    rows is the int64 base case; a taller one recurses on its halves as the
+    rows are the nonzero rows of an echelon form, row i with its pivot in
+    the i-th returned column; they are not sorted by pivot, and the rows
+    below them hold leftovers.  With reduced, the default, each pivot
+    column is zero outside its pivot row, so the rows are the reduced
+    echelon form; without it, only rank's count of pivots is meaningful.
+    A block of at most _LEAF_ROWS rows is the int64 base case, worked one
+    column panel at a time; a taller one recurses on its halves as the
     module docstring describes, then moves the bottom's nonzero rows up
     under the top's.
     """
-    rows = a.shape[0]
+    rows, cols = a.shape
     if rows <= _LEAF_ROWS:
-        x = a.astype(np.int64)
+        # a leaf wider than one panel plus its row operations t carries t
+        # beside each panel; narrower, one panel and no t is cheaper
+        panels = cols > _PANEL_COLS + rows
+        width = _PANEL_COLS if panels else max(cols, 1)
+        t = np.eye(rows, rows if panels else 0, dtype=np.int64)
         pivots: list[int] = []
-        c = 0
-        while len(pivots) < rows:
-            r = len(pivots)
-            live = np.flatnonzero(x[r:, c:].any(axis=0))
-            if live.size == 0:
+        for s in range(0, cols, width):
+            # once every row has a pivot, the rest of the leaf is one panel
+            end = cols if len(pivots) == rows else s + width
+            if s:
+                b = a[:, s:end]
+                tb = np.zeros(b.shape)
+                _sub_mul_mod(tb, (-t % p).astype(np.float64), b, p)
+                b[...] = tb
+            if len(pivots) == rows:
                 break
-            c += int(live[0])
-            nz = r + np.flatnonzero(x[r:, c])
-            if nz[0] != r:
-                x[[r, nz[0]]] = x[[nz[0], r]]
-            x[r, c:] = x[r, c:] * pow(int(x[r, c]), p - 2, p) % p
-            others = np.flatnonzero(x[:, c])
-            others = others[others != r]
-            if others.size:
-                # row r is zero before column c, so only columns c on change
-                x[others, c:] = (x[others, c:] - np.outer(x[others, c], x[r, c:])) % p
-            pivots.append(c)
-            c += 1
-        a[...] = x
+            panel = a[:, s : s + width]
+            w = panel.shape[1]
+            x = np.hstack((panel.astype(np.int64), t))
+            c = 0
+            while len(pivots) < rows:
+                r = len(pivots)
+                live = np.flatnonzero(x[r:, c:w].any(axis=0))
+                if live.size == 0:
+                    break
+                c += int(live[0])
+                nz = r + np.flatnonzero(x[r:, c])
+                if nz[0] != r:
+                    x[[r, nz[0]]] = x[[nz[0], r]]
+                x[r, c:] = x[r, c:] * pow(int(x[r, c]), p - 2, p) % p
+                others = np.flatnonzero(x[:, c])
+                others = others[others != r]
+                if others.size:
+                    # row r is zero before column c, so only columns c on change
+                    x[others, c:] = (x[others, c:] - np.outer(x[others, c], x[r, c:])) % p
+                pivots.append(s + c)
+                c += 1
+            # rows below the pivots are now zero in this panel, so the later
+            # pivots, taken from those rows, leave its columns as they are
+            panel[...] = x[:, :w]
+            t = x[:, w:]
         return pivots
     h = rows // 2
     top, bottom = a[:h], a[h:]
+    # the top's rows clear the bottom, so they must be reduced
     top_piv = _echelon_mod(top, p)
     r1 = len(top_piv)
     if r1:
         # the top's reduced rows are zero before their first pivot
         c0 = min(top_piv)
         _sub_mul_mod(bottom[:, c0:], bottom[:, top_piv], top[:r1, c0:], p)
-    bottom_piv = _echelon_mod(bottom, p)
+    bottom_piv = _echelon_mod(bottom, p, reduced)
     r2 = len(bottom_piv)
-    if r1 and r2:
+    if reduced and r1 and r2:
         c0 = min(bottom_piv)
         _sub_mul_mod(top[:r1, c0:], top[:r1, bottom_piv], bottom[:r2, c0:], p)
     if r2 and r1 < h:
@@ -305,7 +343,7 @@ def _carrier(m: DenseMatrix) -> np.ndarray:
 
 
 def rank(m: DenseMatrix) -> int:
-    return len(_echelon_mod(_carrier(m), m.field.p))
+    return len(_echelon_mod(_carrier(m), m.field.p, reduced=False))
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:

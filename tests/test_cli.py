@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +168,20 @@ def test_certify_matches_golden_and_is_byte_stable(tmp_path):
     assert outs[0] == golden
 
 
+def test_certify_matches_golden_under_optimize():
+    # python -O strips assert statements; a fresh interpreter in that mode
+    # must still print the golden bytes
+    src = pathlib.Path(cli.__file__).parent.parent
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "wildrep.cli",
+         "certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN_DIR / "certify_n3_ci2_a2_s3.json").read_bytes()
+
+
 def test_run_config_direct(capsys):
     code = run(RunConfig(command="bound", n=2, ci_degrees=(), s=3, format="json"))
     assert code == EXIT_OK
@@ -277,6 +294,59 @@ def test_certify_refuses_explicit_window(window, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("invalid input: certify always uses the default")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["table", "--n", "2", "--ci-degrees", "2"], "--ci-degrees"),
+        (["table", "--n", "2", "--s", "4"], "--s"),
+        (["restrict", "--n", "3", "--ci-degrees", "2", "--s", "4"], "--s"),
+        (["construct", "--n", "2", "--ci-degrees", "2"], "--ci-degrees"),
+        (["construct", "--n", "2", "--t-min", "3", "--t-max", "1"], "--t-min, --t-max"),
+        (["construct", "--n", "2", "--format", "markdown"], "--format markdown"),
+        (["simplicity", "--n", "2", "--ci-degrees", "7", "7"], "--ci-degrees"),
+        (["simplicity", "--n", "2", "--t-max", "0", "--s", "2"], "--s, --t-max"),
+        (["bound", "--n", "3", "--ci-degrees", "2", "--t-min", "3", "--t-max", "1"],
+         "--t-min, --t-max"),
+        (["certify", "--n", "3", "--format", "markdown"], "--format markdown"),
+    ],
+)
+def test_ignored_flags_exit_usage_before_sampling(argv, unused, monkeypatch, capsys):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("a refused request reached sampling")
+
+    monkeypatch.setattr(cli, "build_kernel_bundle", must_not_sample)
+    monkeypatch.setattr(cli, "make_ci_variety", must_not_sample)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {argv[0]} does not use {unused}\n"
+
+
+class _Sampled(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--n", "4", "--a", "2", "--format", "json"],
+        ["restrict", "--n", "5", "--ci-degrees", "2", "2", "--a", "1", "--format", "json"],
+        ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"],
+        ["bound", "--n", "3", "--ci-degrees", "2", "--s", "3", "--format", "json"],
+        ["construct", "--n", "2", "--format", "json"],
+    ],
+)
+def test_used_flags_reach_sampling(argv, monkeypatch):
+    # the benchmark's requests, and flags each command reads, are accepted
+    def sampled(*args, **kwargs):
+        raise _Sampled
+
+    monkeypatch.setattr(cli, "build_kernel_bundle", sampled)
+    monkeypatch.setattr(cli, "make_ci_variety", sampled)
+    with pytest.raises(_Sampled):
+        main(argv + ["--seed", "7"])
 
 
 def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):

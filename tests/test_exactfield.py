@@ -290,6 +290,22 @@ DIFF_SHAPES = (
 )
 
 
+def _check_against_gauss_jordan(rows, nrows, ncols, p):
+    data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    m = DenseMatrix(nrows, ncols, FieldSpec.prime(p), data)
+    red, pivots = _gauss_jordan(rows, ncols, p)
+    assert rank(m) == len(pivots)
+    r, piv = rref(m)
+    assert piv == pivots
+    assert r.data.dtype == np.int64
+    assert r.data.tolist() == red
+    k = kernel_basis(m)
+    assert k.data.dtype == np.int64
+    assert k.data.tolist() == _reference_kernel(red, pivots, ncols, p)
+    assert 0 <= k.data.min(initial=0) and k.data.max(initial=0) < p
+    assert m.data.tolist() == rows  # the input is left untouched
+
+
 @pytest.mark.parametrize("p", DIFF_PRIMES)
 def test_recursive_elimination_matches_gauss_jordan(p):
     assert _single_gemm_max(P_FLOAT) >= INNER > _single_gemm_max(P_LIMBS)
@@ -299,19 +315,48 @@ def test_recursive_elimination_matches_gauss_jordan(p):
             rows = [[0] * ncols for _ in range(nrows)]
         else:
             rows = _random_rows(rng, p, nrows, ncols, fresh)
-        data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
-        m = DenseMatrix(nrows, ncols, FieldSpec.prime(p), data)
-        red, pivots = _gauss_jordan(rows, ncols, p)
-        assert rank(m) == len(pivots)
-        r, piv = rref(m)
-        assert piv == pivots
-        assert r.data.dtype == np.int64
-        assert r.data.tolist() == red
-        k = kernel_basis(m)
-        assert k.data.dtype == np.int64
-        assert k.data.tolist() == _reference_kernel(red, pivots, ncols, p)
-        assert 0 <= k.data.min(initial=0) and k.data.max(initial=0) < p
-        assert m.data.tolist() == rows  # the input is left untouched
+        _check_against_gauss_jordan(rows, nrows, ncols, p)
+
+
+# a leaf of r rows is one panel up to _PANEL_COLS + r columns; these column
+# counts sit on either side of that width and of the panel boundary for
+# leaves of 1, 31 and 32 rows
+PANEL_COLS = (127, 128, 129, 159, 160, 161, 400)
+
+
+def _panel_cases(rng, p):
+    """(rows, ncols) cases for one prime, as lists of rows."""
+    for nrows in (1, 31, 32):
+        for ncols in PANEL_COLS:
+            yield _random_rows(rng, p, nrows, ncols, 0.7), ncols
+    # the first two panels are zero, so the leaf's row operations stay the
+    # identity until the third
+    for nrows in (31, 32):
+        tail = _random_rows(rng, p, nrows, 144, 0.7)
+        yield [[0] * 256 + row for row in tail], 400
+    # every row has a pivot by column 31 or 151, partway through a panel, so
+    # the rest of the columns come from one product
+    for lead in (0, 120):
+        tail = _random_rows(rng, p, 32, 400 - lead, 1.0)
+        yield [[0] * lead + row for row in tail], 400
+    # rows run out partway through the first panel: 12 independent rows,
+    # then 20 combinations of them
+    rows = _random_rows(rng, p, 12, 300, 1.0)
+    for coeffs in rng.integers(0, p, size=(20, 12)).tolist():
+        rows.append([sum(k * row[c] for k, row in zip(coeffs, rows)) % p for c in range(300)])
+    yield rows, 300
+    # taller blocks: the recursion's top halves are themselves split, so
+    # rank's unreduced bottom halves sit below reduced top halves
+    yield _random_rows(rng, p, 130, 200, 0.15), 200
+    yield _random_rows(rng, p, 70, 161, 0.4), 161
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_panel_leaf_matches_gauss_jordan(p):
+    assert exactfield._PANEL_COLS == 128
+    rng = np.random.default_rng(p + 1)
+    for rows, ncols in _panel_cases(rng, p):
+        _check_against_gauss_jordan(rows, len(rows), ncols, p)
 
 
 def _sub_mul_reference(c, a, b, p):

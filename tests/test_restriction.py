@@ -9,6 +9,7 @@ implementation's normal-form path.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wildrep import (
     DimensionError,
@@ -19,8 +20,10 @@ from wildrep import (
     PROV_EXACT,
     SeededRng,
     acm_with_respect_to_s,
+    build_kernel_bundle,
     closed_form_cohomology,
     cohomology_table_exact,
+    default_window,
     degree_data_variety,
     hilbert_function,
     koszul_degree_data,
@@ -198,6 +201,24 @@ def test_restricted_table_quadric_threefold_audited(fp):
     for t in table.twists():
         assert table.cell(2, t) == 0
         assert table.provenance[(2, t)] == PROV_CERTIFIED
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    n=st.sampled_from((3, 4)),
+    e=st.sampled_from((2, 3)),
+    a=st.sampled_from((1, 2)),
+)
+@example(seed=0, n=4, e=2, a=2)  # its 560 x 1092 map takes multi-panel leaves
+def test_restricted_table_matches_les_oracle_on_random_hypersurfaces(seed, n, e, a):
+    fp = FieldSpec.prime()
+    rng = SeededRng(seed)
+    x = make_ci_variety(n, (e,), rng, fp)
+    kb, _ = build_kernel_bundle(n, a, rng, fp)
+    window = default_window(x.d)
+    table = restricted_cohomology_table(kb, x, window)
+    assert table.as_rows() == _les_hypersurface_rows(n, a, e, window)
 
 
 def test_restricted_euler_characteristic_is_column_sum(fp):
