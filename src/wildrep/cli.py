@@ -55,8 +55,7 @@ MAX_MATRIX_CELLS = 1 << 26
 DEFAULT_S = 3
 
 # the optional flags each command reads; run refuses any other it is given.
-# Commands without "--format markdown" write JSON only, and --s counts as
-# given when it differs from DEFAULT_S
+# Commands without "--format markdown" write JSON only
 _READS = {
     "construct": (),
     "table": ("--t-min", "--t-max", "--format markdown"),
@@ -71,14 +70,15 @@ _READS = {
 class RunConfig:
     """Parsed invocation; one instance fully determines one run.
 
-    A window end of None, or an empty ci_degrees, means the flag was not
-    given; format None is the command's own default.
+    A window end or s of None, or an empty ci_degrees, means the flag was
+    not given; format None is the command's own default, and s None is
+    DEFAULT_S for the commands that read it.
     """
 
     command: str
     n: int
     a: int = 1
-    s: int = DEFAULT_S
+    s: int | None = None
     prime: int = DEFAULT_PRIME
     seed: int = 0
     t_min: int | None = None
@@ -246,7 +246,7 @@ def run(config: RunConfig) -> int:
     if config.command == "certify" and (config.t_min, config.t_max) != (None, None):
         raise ValueError("certify always uses the default twist window; drop --t-min/--t-max")
     given = {
-        "--s": config.s != DEFAULT_S,
+        "--s": config.s is not None,
         "--t-min": config.t_min is not None,
         "--t-max": config.t_max is not None,
         "--ci-degrees": bool(config.ci_degrees),
@@ -332,23 +332,24 @@ def run(config: RunConfig) -> int:
         }
         _emit(serialize_report(payload), config)
         return EXIT_OK if rep.simple else EXIT_FAILED
+    s = DEFAULT_S if config.s is None else config.s
     if config.command == "bound":
         payload = {
             **_meta(config),
             "n": config.n,
             "a": config.a,
-            "s": config.s,
+            "s": s,
             "family_dim": family_dimension(config.n, config.a),
             "veronese_bound": veronese_bound(config.n),
         }
         x = make_ci_variety(config.n, config.ci_degrees)
-        payload["embedding_dim"] = embedding_dimension(x, config.s)
+        payload["embedding_dim"] = embedding_dimension(x, s)
         payload["variety_dim"] = x.d
         _emit(serialize_report(payload), config)
         return EXIT_OK
     if config.command == "certify":
         x = make_ci_variety(config.n, config.ci_degrees, rng, field)
-        rep = wildness_certificate(x, config.s, config.a, rng, field)
+        rep = wildness_certificate(x, s, config.a, rng, field)
         _emit(serialize_report(wildness_dict(rep)), config)
         return EXIT_OK if rep.verdict else EXIT_FAILED
     raise ValueError(f"unknown command {config.command!r}")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, required=True, help="ambient projective dimension")
         p.add_argument("--a", type=int, default=1, help="family parameter (bundle rank is n*a)")
-        p.add_argument("--s", type=int, default=DEFAULT_S, help="re-embedding degree")
+        p.add_argument("--s", type=int, default=None, help="re-embedding degree")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--t-min", type=int, default=None, dest="t_min")

@@ -336,10 +336,15 @@ def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
 
 
 def _carrier(m: DenseMatrix) -> np.ndarray:
-    """float64 copy of m's entries, reduced into [0, p)."""
-    a = np.empty(m.data.shape)
-    np.remainder(m.data, m.field.p, out=a)
-    return a
+    """float64 copy of m's entries, reduced into [0, p).
+
+    Only entries outside [0, p), which DenseMatrix never makes itself but
+    a library caller can store, cost a reduction before the conversion.
+    """
+    data = m.data
+    if data.size and (data.min() < 0 or data.max() >= m.field.p):
+        data = data % m.field.p
+    return data.astype(np.float64)
 
 
 def rank(m: DenseMatrix) -> int:

@@ -14,15 +14,23 @@ needed.  The normal-form matrix N_k of R_k -> (R/I)_k is the transposed
 canonical kernel basis of that echelon basis.
 
 A matrix of linear forms phi induces, in each degree m, a linear map
-(R/I)_m^b -> (R/I)_(m+1)^a.  mult_map builds it in one way for every
-complete intersection, P^n being the one of codimension 0 where N is the
-identity: with Phi_k = phi's coefficients of x_k and S_k the shift
-table of multiplication by x_k,
+(R/I)_m^b -> (R/I)_(m+1)^a.  mult_map builds it for every complete
+intersection, with Phi_k = phi's coefficients of x_k and S_k the shift
+table of multiplication by x_k, in one of two ways.  On P^n, the
+complete intersection of codimension 0, the targets x_k u of one source
+monomial u are distinct, so every entry is a single coefficient,
 
-    M = sum_k Phi_k (x) N_(m+1)[:, S_k(surviving degree-m monomials)],
+    M[(i, S_k(u)), (j, u)] = Phi_k[i, j],
 
-each term a column gather from N, summed in int64 with a reduction mod p
-often enough that no partial sum overflows for any accepted prime.
+written by one scatter per k with no sum.  On X the shifted monomials
+reduce to normal forms, and
+
+    M[(i, r), (j, u)] = sum_k Phi_k[i, j] N_(m+1)[r, S_k(u)]
+
+is one contraction of inner dimension n + 1 against columns gathered
+from N_(m+1).  It runs one target block i at a time through the exact
+float64 product of the exactfield module, so the 2^53 bound and the
+16-bit limbs cover every accepted prime.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exactfield import DenseMatrix, kernel_basis, transpose
+from .exactfield import DenseMatrix, _sub_mul_mod, kernel_basis, transpose
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .presentation import LinearFormMatrix
@@ -245,34 +253,44 @@ def mult_map(
 ) -> DenseMatrix:
     """Matrix of (R_X)_m^b_src -> (R_X)_(m+1)^a_tgt induced by phi.
 
-    X is P^n when x is None.  Bases are the surviving monomials of each
-    degree (all of them on P^n) in the fixed order; blocks are stacked
-    row-major, block (i, j) multiplying by the linear form phi[i][j] and
-    reducing to normal form.  m < 0 gives a matrix with zero columns.
+    X is P^n when x is None or has codimension 0.  Bases are the surviving
+    monomials of each degree (all of them on P^n) in the fixed order;
+    blocks are stacked row-major, block (i, j) multiplying by the linear
+    form phi[i][j] and reducing to normal form.  m < 0 gives a matrix with
+    zero columns.
     """
     n, p = phi.n, phi.field.p
-    if x is None:
-        src = np.arange(basis_dim(n, m))
-        nf = np.eye(basis_dim(n, m + 1), dtype=np.int64)
-    else:
+    if x is not None:
         if x.forms is None:
             from .restriction import ExactModeError
 
             raise ExactModeError("variety has no explicit forms; exact mode unavailable")
         if phi.n != x.n or phi.field != x.field:
             raise ValueError("phi and variety live over different ambient data")
-        src = np.asarray(quotient_piece(x, m).monomial_indices, dtype=np.intp)
+    coeffs = phi.coeffs % p
+    a, b = phi.a_tgt, phi.b_src
+    shifts = _product_table(n, m, 1)
+    if x is None or x.codim == 0:
+        src, tgt = shifts.shape[0], basis_dim(n, m + 1)
+        out = np.zeros((a, tgt, b, src), dtype=np.int64)
+        # advanced indices on axes 1 and 3 put u first: (src, a, b) <- Phi_k
+        for k in range(n + 1):
+            out[:, shifts[:, k], :, np.arange(src)] = coeffs[:, :, k]
+    else:
+        keep = np.asarray(quotient_piece(x, m).monomial_indices, dtype=np.intp)
+        src = keep.size
         nf = quotient_piece(x, m + 1).nf.data
-    out = np.zeros((phi.a_tgt, nf.shape[0], phi.b_src, src.size), dtype=np.int64)
-    shifts = _product_table(n, m, 1)[src]
-    # M = sum_k Phi_k (x) N[:, shift_k(src)]; each term is at most (p-1)^2
-    # and a reduced partial sum below p, so reducing after every
-    # terms_per_reduction terms keeps every partial sum inside int64
-    terms_per_reduction = ((1 << 63) - p) // (p - 1) ** 2
-    for k in range(n + 1):
-        if k and k % terms_per_reduction == 0:
-            out %= p
-        out += phi.coeffs[:, None, :, k, None] * nf[:, shifts[:, k]][None, :, None, :]
-    out %= p
-    rows, cols = phi.a_tgt * nf.shape[0], phi.b_src * src.size
+        tgt = nf.shape[0]
+        # out before the temporaries: allocated after them, it measurably
+        # raised peak RSS, as freeing them left a hole in the heap
+        out = np.empty((a, tgt, b, src), dtype=np.int64)
+        # g[k, (r, u)] = N_(m+1)[r, S_k(u)]
+        g = nf[:, shifts[keep].T].transpose(1, 0, 2).astype(np.float64)
+        g = g.reshape(n + 1, tgt * src)
+        neg = (-coeffs % p).astype(np.float64)
+        for i in range(a):
+            block = np.zeros((b, tgt * src))
+            _sub_mul_mod(block, neg[i], g, p)
+            out[i] = block.reshape(b, tgt, src).transpose(1, 0, 2)
+    rows, cols = a * tgt, b * src
     return DenseMatrix(rows, cols, phi.field, out.reshape(rows, cols))

@@ -38,7 +38,9 @@ from conftest import GOLDEN_DIR, cached_bundle
 def test_parser_defaults():
     args = build_parser().parse_args(["construct", "--n", "2"])
     assert args.command == "construct"
-    assert (args.a, args.s, args.prime, args.seed) == (1, 3, 32003, 0)
+    # --s defaults to None, so that run can tell a given --s from an absent
+    # one; bound and certify apply DEFAULT_S = 3 themselves
+    assert (args.a, args.s, args.prime, args.seed) == (1, None, 32003, 0)
     assert args.ci_degrees == []
     assert args.format == "json"
     assert args.t_min is None and args.t_max is None
@@ -182,6 +184,13 @@ def test_certify_matches_golden_under_optimize():
     assert proc.stdout == (GOLDEN_DIR / "certify_n3_ci2_a2_s3.json").read_bytes()
 
 
+def test_certify_without_s_uses_three(tmp_path):
+    target = tmp_path / "default.json"
+    argv = ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--output", str(target)]
+    assert main(argv) == EXIT_OK
+    assert target.read_bytes() == (GOLDEN_DIR / "certify_n3_ci2_a2_s3.json").read_bytes()
+
+
 def test_run_config_direct(capsys):
     code = run(RunConfig(command="bound", n=2, ci_degrees=(), s=3, format="json"))
     assert code == EXIT_OK
@@ -301,6 +310,7 @@ def test_certify_refuses_explicit_window(window, monkeypatch, capsys):
     [
         (["table", "--n", "2", "--ci-degrees", "2"], "--ci-degrees"),
         (["table", "--n", "2", "--s", "4"], "--s"),
+        (["table", "--n", "2", "--s", "3"], "--s"),
         (["restrict", "--n", "3", "--ci-degrees", "2", "--s", "4"], "--s"),
         (["construct", "--n", "2", "--ci-degrees", "2"], "--ci-degrees"),
         (["construct", "--n", "2", "--t-min", "3", "--t-max", "1"], "--t-min, --t-max"),

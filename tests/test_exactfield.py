@@ -359,6 +359,24 @@ def test_panel_leaf_matches_gauss_jordan(p):
         _check_against_gauss_jordan(rows, len(rows), ncols, p)
 
 
+@pytest.mark.parametrize("p", [101, 32003, (1 << 31) - 1])
+def test_unreduced_entries_match_their_reduced_copy(p):
+    # DenseMatrix keeps entries in [0, p), but a library caller can store
+    # any int64; negative entries, nonnegative ones at or above p, and ones
+    # many multiples of p away must give the rank and rref of the reduced copy
+    rng = np.random.default_rng(p + 2)
+    f = FieldSpec.prime(p)
+    reduced = rng.integers(0, p, size=(70, 161))
+    reduced[40:] = reduced[:30] * 3 % p
+    far = rng.integers(-(1 << 31), 1 << 31, size=reduced.shape) * p
+    for data in (-reduced, reduced - p, reduced + p * (reduced % 2), reduced + far):
+        canon = DenseMatrix(70, 161, f, data % p)
+        m = DenseMatrix(70, 161, f, data.copy())
+        assert rank(m) == rank(canon) == 40
+        assert rref(m) == rref(canon)
+        assert np.array_equal(m.data, data)  # the input is left untouched
+
+
 def _sub_mul_reference(c, a, b, p):
     ci, ai, bi = (x.astype(np.int64).tolist() for x in (c, a, b))
     return [

@@ -12,6 +12,7 @@ from wildrep import (
     SeededRng,
     basis_dim,
     binom,
+    build_kernel_bundle,
     chi_binom,
     hilbert_function,
     hilbert_polynomial,
@@ -19,9 +20,11 @@ from wildrep import (
     make_ci_variety,
     monomial_basis,
     mult_map,
+    rank,
     sample_phi,
 )
 from wildrep import polyspace
+from wildrep.exactfield import _single_gemm_max
 from wildrep.polyspace import quotient_piece
 from wildrep.restriction import ACMVarietyDescriptor
 
@@ -282,6 +285,19 @@ def test_mult_map_on_X_trivial_ci_matches_ambient():
     assert mult_map(phi, 1, make_ci_variety(3, ())) == mult_map(phi, 1)
 
 
+@pytest.mark.parametrize("n, m", [(2, -1), (2, 0), (3, 2), (4, 3)])
+def test_mult_map_codimension_zero_is_the_ambient_scatter(n, m, monkeypatch):
+    # P^n as make_ci_variety(n, ()) takes the scatter: no normal forms
+    phi = sample_phi(n, 2, n + 2, SeededRng(n + m), FieldSpec.prime())
+    ambient = mult_map(phi, m)
+
+    def no_normal_forms(*args):
+        raise AssertionError("codimension 0 built normal forms")
+
+    monkeypatch.setattr(polyspace, "quotient_piece", no_normal_forms)
+    assert mult_map(phi, m, make_ci_variety(n, ())) == ambient
+
+
 def _normal_form_columns(phi, m, x):
     """Columns of the map on X by hand: reduce phi[i][j] * u with Python ints.
 
@@ -342,6 +358,78 @@ def test_mult_map_exact_at_largest_prime(n, degrees, m):
     mat = mult_map(phi, m, x)
     assert mat.data.max() < f.p
     assert mat.data.T.tolist() == _normal_form_columns(phi, m, x)
+
+
+def test_mult_map_scatter_exact_at_largest_prime():
+    # on P^n every entry is one coefficient of phi; all of them p - 1
+    f = FieldSpec.prime((1 << 31) - 1)
+    phi = LinearFormMatrix.zero(3, 2, 3, f)
+    phi.coeffs[...] = f.p - 1
+    mat = mult_map(phi, 2)
+    assert mat.data.dtype == np.int64
+    src_dim = basis_dim(3, 2)
+    for j in range(phi.b_src):
+        for q in range(src_dim):
+            want = _naive_column(phi, 2, j, q).tolist()
+            assert mat.data[:, j * src_dim + q].tolist() == want
+    assert mult_map(phi, 2, make_ci_variety(3, (), field=f)) == mat
+
+
+# for n = 5 the contraction on X has inner dimension 6: the first prime
+# still takes one float64 gemm at the worst case 6 (p-1)^2 + p <= 2^53,
+# the next prime up needs the 16-bit limbs
+GEMM_EDGE_PRIMES = (38745307, 38745323)
+
+
+@pytest.mark.parametrize("p", GEMM_EDGE_PRIMES)
+def test_mult_map_on_X_exact_either_side_of_single_gemm(p):
+    assert _single_gemm_max(GEMM_EDGE_PRIMES[0]) == 6 > _single_gemm_max(GEMM_EDGE_PRIMES[1])
+    f = FieldSpec.prime(p)
+    x = make_ci_variety(5, (2, 2), SeededRng(11), f)
+    phi = LinearFormMatrix.zero(5, 2, 3, f)
+    phi.coeffs[...] = f.p - 1
+    mat = mult_map(phi, 2, x)
+    assert mat.data.dtype == np.int64
+    assert mat.data.T.tolist() == _normal_form_columns(phi, 2, x)
+    phi = sample_phi(5, 2, 3, SeededRng(12), f)
+    assert mult_map(phi, 2, x).data.T.tolist() == _normal_form_columns(phi, 2, x)
+
+
+def _append_copies(phi, row=None, col=None):
+    """phi with a copy of target row `row` and of source column `col` appended."""
+    c = phi.coeffs
+    if row is not None:
+        c = np.concatenate((c, c[row : row + 1]), axis=0)
+    if col is not None:
+        c = np.concatenate((c, c[:, col : col + 1]), axis=1)
+    return LinearFormMatrix(phi.n, c.shape[0], c.shape[1], phi.field, c)
+
+
+@pytest.mark.parametrize(
+    "n, a, degrees", [(4, 2, ()), (5, 1, (2, 2))]
+)  # the ambient-table and ci-restrict benchmark requests
+def test_pipeline_map_with_copied_blocks_keeps_its_rank(n, a, degrees):
+    # at the largest twist the pipeline's map has full row rank, so an
+    # elimination defect that only ever finds a maximal rank would pass
+    # unseen there; copied blocks make the rank fall short of both sides
+    # by a known amount
+    f = FieldSpec.prime()
+    rng = SeededRng(7)
+    x = make_ci_variety(n, degrees, rng, f)
+    kb, _ = build_kernel_bundle(n, a, rng, f)
+    m = 1 + 4  # the largest twist of the default window is 4
+    base = mult_map(kb.phi, m, x)
+    r = rank(base)
+    assert r == base.rows
+    src_dim, tgt_dim = base.cols // kb.phi.b_src, base.rows // kb.phi.a_tgt
+    # a copy of a source column adds dim (R_X)_m columns and no rank
+    dup = mult_map(_append_copies(kb.phi, col=1), m, x)
+    assert dup.cols == base.cols + src_dim
+    assert rank(dup) == r
+    # a copy of a target row as well: the rank is short of both sides
+    both = mult_map(_append_copies(kb.phi, row=0, col=1), m, x)
+    assert (both.rows, both.cols) == (base.rows + tgt_dim, base.cols + src_dim)
+    assert rank(both) == r
 
 
 def test_resolution_degree_data_validation():
