@@ -310,7 +310,6 @@ def test_certify_refuses_explicit_window(window, monkeypatch, capsys):
     [
         (["table", "--n", "2", "--ci-degrees", "2"], "--ci-degrees"),
         (["table", "--n", "2", "--s", "4"], "--s"),
-        (["table", "--n", "2", "--s", "3"], "--s"),
         (["restrict", "--n", "3", "--ci-degrees", "2", "--s", "4"], "--s"),
         (["construct", "--n", "2", "--ci-degrees", "2"], "--ci-degrees"),
         (["construct", "--n", "2", "--t-min", "3", "--t-max", "1"], "--t-min, --t-max"),
@@ -320,6 +319,7 @@ def test_certify_refuses_explicit_window(window, monkeypatch, capsys):
         (["bound", "--n", "3", "--ci-degrees", "2", "--t-min", "3", "--t-max", "1"],
          "--t-min, --t-max"),
         (["certify", "--n", "3", "--format", "markdown"], "--format markdown"),
+        (["table", "--n", "2", "--s", "3"], "--s"),
     ],
 )
 def test_ignored_flags_exit_usage_before_sampling(argv, unused, monkeypatch, capsys):
