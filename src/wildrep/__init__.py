@@ -15,14 +15,12 @@ from .exactfield import (
     SamplingError,
     SeededRng,
     kernel_basis,
-    nullity,
     random_field_element,
     rank,
     rref,
     transpose,
 )
 from .polyspace import (
-    MonomialBasis,
     RegularityError,
     ResolutionDegreeData,
     basis_dim,
@@ -31,7 +29,6 @@ from .polyspace import (
     hilbert_function,
     hilbert_polynomial,
     koszul_degree_data,
-    monomial_basis,
     mult_map,
 )
 from .presentation import (
@@ -48,12 +45,10 @@ from .presentation import (
 )
 from .cohomology import (
     PROV_CERTIFIED,
-    PROV_CLOSED,
     PROV_EULER,
     PROV_EXACT,
     CohomologyTable,
     closed_form_cohomology,
-    closed_form_table,
     default_window,
     euler_characteristic,
     h_line,
@@ -66,12 +61,9 @@ from .restriction import (
     VanishingChaseTrace,
     acm_with_respect_to_s,
     cohomology_table_exact,
-    degree_data_variety,
-    line_cohomology_on_ci,
     make_ci_variety,
     restricted_cohomology_table,
     restricted_euler_characteristic,
-    structure_table,
     vanishing_certificate,
 )
 from .moduli import (

@@ -51,6 +51,13 @@ EXIT_USAGE = 2
 # works on a second copy
 MAX_MATRIX_CELLS = 1 << 26
 
+# every twist of a window costs a rank; on X the maps do not grow as the
+# window extends below zero, so the matrix size check alone admits any width
+MAX_TWISTS = 4096
+
+# the Koszul data of c forms lists all 2^c sub-multisets of the degrees
+MAX_FORMS = 16
+
 # re-embedding degree of bound and certify when --s is not given
 DEFAULT_S = 3
 
@@ -98,18 +105,6 @@ def table_dict(table: CohomologyTable) -> dict:
     }
 
 
-def table_from_dict(data: dict) -> CohomologyTable:
-    cells = {}
-    prov = {}
-    for i, row in enumerate(data["cells"]):
-        for off, v in enumerate(row):
-            cells[(i, data["t_min"] + off)] = v
-    for i, row in enumerate(data["provenance"]):
-        for off, v in enumerate(row):
-            prov[(i, data["t_min"] + off)] = v
-    return CohomologyTable(data["dim"], data["t_min"], data["t_max"], cells, prov)
-
-
 def phi_dict(phi) -> dict:
     return {
         "n": phi.n,
@@ -123,7 +118,7 @@ def phi_dict(phi) -> dict:
 
 
 def wildness_dict(rep: WildnessReport) -> dict:
-    out = {
+    return {
         "n": rep.n,
         "a": rep.a,
         "s": rep.s,
@@ -131,7 +126,8 @@ def wildness_dict(rep: WildnessReport) -> dict:
         "seed": rep.seed,
         "counter": rep.counter,
         "variety": {
-            "mode": rep.variety_mode,
+            # the only kind of variety; the key is part of the canonical format
+            "mode": "complete_intersection",
             "degrees": list(rep.variety_degrees),
             "ambient": rep.n,
             "dim": rep.variety_dim,
@@ -149,11 +145,9 @@ def wildness_dict(rep: WildnessReport) -> dict:
         ],
         "acm": asdict(rep.acm),
         "checks": dict(rep.checks),
+        "table": table_dict(rep.table),
         "verdict": rep.verdict,
     }
-    if rep.table is not None:
-        out["table"] = table_dict(rep.table)
-    return out
 
 
 def serialize_report(payload: dict) -> str:
@@ -182,6 +176,11 @@ def _window(config: RunConfig, dim: int) -> tuple[int, int]:
         hi = config.t_max
     if lo > hi:
         raise ValueError(f"empty twist window: t-min {lo} > t-max {hi}")
+    if hi - lo + 1 > MAX_TWISTS:
+        raise ValueError(
+            f"twist window [{lo}, {hi}] has {hi - lo + 1} twists, more than "
+            f"the {MAX_TWISTS} allowed"
+        )
     return (lo, hi)
 
 
@@ -256,6 +255,11 @@ def run(config: RunConfig) -> int:
     unused = [flag for flag, on in given.items() if on and flag not in reads]
     if unused:
         raise ValueError(f"{config.command} does not use {', '.join(unused)}")
+    if len(config.ci_degrees) > MAX_FORMS:
+        raise ValueError(
+            f"--ci-degrees lists {len(config.ci_degrees)} forms, more than the "
+            f"{MAX_FORMS} allowed"
+        )
     field = FieldSpec.prime(config.prime)
     rows, cols = largest_matrix(config)
     if rows * cols > MAX_MATRIX_CELLS:

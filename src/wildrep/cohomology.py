@@ -25,7 +25,6 @@ from .polyspace import binom, chi_binom
 
 PROV_EXACT = "exact-rank"
 PROV_CERTIFIED = "certified-vanishing"
-PROV_CLOSED = "closed-form"
 PROV_EULER = "euler-forced"
 
 
@@ -82,8 +81,7 @@ class CohomologyTable:
     """Integer table h^i, i = 0..dim, over a twist window [t_min, t_max].
 
     cells maps (i, t) to a dimension; provenance records how each cell
-    was obtained: "exact-rank", "certified-vanishing", "closed-form" or
-    "euler-forced".
+    was obtained: "exact-rank", "certified-vanishing" or "euler-forced".
     """
 
     dim: int
@@ -97,13 +95,6 @@ class CohomologyTable:
 
     def twists(self) -> range:
         return range(self.t_min, self.t_max + 1)
-
-    def alternating_sum(self, t: int) -> int:
-        total = 0
-        for i in range(self.dim + 1):
-            v = self.cells[(i, t)]
-            total += v if i % 2 == 0 else -v
-        return total
 
     def as_rows(self) -> list[list[int]]:
         """cells as nested lists rows[i][t - t_min]; empty when no twists."""
@@ -126,19 +117,3 @@ def default_window(dim: int) -> tuple[int, int]:
     """Default twist window [-dim - 4, 4]: covers every nonzero closed-form
     feature plus two zero columns on each side."""
     return (-dim - 4, 4)
-
-
-def closed_form_table(
-    n: int, a: int, t_range: tuple[int, int] | None = None
-) -> CohomologyTable:
-    """Table filled from closed_form_cohomology, for cross-checking."""
-    if t_range is None:
-        t_range = default_window(n)
-    t_min, t_max = t_range
-    cells = {}
-    prov = {}
-    for t in range(t_min, t_max + 1):
-        for i in range(n + 1):
-            cells[(i, t)] = closed_form_cohomology(n, a, i, t)
-            prov[(i, t)] = PROV_CLOSED
-    return CohomologyTable(n, t_min, t_max, cells, prov)

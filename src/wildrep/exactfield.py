@@ -96,10 +96,6 @@ class FieldSpec:
     def prime(p: int = DEFAULT_PRIME) -> "FieldSpec":
         return FieldSpec(p)
 
-    def element(self, value) -> int:
-        """Canonical representative of a scalar in this field."""
-        return int(value) % self.p
-
 
 class SeededRng:
     """Deterministic 64-bit stream, SplitMix64 with an explicit counter.
@@ -157,23 +153,6 @@ class DenseMatrix:
     @staticmethod
     def zeros(rows: int, cols: int, field: FieldSpec) -> "DenseMatrix":
         return DenseMatrix(rows, cols, field, np.zeros((rows, cols), dtype=np.int64))
-
-    @staticmethod
-    def identity(size: int, field: FieldSpec) -> "DenseMatrix":
-        return DenseMatrix(size, size, field, np.eye(size, dtype=np.int64))
-
-    @staticmethod
-    def from_rows(entries, field: FieldSpec) -> "DenseMatrix":
-        """Build from a nested sequence of scalars, reducing to canonical form."""
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        m = DenseMatrix.zeros(rows, cols, field)
-        for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                m.data[i, j] = field.element(v)
-        return m
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
@@ -381,7 +360,3 @@ def kernel_basis(m: DenseMatrix) -> DenseMatrix:
     k.data[free, np.arange(free.size)] = 1
     k.data[piv, :] = -red.data[: len(piv), free] % m.field.p
     return k
-
-
-def nullity(m: DenseMatrix) -> int:
-    return m.cols - rank(m)

@@ -170,7 +170,6 @@ class WildnessReport:
     prime: int | None
     seed: int | None
     counter: int | None
-    variety_mode: str
     variety_degrees: tuple[int, ...]
     variety_dim: int
     bundle_rank: int
@@ -181,7 +180,7 @@ class WildnessReport:
     stabilizer: StabilizerReport
     traces: tuple[VanishingChaseTrace, ...]
     acm: AcmVerdict
-    table: CohomologyTable | None
+    table: CohomologyTable
     checks: dict[str, bool]
     verdict: bool
 
@@ -192,16 +191,13 @@ def wildness_certificate(
     a: int,
     rng: SeededRng,
     field: FieldSpec | None = None,
-    t_range: tuple[int, int] | None = None,
-    max_resample: int = 8,
 ) -> WildnessReport:
     """Full certificate pipeline for erecting one wildness instance.
 
     Refuses s < 3: multiples of s then reach the twists -1 or -2 where
     the restricted bundle genuinely has h^1, so no certificate exists.
-    With explicit forms the ACM check reads the exact restricted table;
-    in degree-data mode it relies on the symbolic traces alone, which
-    cover every multiple of s >= 3.
+    The ACM check reads the exact restricted table over the default
+    window, so x needs explicit forms (ExactModeError otherwise).
     """
     if s < 3:
         raise RefusalError(
@@ -214,18 +210,12 @@ def wildness_certificate(
     if field is None:
         field = x.field or FieldSpec.prime()
     n = x.n
-    kb, cert = build_kernel_bundle(n, a, rng, field, max_resample=max_resample)
+    kb, cert = build_kernel_bundle(n, a, rng, field)
     stab = stabilizer_dimension(kb.phi.transpose())
     traces = vanishing_certificate(x, n, a)
     traces_ok = all(tr.verified for tr in traces)
-    if x.exact_mode:
-        table = restricted_cohomology_table(kb, x, t_range)
-        acm = acm_with_respect_to_s(table, s, x.d)
-    else:
-        table = None
-        # symbolic only: every multiple of s >= 3 avoids the excluded
-        # twists, so verified traces already decide the vanishing
-        acm = AcmVerdict(s, x.d, traces_ok or None, (), (), ())
+    table = restricted_cohomology_table(kb, x)
+    acm = acm_with_respect_to_s(table, s, x.d)
     checks = {
         "genericity": cert.surjective_at_degree is not None,
         "h0_iso": cert.h0_phi1_iso,
@@ -240,7 +230,6 @@ def wildness_certificate(
         prime=field.p,
         seed=cert.seed,
         counter=cert.counter,
-        variety_mode=x.mode,
         variety_degrees=x.degrees,
         variety_dim=x.d,
         bundle_rank=kb.rank,

@@ -93,21 +93,6 @@ def _monomial_index(n: int, d: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(_monomials(n, d))}
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Ordered monomial basis of R_d, exponent vectors of length n + 1."""
-
-    n: int
-    d: int
-    monomials: tuple[tuple[int, ...], ...]
-
-
-def monomial_basis(n: int, d: int) -> MonomialBasis:
-    if n < 1:
-        raise ValueError(f"need at least two variables, got n = {n}")
-    return MonomialBasis(n, d, _monomials(n, d))
-
-
 @lru_cache(maxsize=None)
 def _product_table(n: int, d: int, e: int) -> np.ndarray:
     """table[u, w] = index of (u-th degree-d monomial) * (w-th degree-e

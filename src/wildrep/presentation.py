@@ -60,16 +60,6 @@ class LinearFormMatrix:
         coeffs = np.zeros((a_tgt, b_src, n + 1), dtype=np.int64)
         return LinearFormMatrix(n, a_tgt, b_src, field, coeffs)
 
-    @staticmethod
-    def from_coeffs(n, a_tgt, b_src, field, values) -> "LinearFormMatrix":
-        """Build from a nested (a_tgt, b_src, n+1) sequence of scalars."""
-        m = LinearFormMatrix.zero(n, a_tgt, b_src, field)
-        for i in range(a_tgt):
-            for j in range(b_src):
-                for k in range(n + 1):
-                    m.coeffs[i, j, k] = field.element(values[i][j][k])
-        return m
-
     def transpose(self) -> "LinearFormMatrix":
         return LinearFormMatrix(
             self.n, self.b_src, self.a_tgt, self.field,

@@ -36,7 +36,6 @@ import numpy as np
 from .exactfield import FieldSpec, SeededRng, rank, random_field_element
 from .cohomology import (
     PROV_CERTIFIED,
-    PROV_CLOSED,
     PROV_EXACT,
     PROV_EULER,
     CohomologyTable,
@@ -47,7 +46,6 @@ from .cohomology import (
 from .polyspace import (
     ResolutionDegreeData,
     basis_dim,
-    hilbert_function,
     hilbert_polynomial,
     koszul_degree_data,
     mult_map,
@@ -60,22 +58,20 @@ class DimensionError(ValueError):
 
 
 class ExactModeError(RuntimeError):
-    """Operation needs explicit forms but the variety has only degree data."""
+    """An exact table was asked of a variety that has no explicit forms."""
 
 
 @dataclass(frozen=True)
 class ACMVarietyDescriptor:
-    """A complete intersection in P^n, or bare resolution degree data.
+    """A complete intersection in P^n: its degrees and resolution twists.
 
-    mode "complete_intersection" carries the degrees and, when sampled or
-    supplied, explicit forms as coefficient vectors over the fixed
-    monomial bases; exact computations need those.  mode "degree_data"
-    carries only the resolution twists and supports the combinatorial
-    operations (Hilbert functions, vanishing certificates).
+    When sampled or supplied, forms holds explicit forms as coefficient
+    vectors over the fixed monomial bases; exact tables need those.
+    Without them only the combinatorial operations (Hilbert functions,
+    vanishing certificates, embedding dimensions) apply.
     """
 
     n: int
-    mode: str
     res: ResolutionDegreeData
     degrees: tuple[int, ...] = ()
     forms: tuple[np.ndarray, ...] | None = None
@@ -110,7 +106,7 @@ def make_ci_variety(
     uniform coefficients; regularity of the resulting sequence is not
     assumed but verified against the Koszul Hilbert function the first
     time each graded piece is reduced.  Empty degrees give X = P^n, which
-    always supports exact mode.
+    needs no forms.
     """
     degrees = tuple(int(e) for e in degrees)
     if n < 2:
@@ -122,11 +118,9 @@ def make_ci_variety(
         )
     res = koszul_degree_data(n, degrees)
     if not degrees:
-        return ACMVarietyDescriptor(
-            n, "complete_intersection", res, (), (), field or FieldSpec.prime()
-        )
+        return ACMVarietyDescriptor(n, res, (), (), field or FieldSpec.prime())
     if rng is None:
-        return ACMVarietyDescriptor(n, "complete_intersection", res, degrees, None, field)
+        return ACMVarietyDescriptor(n, res, degrees, None, field)
     if field is None:
         field = FieldSpec.prime()
     forms = []
@@ -136,16 +130,7 @@ def make_ci_variety(
         for q in range(size):
             coeff[q] = random_field_element(rng, field)
         forms.append(coeff)
-    return ACMVarietyDescriptor(
-        n, "complete_intersection", res, degrees, tuple(forms), field
-    )
-
-
-def degree_data_variety(n: int, res: ResolutionDegreeData) -> ACMVarietyDescriptor:
-    """Wrap bare resolution degree data; combinatorial operations only."""
-    if n - res.c < 2:
-        raise DimensionError(f"resolution leaves dimension {n - res.c} < 2")
-    return ACMVarietyDescriptor(n, "degree_data", res)
+    return ACMVarietyDescriptor(n, res, degrees, tuple(forms), field)
 
 
 @dataclass(frozen=True)
@@ -207,10 +192,10 @@ def vanishing_certificate(
     vanishes off twists {-1, -2}.  With c = 0 the chain degenerates to
     the single ambient cell.
 
-    Purely combinatorial in the resolution twists, so degree-data
-    varieties are fully supported.  Each trace is spot-verified against
-    the closed forms; an unverified trace signals a bug, and is returned
-    with its failures for diagnosis rather than raised.
+    Purely combinatorial in the resolution twists, so it needs no
+    explicit forms.  Each trace is spot-verified against the closed
+    forms; an unverified trace signals a bug, and is returned with its
+    failures for diagnosis rather than raised.
     """
     if x.n != n:
         raise ValueError(f"variety lives in P^{x.n}, not P^{n}")
@@ -233,55 +218,6 @@ def vanishing_certificate(
     return tuple(traces)
 
 
-def line_cohomology_on_ci(x: ACMVarietyDescriptor, i: int, k: int) -> int:
-    """Exact h^i(X, O_X(k)) for middle indices 1 <= i <= d - 1.
-
-    Chases the Koszul resolution of O_X on P^n: every consulted group is
-    line-bundle cohomology with index in [i, i + c] inside [1, n - 1],
-    and all of those vanish, for any twist.  The function evaluates each
-    one rather than trusting the range argument.
-    """
-    d = x.d
-    if not 1 <= i <= d - 1:
-        raise ValueError(f"index {i} outside the middle range 1..{d - 1}")
-    total = h_line(x.n, i, k)
-    for step, twists in enumerate(x.res.betti, start=1):
-        for t in twists:
-            total += h_line(x.n, i + step, k - t)
-    return total
-
-
-def structure_table(
-    x: ACMVarietyDescriptor, t_range: tuple[int, int] | None = None
-) -> CohomologyTable:
-    """Cohomology table of O_X itself from the resolution degree data.
-
-    h^0 is the Hilbert function, middle rows vanish (ACM), and the top
-    row is forced by the Hilbert polynomial.  Works in degree-data mode.
-    """
-    d = x.d
-    t_min, t_max = default_window(d) if t_range is None else t_range
-    cells = {}
-    prov = {}
-    for t in range(t_min, t_max + 1):
-        h0 = hilbert_function(x.res, t) if t >= 0 else 0
-        cells[(0, t)] = h0
-        prov[(0, t)] = PROV_CLOSED
-        for i in range(1, d):
-            if line_cohomology_on_ci(x, i, t) != 0:
-                raise AssertionError(
-                    f"line-bundle vanishing broken at (i, t) = ({i}, {t})"
-                )
-            cells[(i, t)] = 0
-            prov[(i, t)] = PROV_CERTIFIED
-        forced = hilbert_polynomial(x.res, t) - h0
-        if d % 2 == 1:
-            forced = -forced
-        cells[(d, t)] = forced
-        prov[(d, t)] = PROV_EULER
-    return CohomologyTable(d, t_min, t_max, cells, prov)
-
-
 def restricted_euler_characteristic(
     x: ACMVarietyDescriptor, a: int, t: int
 ) -> int:
@@ -296,21 +232,19 @@ def restricted_cohomology_table(
     kb: KernelBundlePresentation,
     x: ACMVarietyDescriptor,
     t_range: tuple[int, int] | None = None,
-    audit_vanishing: bool = False,
 ) -> CohomologyTable:
     """Exact table of E|_X(t), rows 0..d, over a twist window.
 
     Each column costs one rank: h^0 and h^1 are the nullity and corank of
     the normal-form multiplication map in degree 1 + t.  Middle rows carry
-    the certified vanishing; with audit_vanishing both line-bundle
-    neighbors of each cell are re-derived instead of trusted.  The top row
+    the certified vanishing of the module docstring.  The top row
     h^d is the value the Euler characteristic on X forces.  On P^n
     (codimension 0) it is also the rank of the Serre-dual map, the
     transpose of phi in complementary degrees, and the cell is tagged
     "exact-rank" where the two agree; they disagree only for a phi that is
     not sheaf-surjective, and the cell then stays "euler-forced", keeping
-    the alternating-sum identity true for arbitrary input.  Needs exact
-    mode (explicit forms).
+    the alternating-sum identity true for arbitrary input.  Needs explicit
+    forms.
     """
     if kb.n != x.n:
         raise ValueError(f"bundle on P^{kb.n} but variety in P^{x.n}")
@@ -328,14 +262,6 @@ def restricted_cohomology_table(
         cells[(1, t)] = m.rows - r
         prov[(1, t)] = PROV_EXACT
         for i in range(2, d):
-            if audit_vanishing:
-                squeeze = kb.a_tgt * line_cohomology_on_ci(x, i - 1, 2 + t) + (
-                    kb.b_src
-                ) * line_cohomology_on_ci(x, i, 1 + t)
-                if squeeze != 0:
-                    raise AssertionError(
-                        f"vanishing certificate broken at (i, t) = ({i}, {t})"
-                    )
             cells[(i, t)] = 0
             prov[(i, t)] = PROV_CERTIFIED
         forced = restricted_euler_characteristic(x, kb.a, t) - (
@@ -353,9 +279,7 @@ def restricted_cohomology_table(
 
 
 def cohomology_table_exact(
-    kb: KernelBundlePresentation,
-    t_range: tuple[int, int] | None = None,
-    audit_vanishing: bool = False,
+    kb: KernelBundlePresentation, t_range: tuple[int, int] | None = None
 ) -> CohomologyTable:
     """Exact cohomology table of E(t) on P^n over a twist window.
 
@@ -363,7 +287,7 @@ def cohomology_table_exact(
     restricted table on make_ci_variety(n, ()).
     """
     x = make_ci_variety(kb.n, (), field=kb.phi.field)
-    return restricted_cohomology_table(kb, x, t_range, audit_vanishing)
+    return restricted_cohomology_table(kb, x, t_range)
 
 
 @dataclass(frozen=True)

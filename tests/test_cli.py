@@ -29,10 +29,10 @@ from wildrep.cli import (
     run,
     serialize_report,
     table_dict,
-    table_from_dict,
     wildness_dict,
 )
 from conftest import GOLDEN_DIR, cached_bundle
+from oracles import table_from_dict
 
 
 def test_parser_defaults():
@@ -225,8 +225,9 @@ def test_seed_outside_u64_exits_usage(seed, capsys):
 
 
 def test_wildness_dict_emits_trace_failures_only_when_present(fp):
-    # degree data only, so no table is computed; d = 3 gives two traces
-    rep = wildness_certificate(make_ci_variety(4, (2,)), 3, 1, SeededRng(0), fp)
+    # d = 3 gives two traces
+    x = make_ci_variety(4, (2,), SeededRng(7), fp)
+    rep = wildness_certificate(x, 3, 1, SeededRng(0), fp)
     assert len(rep.traces) == 2
     assert all("failures" not in tr for tr in wildness_dict(rep)["vanishing_traces"])
     broken = dataclasses.replace(
@@ -334,6 +335,43 @@ def test_ignored_flags_exit_usage_before_sampling(argv, unused, monkeypatch, cap
     assert captured.err == f"invalid input: {argv[0]} does not use {unused}\n"
 
 
+def test_wide_twist_window_exits_usage_before_sampling(monkeypatch, capsys):
+    # on X the largest matrix does not grow as t-min falls, so only the
+    # width of the window refuses this one
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("a refused request reached sampling")
+
+    monkeypatch.setattr(cli, "build_kernel_bundle", must_not_sample)
+    monkeypatch.setattr(cli, "make_ci_variety", must_not_sample)
+    argv = ["restrict", "--n", "3", "--ci-degrees", "2", "--t-min", "-4092", "--t-max", "4"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid input: twist window [-4092, 4] has 4097 twists, "
+        "more than the 4096 allowed\n"
+    )
+
+
+def test_form_count_boundary_for_bound(monkeypatch, capsys):
+    # the Koszul data of c forms has 2^c twists: 16 forms still answer,
+    # 17 are refused before any twist is enumerated
+    assert main(["bound", "--n", "18", "--ci-degrees", *["2"] * 16]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["variety_dim"] == 2
+
+    def must_not_enumerate(*args, **kwargs):
+        raise AssertionError("a refused request reached the Koszul data")
+
+    monkeypatch.setattr(cli, "make_ci_variety", must_not_enumerate)
+    monkeypatch.setattr(cli, "koszul_degree_data", must_not_enumerate)
+    assert main(["bound", "--n", "19", "--ci-degrees", *["2"] * 17]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid input: --ci-degrees lists 17 forms, more than the 16 allowed\n"
+    )
+
+
 class _Sampled(Exception):
     pass
 
@@ -346,6 +384,8 @@ class _Sampled(Exception):
         ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"],
         ["bound", "--n", "3", "--ci-degrees", "2", "--s", "3", "--format", "json"],
         ["construct", "--n", "2", "--format", "json"],
+        # the widest window allowed, 4096 twists
+        ["restrict", "--n", "3", "--ci-degrees", "2", "--t-min", "-4091", "--t-max", "4"],
     ],
 )
 def test_used_flags_reach_sampling(argv, monkeypatch):
@@ -382,6 +422,9 @@ def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
     [
         ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"],
         ["table", "--n", "4", "--a", "2", "--format", "json"],
+        # normal forms and the contraction on X, through the limbs at 2^31 - 1
+        ["restrict", "--n", "5", "--ci-degrees", "2", "2", "--a", "1", "--format", "json"],
+        ["restrict", "--n", "3", "--ci-degrees", "2", "--a", "2", "--format", "json"],
     ],
 )
 def test_verdict_and_table_agree_at_two_primes(argv, capsys):

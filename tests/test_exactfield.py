@@ -11,7 +11,6 @@ from wildrep import (
     SamplingError,
     SeededRng,
     kernel_basis,
-    nullity,
     rank,
     random_field_element,
     rref,
@@ -19,6 +18,7 @@ from wildrep import (
 )
 from wildrep import exactfield
 from wildrep.exactfield import _LIMB_INNER_MAX, _reduce, _single_gemm_max, _sub_mul_mod
+from oracles import from_rows, nullity
 
 
 def _product_mod_p(a, b):
@@ -99,26 +99,26 @@ def test_field_spec_prime_size_bound():
 
 
 def test_rank_identity_and_zero(fp):
-    assert rank(DenseMatrix.identity(5, fp)) == 5
+    assert rank(DenseMatrix(5, 5, fp, np.eye(5, dtype=np.int64))) == 5
     assert rank(DenseMatrix.zeros(3, 7, fp)) == 0
     assert nullity(DenseMatrix.zeros(3, 7, fp)) == 7
 
 
 def test_rank_singular_3x3(fp):
-    m = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]], fp)
+    m = from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]], fp)
     assert rank(m) == 2
     assert nullity(m) == 1
 
 
 def test_rref_canonical_pivots(fp):
-    m = DenseMatrix.from_rows([[0, 2, 4], [1, 1, 1]], fp)
+    m = from_rows([[0, 2, 4], [1, 1, 1]], fp)
     r, pivots = rref(m)
     assert pivots == (0, 1)
     assert r.data.tolist() == [[1, 0, fp.p - 1], [0, 1, 2]]
 
 
 def test_rref_idempotent(fp):
-    m = DenseMatrix.from_rows([[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]], fp)
+    m = from_rows([[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]], fp)
     r1, p1 = rref(m)
     r2, p2 = rref(r1)
     assert p1 == p2
@@ -126,14 +126,14 @@ def test_rref_idempotent(fp):
 
 
 def test_kernel_annihilates(fp):
-    m = DenseMatrix.from_rows([[1, 2, 3], [4, 5, 6]], fp)
+    m = from_rows([[1, 2, 3], [4, 5, 6]], fp)
     k = kernel_basis(m)
     assert k.rows == 3 and k.cols == 1
     assert not any(any(row) for row in _product_mod_p(m, k))
 
 
 def test_kernel_of_full_rank_is_empty(fp):
-    m = DenseMatrix.identity(4, fp)
+    m = DenseMatrix(4, 4, fp, np.eye(4, dtype=np.int64))
     k = kernel_basis(m)
     assert k.cols == 0
 
@@ -142,7 +142,7 @@ def test_rational_field_rref(fp):
     # [[1/2, 1/3], [1/4, 1/6]] scaled by 12: rank 1 over Q, and the
     # rational RREF row (1, 2/3) reduces to (1, 2 * 3^-1) mod p
     rows = [[6, 4], [3, 2]]
-    m = DenseMatrix.from_rows(rows, fp)
+    m = from_rows(rows, fp)
     assert rank(m) == _bareiss_rank(rows) == 1
     r, pivots = rref(m)
     assert pivots == (0,)
@@ -161,7 +161,7 @@ def test_rank_agrees_mod_p_and_rationals():
         [[0, 0], [0, 0]],
     ]
     for rows in rows_list:
-        assert rank(DenseMatrix.from_rows(rows, p)) == _bareiss_rank(rows)
+        assert rank(from_rows(rows, p)) == _bareiss_rank(rows)
 
 
 small_entries = st.integers(min_value=0, max_value=DEFAULT_PRIME - 1)
@@ -176,7 +176,7 @@ def random_matrix(draw):
             st.lists(small_entries, min_size=c, max_size=c), min_size=r, max_size=r
         )
     )
-    return DenseMatrix.from_rows(rows, FieldSpec.prime())
+    return from_rows(rows, FieldSpec.prime())
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,10 +474,10 @@ def test_small_prime_field_arithmetic():
     # FieldSpec accepts small primes for deterministic linear algebra,
     # only sampling insists on p >= 101
     f = FieldSpec.prime(2)
-    m = DenseMatrix.from_rows([[1, 1], [1, 1]], f)
+    m = from_rows([[1, 1], [1, 1]], f)
     assert rank(m) == 1
 
 
 def test_from_rows_validates_shape(fp):
     with pytest.raises(ValueError):
-        DenseMatrix.from_rows([[1, 2], [3]], fp)
+        from_rows([[1, 2], [3]], fp)

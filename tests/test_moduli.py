@@ -4,28 +4,25 @@ import numpy as np
 import pytest
 
 from wildrep import (
-    DenseMatrix,
     FieldSpec,
     LinearFormMatrix,
     RefusalError,
     SeededRng,
     ShapeError,
     binom,
-    degree_data_variety,
     embedding_dimension,
     family_dimension,
     hilbert_function,
     intertwiner_system,
     kac_discriminant,
-    koszul_degree_data,
     make_ci_variety,
-    nullity,
     sample_phi,
     stabilizer_dimension,
     veronese_bound,
     wildness_certificate,
 )
 from conftest import cached_bundle
+from oracles import from_rows, nullity
 
 
 def test_kac_discriminant_pinned():
@@ -74,7 +71,7 @@ def test_embedding_dimension_values(fp):
     quadric = make_ci_variety(3, (2,), SeededRng(5), fp)
     assert embedding_dimension(quadric, 3) == 15
     assert embedding_dimension(quadric, 2) == 8
-    cubic = degree_data_variety(3, koszul_degree_data(3, (3,)))
+    cubic = make_ci_variety(3, (3,))
     assert embedding_dimension(cubic, 3) == hilbert_function(cubic.res, 3) - 1 == 18
 
 
@@ -154,7 +151,7 @@ def _naive_intertwiner_nullity(a_mat, fp):
                     col = ca * ca + r * ra + i
                     row[col] = (row[col] - int(a_mat.coeffs[i, s, k])) % fp.p
                 rows.append(row)
-    return nullity(DenseMatrix.from_rows(rows, fp))
+    return nullity(from_rows(rows, fp))
 
 
 def test_intertwiner_system_matches_naive_assembly(fp):
@@ -186,16 +183,6 @@ def test_wildness_certificate_refuses_small_s(fp):
     for s in (1, 2):
         with pytest.raises(RefusalError):
             wildness_certificate(x, s, 1, SeededRng(0), fp)
-
-
-def test_wildness_certificate_degree_data_mode(fp):
-    x = degree_data_variety(3, koszul_degree_data(3, (2,)))
-    rep = wildness_certificate(x, 3, 1, SeededRng(0), fp)
-    assert rep.table is None
-    assert rep.variety_mode == "degree_data"
-    assert rep.acm.is_acm is True
-    assert rep.acm.checked_twists == ()
-    assert rep.verdict is True
 
 
 def test_wildness_certificate_records_rng_state(fp):

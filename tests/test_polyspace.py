@@ -18,15 +18,15 @@ from wildrep import (
     hilbert_polynomial,
     koszul_degree_data,
     make_ci_variety,
-    monomial_basis,
     mult_map,
     rank,
     sample_phi,
 )
 from wildrep import polyspace
 from wildrep.exactfield import _single_gemm_max
-from wildrep.polyspace import quotient_piece
+from wildrep.polyspace import _monomials, quotient_piece
 from wildrep.restriction import ACMVarietyDescriptor
+from oracles import from_coeffs
 
 
 def test_binom_edge_cases():
@@ -51,7 +51,7 @@ def test_basis_dim_matches_enumeration():
     for n in range(1, 5):
         for d in range(0, 5):
             assert basis_dim(n, d) == binom(n + d, n)
-            assert len(monomial_basis(n, d).monomials) == basis_dim(n, d)
+            assert len(_monomials(n, d)) == basis_dim(n, d)
     assert basis_dim(3, -1) == 0
 
 
@@ -70,13 +70,13 @@ def _grevlex_greater(u, v):
 def test_monomial_order_is_descending_grevlex():
     for n in range(1, 4):
         for d in range(1, 5):
-            mons = monomial_basis(n, d).monomials
+            mons = _monomials(n, d)
             for u, v in zip(mons, mons[1:]):
                 assert _grevlex_greater(u, v)
 
 
 def test_monomial_order_pinned_n2_d2():
-    assert monomial_basis(2, 2).monomials == (
+    assert _monomials(2, 2) == (
         (2, 0, 0),
         (1, 1, 0),
         (0, 2, 0),
@@ -89,7 +89,7 @@ def test_monomial_order_pinned_n2_d2():
 def test_mult_map_by_single_variable():
     # phi = (x0) on P^1: columns are x0, x1 and rows x0^2, x0 x1, x1^2
     f = FieldSpec.prime()
-    phi = LinearFormMatrix.from_coeffs(1, 1, 1, f, [[[1, 0]]])
+    phi = from_coeffs(1, 1, 1, f, [[[1, 0]]])
     m = mult_map(phi, 1)
     assert (m.rows, m.cols) == (3, 2)
     assert m.data.tolist() == [[1, 0], [0, 1], [0, 0]]
@@ -108,8 +108,8 @@ def test_mult_map_degree_one_matrix_is_square():
 def _naive_column(phi, m, j, q):
     """Image of the q-th degree-m monomial in source block j, by hand."""
     n = phi.n
-    src = monomial_basis(n, m).monomials
-    tgt = monomial_basis(n, m + 1).monomials
+    src = _monomials(n, m)
+    tgt = _monomials(n, m + 1)
     u = src[q]
     out = np.zeros(phi.a_tgt * len(tgt), dtype=np.int64)
     for i in range(phi.a_tgt):
@@ -175,7 +175,7 @@ def _brute_hilbert(n, degrees, k):
     # quotient by the monomial regular sequence x_i^(e_i): count degree-k
     # monomials with the constrained exponents
     total = 0
-    for mono in monomial_basis(n, k).monomials:
+    for mono in _monomials(n, k):
         if all(mono[i] < e for i, e in enumerate(degrees)):
             total += 1
     return total
@@ -239,8 +239,8 @@ def test_quotient_piece_kills_the_ideal():
     f = FieldSpec.prime()
     x = make_ci_variety(3, (2,), SeededRng(5), f)
     form = x.forms[0]
-    deg2 = monomial_basis(3, 2).monomials
-    deg3 = monomial_basis(3, 3).monomials
+    deg2 = _monomials(3, 2)
+    deg3 = _monomials(3, 3)
     qp = quotient_piece(x, 3)
     for k in range(4):
         # multiply the quadric by x_k, by hand, then reduce
@@ -262,7 +262,6 @@ def test_quotient_piece_detects_dependent_forms():
     # repeat one form: not a regular sequence, Hilbert check must trip
     bad = ACMVarietyDescriptor(
         4,
-        "complete_intersection",
         sample.res,
         (2, 2),
         (sample.forms[0], sample.forms[0]),
@@ -308,8 +307,8 @@ def _normal_form_columns(phi, m, x):
     p, n = phi.field.p, phi.n
     src = quotient_piece(x, m).monomial_indices
     nf = [[int(v) for v in row] for row in quotient_piece(x, m + 1).nf.data]
-    deg_m = monomial_basis(n, m).monomials
-    deg_next = monomial_basis(n, m + 1).monomials
+    deg_m = _monomials(n, m)
+    deg_next = _monomials(n, m + 1)
     columns = []
     for j in range(phi.b_src):
         for q in src:

@@ -24,17 +24,19 @@ from wildrep import (
     closed_form_cohomology,
     cohomology_table_exact,
     default_window,
-    degree_data_variety,
     hilbert_function,
-    koszul_degree_data,
-    line_cohomology_on_ci,
     make_ci_variety,
     restricted_cohomology_table,
     restricted_euler_characteristic,
-    structure_table,
     vanishing_certificate,
 )
 from conftest import cached_bundle
+from oracles import (
+    alternating_sum,
+    line_cohomology_on_ci,
+    structure_table,
+    vanishing_squeeze,
+)
 
 
 def _les_hypersurface_rows(n, a, e, t_range):
@@ -71,7 +73,7 @@ def test_make_ci_rejects_small_dimension():
     with pytest.raises(DimensionError):
         make_ci_variety(3, (2, 2))
     with pytest.raises(DimensionError):
-        degree_data_variety(4, koszul_degree_data(4, (2, 2, 2)))
+        make_ci_variety(4, (2, 2, 2))
 
 
 def test_variety_descriptor_modes(fp):
@@ -79,8 +81,6 @@ def test_variety_descriptor_modes(fp):
     assert x.exact_mode and x.d == 2 and x.codim == 1
     bare = make_ci_variety(3, (2,))
     assert not bare.exact_mode
-    dd = degree_data_variety(3, koszul_degree_data(3, (2,)))
-    assert not dd.exact_mode and dd.mode == "degree_data"
     triv = make_ci_variety(3, (), None, fp)
     assert triv.exact_mode and triv.codim == 0
 
@@ -111,7 +111,7 @@ def test_chase_trace_trivial_ci(fp):
 
 
 def test_chase_trace_codim2():
-    x = degree_data_variety(4, koszul_degree_data(4, (2, 2)))
+    x = make_ci_variety(4, (2, 2))
     traces = vanishing_certificate(x, 4, 1)
     assert len(traces) == 1
     tr = traces[0]
@@ -131,7 +131,7 @@ def test_line_cohomology_vanishes_on_ci(fp):
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     for k in range(-8, 6):
         assert line_cohomology_on_ci(x, 1, k) == 0
-    y = degree_data_variety(4, koszul_degree_data(4, (2,)))
+    y = make_ci_variety(4, (2,))
     for i in (1, 2):
         for k in range(-8, 6):
             assert line_cohomology_on_ci(y, i, k) == 0
@@ -150,9 +150,6 @@ def test_structure_table_quadric_surface(fp):
     assert table.cell(2, -2) == 1
     assert table.cell(2, -3) == 4
     assert table.cell(2, -4) == 9
-    # degree data alone gives the identical table
-    dd = structure_table(degree_data_variety(3, koszul_degree_data(3, (2,))), (-6, 4))
-    assert dd.as_rows() == table.as_rows()
 
 
 def test_restricted_table_quadric_surface_frozen(fp):
@@ -196,9 +193,10 @@ def test_restricted_table_quadric_a2_matches_les_oracle(fp):
 def test_restricted_table_quadric_threefold_audited(fp):
     kb, _ = cached_bundle(4, 1, seed=0)
     x = make_ci_variety(4, (2,), SeededRng(7), fp)
-    table = restricted_cohomology_table(kb, x, (-7, 4), audit_vanishing=True)
+    table = restricted_cohomology_table(kb, x, (-7, 4))
     assert table.as_rows() == _les_hypersurface_rows(4, 1, 2, (-7, 4))
     for t in table.twists():
+        assert vanishing_squeeze(x, 1, 2, t) == 0
         assert table.cell(2, t) == 0
         assert table.provenance[(2, t)] == PROV_CERTIFIED
 
@@ -226,7 +224,7 @@ def test_restricted_euler_characteristic_is_column_sum(fp):
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     table = restricted_cohomology_table(kb, x, (-4, 3))
     for t in table.twists():
-        assert table.alternating_sum(t) == restricted_euler_characteristic(x, 1, t)
+        assert alternating_sum(table, t) == restricted_euler_characteristic(x, 1, t)
 
 
 def test_trivial_ci_delegates_to_ambient(fp):
@@ -306,9 +304,9 @@ def test_hilbert_function_agrees_with_quotient_dims(fp):
 def test_structure_table_raises_on_broken_vanishing(fp, monkeypatch):
     # the vanishing check must survive python -O, so it is a raise, not
     # an assert
-    import wildrep.restriction as restriction
+    import oracles
 
-    monkeypatch.setattr(restriction, "line_cohomology_on_ci", lambda x, i, k: 1)
+    monkeypatch.setattr(oracles, "line_cohomology_on_ci", lambda x, i, k: 1)
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     with pytest.raises(AssertionError, match="vanishing broken"):
         structure_table(x, (-2, 2))

@@ -20,3 +20,47 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
+def _references(node):
+    return [
+        ref.id if isinstance(ref, ast.Name) else ref.attr
+        for ref in ast.walk(node)
+        if isinstance(ref, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    # code with no caller in the pipeline goes: each definition must be
+    # used by name somewhere in the package other than its own body, and
+    # being exported by __init__ does not count
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert "cli.py" in trees
+    counts = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    unused = [
+        f"{file}:{node.lineno} {node.name}"
+        for file, tree in trees.items()
+        for node in _definitions(tree)
+        if counts.get(node.name, 0) == _references(node).count(node.name)
+    ]
+    assert unused == []
