@@ -7,14 +7,15 @@ int64 numpy arrays with entries reduced to [0, p).
 
 All row reduction is one recursive routine that brings a matrix to
 reduced row echelon form in place.  A block of at most 32 rows (a leaf) is
-reduced one pivot at a time in int64: the pivot is the first nonzero entry
-at or below the next pivot row, scaled to 1 and cleared from every other
-row.  A leaf wider than 128 columns plus its row count works in column
-panels of 128.  The per-pivot loop runs on one panel beside the leaf's
-accumulated row operations T, which start as the identity, and searches
-for pivots only within the panel; the next panel, or once every row has a
-pivot all the remaining columns, is brought up to date by one product with
-T.  So each pivot updates a panel rather than the leaf's full width.
+reduced left-looking in int64.  It reduces its rows and walks, left to
+right, only its live columns (row operations keep a zero column zero),
+forming each as it stands now, T a[:, c] mod p, from the leaf's row
+operations T.  A pivot changes only T, so it costs O(rows^2) however wide
+the leaf.  When a column has no entry at or below the next pivot row, one
+product of T's remaining rows with the columns after it finds the next
+pivot column, and the walk drops the columns that are zero there.  A last
+product writes T a into the leaf.  The matvec runs whole in int64 when
+rows (p-1)^2 < 2^63, otherwise against 16-bit limbs of the column.
 
 A taller block is split in half; the top half is reduced, its pivot
 columns are cleared from the bottom half by one matrix product, the bottom
@@ -30,10 +31,13 @@ exact integers: a bound checked at every product keeps each partial sum
 below 2^53.  When k (p-1)^2 + p <= 2^53 for inner dimension k one gemm is
 exact; otherwise both factors are split into 16-bit limbs and four gemms
 are combined, which covers every prime below 2^31.  Sums are reduced with
-floor(z * (1/p)) and one correction by p.  rank counts the pivots and rref
-sorts the rows by pivot.  The reduced echelon form is unique for a fixed
-column order, so ranks and kernel bases are reproducible bit-for-bit
-whatever the split, the panel width or the pivot choice.
+floor(z * (1/p)) and one correction by p, and, as in FFLAS-FFPACK, only
+where a right factor needs it: a block of at most _single_gemm_max(p) rows
+leaves its cleared bottom unreduced, within p + rows (p-1)^2 <= 2^53, and
+the reader reduces the gathered pivot columns and each leaf on entry.
+rank counts the pivots and rref sorts the rows by pivot.  The reduced
+echelon form is unique for a fixed column order, so ranks and kernel bases
+are reproducible bit-for-bit whatever the split, the walk or the pivot.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
 A (seed, counter) pair determines every draw, so any sampled object can be
@@ -176,18 +180,14 @@ def transpose(m: DenseMatrix) -> DenseMatrix:
 # taller ones are split in half and joined by two matrix products
 _LEAF_ROWS = 32
 
-# a leaf searches for pivots in panels of this many columns, so each pivot
-# updates a panel rather than the leaf's full width
-_PANEL_COLS = 128
-
 # float64 holds every integer of absolute value up to 2^53 exactly
 _EXACT = 1 << 53
 
 # the limb path splits entries below 2^31 into 16-bit halves and sums at
 # most k = _LIMB_INNER_MAX products of halves in one gemm, so that k * 2^32
-# plus a reduced term shifted by 2^16, plus p, stays within 2^53
+# plus a term in [-p, 2p) shifted by 2^16, plus p, stays within 2^53
 _LIMB = 1 << 16
-_LIMB_INNER_MAX = (_EXACT - (1 << 48)) >> 32
+_LIMB_INNER_MAX = (_EXACT - (1 << 49)) >> 32
 
 
 def _reduce(z: np.ndarray, p: int) -> None:
@@ -215,7 +215,8 @@ def _sub_mul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
     Up to _single_gemm_max(p) terms every partial sum and c - a @ b stay
     within 2^53, so one float64 gemm is exact.  Beyond it both factors are
     split into 16-bit limbs, a = a1 * 2^16 + a0, and the four limb
-    products are combined Horner-style with a reduction after each step.
+    products are combined Horner-style.  Between steps t - p floor(t / p)
+    only brings t into [-p, 2p); the last reduction repairs the rest.
     """
     k = a.shape[1]
     if k <= _single_gemm_max(p):
@@ -223,16 +224,20 @@ def _sub_mul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
         _reduce(c, p)
         return
     for s in range(0, k, _LIMB_INNER_MAX):
-        a1, a0 = np.divmod(a[:, s : s + _LIMB_INNER_MAX], _LIMB)
-        b1, b0 = np.divmod(b[s : s + _LIMB_INNER_MAX], _LIMB)
+        a0, b0 = a[:, s : s + _LIMB_INNER_MAX], b[s : s + _LIMB_INNER_MAX]
+        a1, b1 = np.floor(a0 * (1.0 / _LIMB)), np.floor(b0 * (1.0 / _LIMB))
+        a0, b0 = a0 - a1 * _LIMB, b0 - b1 * _LIMB
         t = a1 @ b1
-        _reduce(t, p)
-        t *= _LIMB
-        t += a1 @ b0
-        t += a0 @ b1
-        _reduce(t, p)
-        t *= _LIMB
-        t += a0 @ b0
+        q = np.empty_like(t)
+        for terms in (((a1, b0), (a0, b1)), ((a0, b0),)):
+            np.multiply(t, 1.0 / p, out=q)
+            np.floor(q, out=q)
+            q *= p
+            t -= q
+            t *= _LIMB
+            for x, y in terms:
+                np.matmul(x, y, out=q)
+                t += q
         c -= t
         _reduce(c, p)
 
@@ -240,60 +245,58 @@ def _sub_mul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
 def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
     """Bring a to row echelon form in place; return its pivots.
 
-    a is a float64 array of integers in [0, p).  On return its first r
-    rows are the nonzero rows of an echelon form, row i with its pivot in
-    the i-th returned column; they are not sorted by pivot, and the rows
-    below them hold leftovers.  With reduced, the default, each pivot
-    column is zero outside its pivot row, so the rows are the reduced
-    echelon form; without it, only rank's count of pivots is meaningful.
-    A block of at most _LEAF_ROWS rows is the int64 base case, worked one
-    column panel at a time; a taller one recurses on its halves as the
-    module docstring describes, then moves the bottom's nonzero rows up
-    under the top's.
+    a is a float64 array of integers z with |z| + p <= 2^53: in [0, p),
+    or as a lazy clearing left them.  On return its first r rows are the
+    nonzero rows of an echelon form, reduced into [0, p), row i with its
+    pivot in the i-th returned column; they are not sorted by pivot, and
+    the rows below them hold leftovers.  With reduced, the default, each
+    pivot column is zero outside its pivot row, so the rows are the
+    reduced echelon form; without it, only rank's count of pivots is
+    meaningful.  A block of at most _LEAF_ROWS rows is the left-looking
+    int64 base case; a taller one recurses on its halves as the module
+    docstring describes, then moves the bottom's nonzero rows up under the
+    top's.
     """
-    rows, cols = a.shape
+    rows = a.shape[0]
     if rows <= _LEAF_ROWS:
-        # a leaf wider than one panel plus its row operations t carries t
-        # beside each panel; narrower, one panel and no t is cheaper
-        panels = cols > _PANEL_COLS + rows
-        width = _PANEL_COLS if panels else max(cols, 1)
-        t = np.eye(rows, rows if panels else 0, dtype=np.int64)
+        _reduce(a, p)
+        live = np.flatnonzero(a.any(axis=0))
+        sub = a[:, live]
+        col_of = sub.T.astype(np.int64)
+        split = rows * (p - 1) ** 2 >= 1 << 63
+        if split:
+            hi, lo = np.divmod(col_of, _LIMB)
+        t = np.eye(rows, dtype=np.int64)
         pivots: list[int] = []
-        for s in range(0, cols, width):
-            # once every row has a pivot, the rest of the leaf is one panel
-            end = cols if len(pivots) == rows else s + width
-            if s:
-                b = a[:, s:end]
-                tb = np.zeros(b.shape)
-                _sub_mul_mod(tb, (-t % p).astype(np.float64), b, p)
-                b[...] = tb
-            if len(pivots) == rows:
-                break
-            panel = a[:, s : s + width]
-            w = panel.shape[1]
-            x = np.hstack((panel.astype(np.int64), t))
-            c = 0
-            while len(pivots) < rows:
-                r = len(pivots)
-                live = np.flatnonzero(x[r:, c:w].any(axis=0))
-                if live.size == 0:
-                    break
-                c += int(live[0])
-                nz = r + np.flatnonzero(x[r:, c])
-                if nz[0] != r:
-                    x[[r, nz[0]]] = x[[nz[0], r]]
-                x[r, c:] = x[r, c:] * pow(int(x[r, c]), p - 2, p) % p
-                others = np.flatnonzero(x[:, c])
-                others = others[others != r]
-                if others.size:
-                    # row r is zero before column c, so only columns c on change
-                    x[others, c:] = (x[others, c:] - np.outer(x[others, c], x[r, c:])) % p
-                pivots.append(s + c)
-                c += 1
-            # rows below the pivots are now zero in this panel, so the later
-            # pivots, taken from those rows, leave its columns as they are
-            panel[...] = x[:, :w]
-            t = x[:, w:]
+        walk, k = range(live.size), 0
+        while len(pivots) < rows and k < len(walk):
+            j, r = walk[k], len(pivots)
+            if split:
+                col = ((t @ hi[j]) % p * _LIMB + t @ lo[j]) % p
+            else:
+                col = t @ col_of[j] % p
+            nz = col[r:].nonzero()[0]
+            if not nz.size:
+                # the walk goes on over the columns still nonzero below row r
+                ahead = np.zeros((rows - r, live.size - j - 1))
+                _sub_mul_mod(ahead, (-t[r:] % p).astype(np.float64), sub[:, j + 1 :], p)
+                walk, k = (j + 1 + np.flatnonzero(ahead.any(axis=0))).tolist(), 0
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                t[r], t[i] = t[i], t[r].copy()
+                col[r], col[i] = col[i], col[r]
+            # row r becomes inv * t[r], every other row i drops col[i] * that
+            inv = pow(int(col[r]), p - 2, p)
+            col = col * inv % p
+            col[r] = 1 - inv
+            t -= col[:, None] * t[r]
+            t %= p
+            pivots.append(int(live[j]))
+            k += 1
+        if pivots and reduced:
+            # T a in place, as a - (I - T) a: rows terms are one chunk, read before written
+            _sub_mul_mod(a, ((np.eye(rows, dtype=np.int64) - t) % p).astype(np.float64), a, p)
         return pivots
     h = rows // 2
     top, bottom = a[:h], a[h:]
@@ -303,7 +306,13 @@ def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
     if r1:
         # the top's reduced rows are zero before their first pivot
         c0 = min(top_piv)
-        _sub_mul_mod(bottom[:, c0:], bottom[:, top_piv], top[:r1, c0:], p)
+        f = bottom[:, top_piv]
+        _reduce(f, p)
+        if rows <= _single_gemm_max(p):
+            # left unreduced: the reading side reduces what it reads
+            bottom[:, c0:] -= f @ top[:r1, c0:]
+        else:
+            _sub_mul_mod(bottom[:, c0:], f, top[:r1, c0:], p)
     bottom_piv = _echelon_mod(bottom, p, reduced)
     r2 = len(bottom_piv)
     if reduced and r1 and r2:

@@ -32,6 +32,7 @@ from .restriction import (
     ACMVarietyDescriptor,
     AcmVerdict,
     DimensionError,
+    ExactModeError,
     VanishingChaseTrace,
     acm_with_respect_to_s,
     restricted_cohomology_table,
@@ -197,7 +198,7 @@ def wildness_certificate(
     Refuses s < 3: multiples of s then reach the twists -1 or -2 where
     the restricted bundle genuinely has h^1, so no certificate exists.
     The ACM check reads the exact restricted table over the default
-    window, so x needs explicit forms (ExactModeError otherwise).
+    window, so x needs explicit forms, checked before sampling (ExactModeError).
     """
     if s < 3:
         raise RefusalError(
@@ -207,6 +208,8 @@ def wildness_certificate(
         )
     if x.d < 2:
         raise DimensionError(f"variety dimension {x.d} < 2")
+    if not x.exact_mode:
+        raise ExactModeError("wildness certificate needs a variety with explicit forms")
     if field is None:
         field = x.field or FieldSpec.prime()
     n = x.n

@@ -28,9 +28,9 @@ reduce to normal forms, and
     M[(i, r), (j, u)] = sum_k Phi_k[i, j] N_(m+1)[r, S_k(u)]
 
 is one contraction of inner dimension n + 1 against columns gathered
-from N_(m+1).  It runs one target block i at a time through the exact
-float64 product of the exactfield module, so the 2^53 bound and the
-16-bit limbs cover every accepted prime.
+from N_(m+1).  It runs through the exact float64 product of the exactfield
+module, so the 2^53 bound and the 16-bit limbs cover every accepted prime,
+once per a-th of the target monomials with all target blocks stacked.
 """
 
 from __future__ import annotations
@@ -272,10 +272,14 @@ def mult_map(
         # g[k, (r, u)] = N_(m+1)[r, S_k(u)]
         g = nf[:, shifts[keep].T].transpose(1, 0, 2).astype(np.float64)
         g = g.reshape(n + 1, tgt * src)
-        neg = (-coeffs % p).astype(np.float64)
+        neg = (-coeffs % p).astype(np.float64).reshape(a * b, n + 1)
+        # blocks of one a-th of the target monomials each split g's columns
+        # into limbs once; each is freed before the next, which keeps RSS low
         for i in range(a):
-            block = np.zeros((b, tgt * src))
-            _sub_mul_mod(block, neg[i], g, p)
-            out[i] = block.reshape(b, tgt, src).transpose(1, 0, 2)
+            r0, r1 = tgt * i // a, tgt * (i + 1) // a
+            block = np.zeros((a * b, (r1 - r0) * src))
+            _sub_mul_mod(block, neg, g[:, r0 * src : r1 * src], p)
+            out[:, r0:r1] = block.reshape(a, b, r1 - r0, src).transpose(0, 2, 1, 3)
+            del block
     rows, cols = a * tgt, b * src
     return DenseMatrix(rows, cols, phi.field, out.reshape(rows, cols))

@@ -318,9 +318,8 @@ def test_recursive_elimination_matches_gauss_jordan(p):
         _check_against_gauss_jordan(rows, nrows, ncols, p)
 
 
-# a leaf of r rows is one panel up to _PANEL_COLS + r columns; these column
-# counts sit on either side of that width and of the panel boundary for
-# leaves of 1, 31 and 32 rows
+# leaves of 1, 31 and 32 rows at widths around 128 and 160 columns, and
+# wider
 PANEL_COLS = (127, 128, 129, 159, 160, 161, 400)
 
 
@@ -329,18 +328,17 @@ def _panel_cases(rng, p):
     for nrows in (1, 31, 32):
         for ncols in PANEL_COLS:
             yield _random_rows(rng, p, nrows, ncols, 0.7), ncols
-    # the first two panels are zero, so the leaf's row operations stay the
-    # identity until the third
+    # the first 256 columns are zero, so the leaf's row operations stay the
+    # identity until column 256
     for nrows in (31, 32):
         tail = _random_rows(rng, p, nrows, 144, 0.7)
         yield [[0] * 256 + row for row in tail], 400
-    # every row has a pivot by column 31 or 151, partway through a panel, so
-    # the rest of the columns come from one product
+    # every row has a pivot by column 31 or 151, so the walk stops early and
+    # the rest of the columns come from the leaf's final product
     for lead in (0, 120):
         tail = _random_rows(rng, p, 32, 400 - lead, 1.0)
         yield [[0] * lead + row for row in tail], 400
-    # rows run out partway through the first panel: 12 independent rows,
-    # then 20 combinations of them
+    # rows run out early: 12 independent rows, then 20 combinations of them
     rows = _random_rows(rng, p, 12, 300, 1.0)
     for coeffs in rng.integers(0, p, size=(20, 12)).tolist():
         rows.append([sum(k * row[c] for k, row in zip(coeffs, rows)) % p for c in range(300)])
@@ -353,10 +351,87 @@ def _panel_cases(rng, p):
 
 @pytest.mark.parametrize("p", DIFF_PRIMES)
 def test_panel_leaf_matches_gauss_jordan(p):
-    assert exactfield._PANEL_COLS == 128
     rng = np.random.default_rng(p + 1)
     for rows, ncols in _panel_cases(rng, p):
         _check_against_gauss_jordan(rows, len(rows), ncols, p)
+
+
+# a leaf's matvec runs whole in int64 while rows * (p-1)^2 < 2^63: at
+# P_SPLIT a 31-row leaf does and a 32-row leaf takes the 16-bit limbs, at
+# 2^31 - 1 both take the limbs.  Blocks of at most _single_gemm_max(p) rows
+# leave their bottom half unreduced: at P_LAZY that is 70 rows, so a 70-row
+# block clears lazily at every level and a 71-row one eagerly at the top.
+# (Near 2^26 the bound is 2 rows, below any block that is split.)
+P_SPLIT, P_LAZY = 536870923, 11343469
+LEAF_PRIMES = DIFF_PRIMES + (P_SPLIT, P_LAZY)
+
+
+def _check_rref_against_gauss_jordan(rows, ncols, p):
+    """rank, rref and pivots against the reference, for shapes too wide to
+    compare kernel bases entry by entry."""
+    m = DenseMatrix(len(rows), ncols, FieldSpec.prime(p), np.array(rows, dtype=np.int64))
+    red, pivots = _gauss_jordan(rows, ncols, p)
+    assert rank(m) == len(pivots)
+    r, piv = rref(m)
+    assert piv == pivots
+    assert r.data.tolist() == red
+    assert m.data.tolist() == rows
+
+
+@pytest.mark.parametrize("p", LEAF_PRIMES)
+def test_leaf_of_row_multiples_matches_gauss_jordan(p):
+    # after the first pivot every other row is zero on all 1500 live
+    # columns, so the next column has no entry below the pivot row and one
+    # product over the remaining columns ends the walk; with a fresh last
+    # row, that product finds the column where it continues
+    rng = np.random.default_rng(p + 3)
+    base = rng.integers(1, p, size=1500) if p > 2 else np.ones(1500, dtype=np.int64)
+    for nrows in (2, 31, 32):
+        rows = [(base * int(k) % p).tolist() for k in rng.integers(1, p, size=nrows)]
+        _check_rref_against_gauss_jordan(rows, 1500, p)
+        rows[-1] = rng.integers(0, p, size=1500).tolist()
+        _check_rref_against_gauss_jordan(rows, 1500, p)
+
+
+@pytest.mark.parametrize("p", LEAF_PRIMES)
+def test_leaf_skips_zero_columns(p):
+    # leading zero columns, zero columns between live ones, and a leaf whose
+    # only live column is its last: the walk visits live columns only
+    rng = np.random.default_rng(p + 4)
+    for nrows in (1, 31, 32):
+        rows = _random_rows(rng, p, nrows, 200, 0.5)
+        rows = [[0] * 100 + [0 if c % 3 else v for c, v in enumerate(row)] for row in rows]
+        _check_against_gauss_jordan(rows, nrows, 300, p)
+        rows = [[0] * 299 + [int(v)] for v in rng.integers(0, p, size=nrows)]
+        _check_against_gauss_jordan(rows, nrows, 300, p)
+
+
+@pytest.mark.parametrize("p", LEAF_PRIMES)
+def test_leaf_matvec_either_side_of_int64(p):
+    if p in (P_SPLIT, (1 << 31) - 1):
+        assert 32 * (p - 1) ** 2 >= 1 << 63
+        assert (31 * (p - 1) ** 2 < 1 << 63) == (p == P_SPLIT)
+    rng = np.random.default_rng(p + 5)
+    for nrows in (31, 32):
+        _check_against_gauss_jordan(_random_rows(rng, p, nrows, 90, 0.7), nrows, 90, p)
+        # every entry p - 1: the largest products the matvec can meet
+        _check_against_gauss_jordan([[p - 1] * 90] * nrows, nrows, 90, p)
+
+
+@pytest.mark.parametrize("p", LEAF_PRIMES)
+def test_lazy_and_eager_clearing_match_gauss_jordan(p):
+    if p == P_LAZY:
+        assert _single_gemm_max(p) == 70
+    rng = np.random.default_rng(p + 6)
+    for nrows in (70, 71):
+        h = nrows // 2
+        _check_against_gauss_jordan(_random_rows(rng, p, nrows, 110, 1.0), nrows, 110, p)
+        _check_against_gauss_jordan(_random_rows(rng, p, nrows, 110, 0.3), nrows, 110, p)
+        # a reduced top [I | p-1] below which every entry is p - 1: the
+        # clearing products are as large as they can be
+        rows = [[int(c == i) for c in range(h)] + [p - 1] * 40 for i in range(h)]
+        rows += [[p - 1] * (h + 40) for _ in range(nrows - h)]
+        _check_against_gauss_jordan(rows, nrows, h + 40, p)
 
 
 @pytest.mark.parametrize("p", [101, 32003, (1 << 31) - 1])

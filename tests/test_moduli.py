@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wildrep import (
+    ExactModeError,
     FieldSpec,
     LinearFormMatrix,
     RefusalError,
@@ -183,6 +184,15 @@ def test_wildness_certificate_refuses_small_s(fp):
     for s in (1, 2):
         with pytest.raises(RefusalError):
             wildness_certificate(x, s, 1, SeededRng(0), fp)
+
+
+def test_wildness_certificate_without_forms_fails_before_sampling():
+    # a variety without forms has no exact table; the refusal comes before
+    # phi is sampled, so the stream is untouched
+    rng = SeededRng(0)
+    with pytest.raises(ExactModeError):
+        wildness_certificate(make_ci_variety(4, (2,)), 3, 2, rng)
+    assert rng.counter == 0
 
 
 def test_wildness_certificate_records_rng_state(fp):

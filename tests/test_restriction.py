@@ -208,7 +208,7 @@ def test_restricted_table_quadric_threefold_audited(fp):
     e=st.sampled_from((2, 3)),
     a=st.sampled_from((1, 2)),
 )
-@example(seed=0, n=4, e=2, a=2)  # its 560 x 1092 map takes multi-panel leaves
+@example(seed=0, n=4, e=2, a=2)  # its 560 x 1092 map clears lazily into wide leaves
 def test_restricted_table_matches_les_oracle_on_random_hypersurfaces(seed, n, e, a):
     fp = FieldSpec.prime()
     rng = SeededRng(seed)
