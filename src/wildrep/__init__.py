@@ -29,6 +29,7 @@ from .polyspace import (
     hilbert_function,
     hilbert_polynomial,
     koszul_degree_data,
+    map_rank,
     mult_map,
 )
 from .presentation import (

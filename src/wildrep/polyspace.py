@@ -31,19 +31,32 @@ is one contraction of inner dimension n + 1 against columns gathered
 from N_(m+1).  It runs through the exact float64 product of the exactfield
 module, so the 2^53 bound and the 16-bit limbs cover every accepted prime,
 once per a-th of the target monomials with all target blocks stacked.
+
+map_rank ranks a map on P^n with a <= b by the pivot split of Faugere and
+Lachartre.  For a Phi_k of full row rank a, x_n tried first, the source
+basis change G = [R | K] with Phi_k R = I and Phi_k K = 0 keeps the rank and
+gives Phi'_k = [I | 0] in phi' = phi G.  Graded by the exponent e of x_k,
+the targets of M' = mult_map(phi', m) split into R_0..R_(m+1), the sources
+of the first a copies into P_e and the others into Q_e.  x_k maps P_e onto
+R_(e+1), so M'[R_(>=1), P] is I plus the blocks N_e = M'[R_(e+1), P_(e+1)]:
+a N_m pivots with no search.  The rest is the rank of the Schur complement
+on R_0, with Q_0 block M'[R_0, Q_0] and Q_(e+1) block -W_e M'[R_(e+1),
+Q_(e+1)], for W_0 = M'[R_0, P_0] and W_(e+1) = -W_e N_e.  On X normal-form
+tails break the unit block, so there, as for a > b or with no such Phi_k,
+the map itself is eliminated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exactfield import DenseMatrix, _sub_mul_mod, kernel_basis, transpose
+from .exactfield import DenseMatrix, _sub_mul_mod, kernel_basis, rank, rref, transpose
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .presentation import LinearFormMatrix
@@ -283,3 +296,47 @@ def mult_map(
             del block
     rows, cols = a * tgt, b * src
     return DenseMatrix(rows, cols, phi.field, out.reshape(rows, cols))
+
+
+def map_rank(
+    phi: "LinearFormMatrix", m: int, x: "ACMVarietyDescriptor | None" = None
+) -> int:
+    """Rank of mult_map(phi, m, x), on P^n by the Schur complement above."""
+    n, p, a, b = phi.n, phi.field.p, phi.a_tgt, phi.b_src
+    coeffs = phi.coeffs % p
+    ambient = (x is None or x.codim == 0) and 0 < a <= b and m >= 0
+    for k in range(n, -1, -1) if ambient else ():
+        # [Phi_k | I] reduces to [rref Phi_k | Phi_k[:, J]^-1] when rank Phi_k = a
+        aug = np.hstack((coeffs[:, :, k], np.eye(a, dtype=np.int64)))
+        red, piv = rref(DenseMatrix(a, b + a, phi.field, aug))
+        if piv[-1] < b:
+            break
+    else:  # on X, for a > b, or with no such Phi_k
+        return rank(mult_map(phi, m, x))
+    # G = [R | K] with Phi_k R = I, R on the pivot rows J, and Phi_k K = 0
+    g = np.zeros((b, b), dtype=np.int64)
+    g[list(piv), :a] = red.data[:, b:]
+    g[:, a:] = kernel_basis(DenseMatrix(a, b, phi.field, coeffs[:, :, k])).data
+    # phi' = phi G, as -(phi (-G)), for every Phi_l at once
+    flat = np.zeros(((n + 1) * a, b))
+    stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
+    _sub_mul_mod(flat, stacked, (-g % p).astype(np.float64), p)
+    coeffs = flat.astype(np.int64).reshape(n + 1, a, b).transpose(1, 2, 0)
+    mp = mult_map(replace(phi, coeffs=coeffs), m, x).data
+    src, tgt = basis_dim(n, m), basis_dim(n, m + 1)
+    us = [np.flatnonzero(np.array(_monomials(n, m))[:, k] == e) for e in range(m + 1)]
+    shift, copies = _product_table(n, m, 1)[:, k], np.arange(b)[:, None]
+    # columns Q_e then P_e (copies a..b-1, then 0..a-1), and rows R_(e+1)
+    # listed as x_k P_e, so that M'[R_(e+1), P_e] = I
+    cols = [(np.roll(copies, -a) * src + u).ravel() for u in us]
+    rows = [(copies[:a] * tgt + shift[u]).ravel() for u in us]
+    r0 = (copies[:a] * tgt + np.flatnonzero(np.array(_monomials(n, m + 1))[:, k] == 0)).ravel()
+    block, parts = mp[np.ix_(r0, cols[0])].astype(np.float64), []
+    for e in range(m + 1):
+        q = (b - a) * us[e].size
+        parts.append(block[:, :q])  # block = [S_Q(e) | W_e]
+        if e < m:  # [S_Q(e+1) | W_(e+1)] = -W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
+            w, block = block[:, q:], np.zeros((r0.size, cols[e + 1].size))
+            _sub_mul_mod(block, w, mp[np.ix_(rows[e], cols[e + 1])].astype(np.float64), p)
+    s = np.hstack(parts).astype(np.int64)
+    return a * src + rank(DenseMatrix(*s.shape, phi.field, s))

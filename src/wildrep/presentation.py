@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactfield import FieldSpec, SeededRng, rank, random_field_element
-from .polyspace import basis_dim, mult_map
+from .exactfield import FieldSpec, SeededRng, random_field_element
+from .polyspace import basis_dim, map_rank
 
 
 # last degree the sheaf surjectivity certificate tries by default
@@ -129,12 +129,10 @@ def h0_phi1_is_isomorphism(phi: LinearFormMatrix) -> bool:
     Requires the matrix of mult_map(phi, 1) to be square; for the
     kernel-bundle shape both sides have dimension a (n+1)(n+2).
     """
-    m = mult_map(phi, 1)
-    if m.rows != m.cols:
-        raise ShapeError(
-            f"degree-one sections matrix is {m.rows}x{m.cols}, not square"
-        )
-    return rank(m) == m.rows
+    rows, cols = phi.a_tgt * basis_dim(phi.n, 2), phi.b_src * basis_dim(phi.n, 1)
+    if rows != cols:
+        raise ShapeError(f"degree-one sections matrix is {rows}x{cols}, not square")
+    return map_rank(phi, 1) == rows
 
 
 def sheaf_surjectivity_certificate(
@@ -151,11 +149,14 @@ def sheaf_surjectivity_certificate(
         ncols = phi.b_src * basis_dim(phi.n, t)
         if nrows > ncols:
             continue
-        if rank(mult_map(phi, t)) == nrows:
+        if map_rank(phi, t) == nrows:
             found = t
             break
     square = phi.a_tgt * basis_dim(phi.n, 2) == phi.b_src * basis_dim(phi.n, 1)
-    iso = square and h0_phi1_is_isomorphism(phi)
+    if t_max < 1:
+        iso = square and h0_phi1_is_isomorphism(phi)
+    else:  # t = 1 was searched, and the cokernel is zero from its first zero on
+        iso = square and found is not None and found <= 1
     return SurjectivityCertificate(found, t_max, iso)
 
 

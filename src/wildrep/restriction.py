@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .exactfield import FieldSpec, SeededRng, rank, random_field_element
+from .exactfield import FieldSpec, SeededRng, random_field_element
 from .cohomology import (
     PROV_CERTIFIED,
     PROV_EXACT,
@@ -46,9 +46,10 @@ from .cohomology import (
 from .polyspace import (
     ResolutionDegreeData,
     basis_dim,
+    hilbert_function,
     hilbert_polynomial,
     koszul_degree_data,
-    mult_map,
+    map_rank,
 )
 from .presentation import KernelBundlePresentation
 
@@ -235,10 +236,10 @@ def restricted_cohomology_table(
 ) -> CohomologyTable:
     """Exact table of E|_X(t), rows 0..d, over a twist window.
 
-    Each column costs one rank: h^0 and h^1 are the nullity and corank of
-    the normal-form multiplication map in degree 1 + t.  Middle rows carry
-    the certified vanishing of the module docstring.  The top row
-    h^d is the value the Euler characteristic on X forces.  On P^n
+    Each column costs one map_rank, two on P^n: h^0 and h^1 are the nullity
+    and corank of the map in degree 1 + t, sized by the Hilbert function.
+    Middle rows carry the certified vanishing of the module docstring.  The
+    top row h^d is what the Euler characteristic on X forces.  On P^n
     (codimension 0) it is also the rank of the Serre-dual map, the
     transpose of phi in complementary degrees, and the cell is tagged
     "exact-rank" where the two agree; they disagree only for a phi that is
@@ -255,11 +256,10 @@ def restricted_cohomology_table(
     cells = {}
     prov = {}
     for t in range(t_min, t_max + 1):
-        m = mult_map(kb.phi, 1 + t, x)
-        r = rank(m)
-        cells[(0, t)] = m.cols - r
+        r = map_rank(kb.phi, 1 + t, x)
+        cells[(0, t)] = kb.b_src * hilbert_function(x.res, 1 + t) - r
         prov[(0, t)] = PROV_EXACT
-        cells[(1, t)] = m.rows - r
+        cells[(1, t)] = kb.a_tgt * hilbert_function(x.res, 2 + t) - r
         prov[(1, t)] = PROV_EXACT
         for i in range(2, d):
             cells[(i, t)] = 0
@@ -272,8 +272,8 @@ def restricted_cohomology_table(
         cells[(d, t)] = forced
         prov[(d, t)] = PROV_EULER
         if x.codim == 0:
-            dual = mult_map(kb.phi.transpose(), -t - n - 3)
-            if kb.b_src * h_line(n, n, 1 + t) - rank(dual) == forced:
+            dual = map_rank(kb.phi.transpose(), -t - n - 3)
+            if kb.b_src * h_line(n, n, 1 + t) - dual == forced:
                 prov[(d, t)] = PROV_EXACT
     return CohomologyTable(d, t_min, t_max, cells, prov)
 

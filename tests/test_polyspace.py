@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildrep import (
+    DenseMatrix,
     FieldSpec,
     LinearFormMatrix,
     RegularityError,
@@ -18,6 +19,7 @@ from wildrep import (
     hilbert_polynomial,
     koszul_degree_data,
     make_ci_variety,
+    map_rank,
     mult_map,
     rank,
     sample_phi,
@@ -27,6 +29,7 @@ from wildrep.exactfield import _single_gemm_max
 from wildrep.polyspace import _monomials, quotient_piece
 from wildrep.restriction import ACMVarietyDescriptor
 from oracles import from_coeffs
+from test_exactfield import DIFF_PRIMES, _gauss_jordan
 
 
 def test_binom_edge_cases():
@@ -429,6 +432,10 @@ def test_pipeline_map_with_copied_blocks_keeps_its_rank(n, a, degrees):
     both = mult_map(_append_copies(kb.phi, row=0, col=1), m, x)
     assert (both.rows, both.cols) == (base.rows + tgt_dim, base.cols + src_dim)
     assert rank(both) == r
+    # on P^n base and dup take the Schur complement, and both, whose
+    # copied target row leaves every Phi_k short of full row rank, does not
+    for copies in ({}, {"col": 1}, {"row": 0, "col": 1}):
+        assert map_rank(_append_copies(kb.phi, **copies), m, x) == r
 
 
 def test_resolution_degree_data_validation():
@@ -450,3 +457,127 @@ def test_product_table_skips_high_degree_monomials_when_empty(monkeypatch):
     table = polyspace._product_table(6, -18, 20)
     assert table.shape == (0, basis_dim(6, 20))
     assert (6, 20) not in requested
+
+
+def _check_map_rank(phi, m, x=None):
+    """map_rank against the rank of the map, and against Gauss-Jordan with
+    Python ints where the map is small."""
+    mat = mult_map(phi, m, x)
+    r = map_rank(phi, m, x)
+    assert r == rank(mat)
+    if mat.rows * mat.cols <= 2500:
+        assert r == len(_gauss_jordan(mat.data.tolist(), mat.cols, phi.field.p)[1])
+    return r
+
+
+def _chosen_blocks(monkeypatch):
+    """List that receives each Phi_k whose kernel map_rank takes, that is
+    each map ranked by the Schur complement."""
+    chosen = []
+    kernel_basis = polyspace.kernel_basis
+
+    def recording(m):
+        chosen.append(m)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(polyspace, "kernel_basis", recording)
+    return chosen
+
+
+# (a_tgt, b_src): square, wide and, as for the Serre-dual maps, a > b
+MAP_RANK_SHAPES = ((1, 1), (2, 3), (3, 2))
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_map_rank_matches_elimination(p, monkeypatch):
+    f = FieldSpec.prime(p)
+    rng = np.random.default_rng(p)
+    schur = _chosen_blocks(monkeypatch)
+    for n in range(2, 6):
+        for a, b in MAP_RANK_SHAPES:
+            values = rng.integers(0, p, size=(a, b, n + 1))
+            for m in range(-1, 6):
+                _check_map_rank(from_coeffs(n, a, b, f, values), m)
+                assert _check_map_rank(LinearFormMatrix.zero(n, a, b, f), m) == 0
+    # at every prime but the smallest some random Phi_k has full row rank
+    assert schur or p < 101
+
+
+@pytest.mark.parametrize("p", (101, (1 << 31) - 1))
+def test_map_rank_on_complete_intersections(p):
+    # P^n as the codimension-0 complete intersection takes the Schur
+    # complement; on X the map itself is eliminated
+    f = FieldSpec.prime(p)
+    for n, degrees in ((2, ()), (3, ()), (3, (2,)), (4, (2, 3))):
+        x = make_ci_variety(n, degrees, SeededRng(n), f)
+        for a, b in MAP_RANK_SHAPES:
+            phi = sample_phi(n, a, b, SeededRng(a + b), f)
+            for m in range(-1, 4):
+                _check_map_rank(phi, m, x)
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_map_rank_degenerate_coefficient_blocks(p, monkeypatch):
+    f = FieldSpec.prime(p)
+    rng = np.random.default_rng(p + 2)
+    chosen = _chosen_blocks(monkeypatch)
+    for n in (2, 3, 4):
+        for m in (0, 1, 3):
+            values = rng.integers(0, p, size=(2, 4, n + 1))
+            # a copied target row: every Phi_k is deficient, so the map
+            # itself is eliminated
+            copied = values.copy()
+            copied[1] = copied[0]
+            chosen.clear()
+            _check_map_rank(from_coeffs(n, 2, 4, f, copied), m)
+            assert chosen == []
+            # Phi_n = 0: a lower variable carries the unit pivots
+            low = values.copy()
+            low[:, :, n] = 0
+            chosen.clear()
+            _check_map_rank(from_coeffs(n, 2, 4, f, low), m)
+            picked = [k.data.tolist() for k in chosen]
+            if p >= 101:
+                assert picked == [low[:, :, n - 1].tolist()]
+            else:
+                assert picked in [[]] + [[low[:, :, k].tolist()] for k in range(n)]
+            # target row 0 only in x_n: its R_0 rows of the Schur
+            # complement are zero, so the complement is rank-deficient
+            only = values.copy()
+            only[0, :, :n] = 0
+            chosen.clear()
+            r = _check_map_rank(from_coeffs(n, 2, 4, f, only), m)
+            assert r < 2 * basis_dim(n, m + 1)
+            if p >= 101:
+                assert [k.data.tolist() for k in chosen] == [only[:, :, n].tolist()]
+
+
+def _invertible(rng, size, p):
+    while True:
+        g = rng.integers(0, p, size=(size, size))
+        if rank(DenseMatrix(size, size, FieldSpec.prime(p), g)) == size:
+            return g.astype(object)
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_map_rank_needs_every_step_of_the_schur_complement(p):
+    # phi = [x_n I + A | B] with A e_0 = x_1 e_1, A e_1 = x_1 e_2 and
+    # B = x_0 e_0.  Modulo the unit pivots x_n acts as -A, so the Schur
+    # complement spans x_0 x_1^e u e_e for e = 0, 1, 2 and u of degree
+    # m - e in x_0..x_(n-1): only the block -W_1 M'[R_2, Q_2] reaches e = 2.
+    # A random target basis hides the shape from the variables; the source
+    # basis either moves B to the first copy, so that only G brings the
+    # unit pivots forward, or is random as well.
+    f = FieldSpec.prime(p)
+    rng = np.random.default_rng(p + 4)
+    for n in (2, 3, 4):
+        chain = np.zeros((3, 4, n + 1), dtype=np.int64)
+        chain[[0, 1, 2], [0, 1, 2], n] = 1
+        chain[1, 0, 1] = chain[2, 1, 1] = chain[0, 3, 0] = 1
+        left = _invertible(rng, 3, p)
+        for right in (np.eye(4, dtype=object)[:, [3, 0, 1, 2]], _invertible(rng, 4, p)):
+            mixed = [left @ chain[:, :, k].astype(object) @ right % p for k in range(n + 1)]
+            phi = from_coeffs(n, 3, 4, f, np.stack(mixed, axis=2))
+            for m in range(6):
+                free = sum(binom(n - 1 + m - e, n - 1) for e in range(min(m, 2) + 1))
+                assert _check_map_rank(phi, m) == 3 * basis_dim(n, m) + free

@@ -18,6 +18,7 @@ from wildrep import (
     sample_phi,
     sheaf_surjectivity_certificate,
 )
+from wildrep import presentation
 from conftest import cached_bundle
 
 
@@ -105,6 +106,29 @@ def test_iso_check_requires_square(fp):
     phi = sample_phi(2, 1, 4, SeededRng(0), fp)
     with pytest.raises(ShapeError):
         h0_phi1_is_isomorphism(phi)
+
+
+def test_certificate_reads_iso_off_the_search(fp, monkeypatch):
+    # with t_max >= 1 the search has ranked the square degree-one map, so
+    # the certificate takes h0_phi1_iso from where the cokernel vanished
+    # instead of ranking that map again; at F_3 random phi go either way
+    rng = np.random.default_rng(3)
+    f3 = FieldSpec.prime(3)
+    phis = [cached_bundle(n, a)[0].phi for n, a in [(2, 1), (3, 1), (3, 2)]]
+    phis.append(LinearFormMatrix.zero(2, 2, 4, fp))
+    phis += [LinearFormMatrix(2, 2, 4, f3, rng.integers(0, 3, (2, 4, 3))) for _ in range(12)]
+    isos = [h0_phi1_is_isomorphism(phi) for phi in phis]
+    assert True in isos[4:] and False in isos[4:]
+    certs = [sheaf_surjectivity_certificate(phi, t_max=0) for phi in phis]
+    assert [c.h0_phi1_iso for c in certs] == isos
+
+    def ranked_again(phi):
+        raise AssertionError("the degree-one map was ranked twice")
+
+    monkeypatch.setattr(presentation, "h0_phi1_is_isomorphism", ranked_again)
+    for t_max in (1, 3):
+        certs = [sheaf_surjectivity_certificate(phi, t_max) for phi in phis]
+        assert [c.h0_phi1_iso for c in certs] == isos
 
 
 def test_build_rejects_bad_shape(fp):
