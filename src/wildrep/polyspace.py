@@ -40,10 +40,21 @@ the targets of M' = mult_map(phi', m) split into R_0..R_(m+1), the sources
 of the first a copies into P_e and the others into Q_e.  x_k maps P_e onto
 R_(e+1), so M'[R_(>=1), P] is I plus the blocks N_e = M'[R_(e+1), P_(e+1)]:
 a N_m pivots with no search.  The rest is the rank of the Schur complement
-on R_0, with Q_0 block M'[R_0, Q_0] and Q_(e+1) block -W_e M'[R_(e+1),
-Q_(e+1)], for W_0 = M'[R_0, P_0] and W_(e+1) = -W_e N_e.  On X normal-form
-tails break the unit block, so there, as for a > b or with no such Phi_k,
-the map itself is eliminated.
+S on R_0, with Q_0 block S_Q0 = M'[R_0, Q_0] and Q_(e+1) block S_Q(e+1) =
+-W_e M'[R_(e+1), Q_(e+1)], for W_0 = M'[R_0, P_0] and W_(e+1) = -W_e N_e.
+Let L, delta x |R_0|, be the canonical left kernel of S_Q0: kernel_basis
+of its transpose, transposed.  An invertible row transform whose last rows
+are L turns S into [[A, *], [0, L S_Q(>=1)]] with A of full row rank
+|R_0| - delta, so
+
+    rank S = |R_0| - delta + rank L [S_Q1 | ... | S_Qm],
+
+and the chain carries the delta rows L W_e instead of W_e: L W_0 =
+L M'[R_0, P_0] and [L S_Q(e+1) | L W_(e+1)] = -L W_e M'[R_(e+1), Q_(e+1)
+P_(e+1)].  At most twists of the ambient tables delta = 0, and then
+nothing is multiplied after phi G.  On X normal-form tails break the unit
+block, so there, as for a > b or with no such Phi_k, the map itself is
+eliminated.
 """
 
 from __future__ import annotations
@@ -301,7 +312,9 @@ def mult_map(
 def map_rank(
     phi: "LinearFormMatrix", m: int, x: "ACMVarietyDescriptor | None" = None
 ) -> int:
-    """Rank of mult_map(phi, m, x), on P^n by the Schur complement above."""
+    """Rank of mult_map(phi, m, x), on P^n by the Schur complement above,
+    ranked through the left kernel L of its first block: a N_m unit pivots,
+    |R_0| - delta from the first block and the rank of the delta-row chain."""
     n, p, a, b = phi.n, phi.field.p, phi.a_tgt, phi.b_src
     coeffs = phi.coeffs % p
     ambient = (x is None or x.codim == 0) and 0 < a <= b and m >= 0
@@ -331,12 +344,23 @@ def map_rank(
     cols = [(np.roll(copies, -a) * src + u).ravel() for u in us]
     rows = [(copies[:a] * tgt + shift[u]).ravel() for u in us]
     r0 = (copies[:a] * tgt + np.flatnonzero(np.array(_monomials(n, m + 1))[:, k] == 0)).ravel()
-    block, parts = mp[np.ix_(r0, cols[0])].astype(np.float64), []
-    for e in range(m + 1):
-        q = (b - a) * us[e].size
-        parts.append(block[:, :q])  # block = [S_Q(e) | W_e]
-        if e < m:  # [S_Q(e+1) | W_(e+1)] = -W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
-            w, block = block[:, q:], np.zeros((r0.size, cols[e + 1].size))
-            _sub_mul_mod(block, w, mp[np.ix_(rows[e], cols[e + 1])].astype(np.float64), p)
+    q = (b - a) * us[0].size
+    # L, the canonical left kernel of S_Q0 = M'[R_0, Q_0], has delta rows
+    s_q0 = DenseMatrix(r0.size, q, phi.field, mp[np.ix_(r0, cols[0][:q])])
+    left = kernel_basis(transpose(s_q0)).data.T
+    delta = left.shape[0]
+    known = a * src + r0.size - delta
+    if not delta or not m:
+        return known
+    block = np.zeros((delta, cols[0].size - q))  # L W_0
+    w = mp[np.ix_(r0, cols[0][q:])].astype(np.float64)
+    _sub_mul_mod(block, (-left % p).astype(np.float64), w, p)
+    parts = []
+    for e in range(m):  # [L S_Q(e+1) | L W_(e+1)] = -L W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
+        w, block = block, np.zeros((delta, cols[e + 1].size))
+        _sub_mul_mod(block, w, mp[np.ix_(rows[e], cols[e + 1])].astype(np.float64), p)
+        q = (b - a) * us[e + 1].size
+        parts.append(block[:, :q])
+        block = block[:, q:]
     s = np.hstack(parts).astype(np.int64)
-    return a * src + rank(DenseMatrix(*s.shape, phi.field, s))
+    return known + rank(DenseMatrix(*s.shape, phi.field, s))

@@ -117,6 +117,15 @@ def test_exact_matches_closed_form_n3(fp):
     assert table.as_rows() == closed_form_table(3, 1).as_rows()
 
 
+@pytest.mark.parametrize("n, a", ((5, 2), (6, 1)))
+def test_large_ambient_tables_match_closed_form(n, a):
+    # the `table` requests at seed 7: for n = 6, a = 1 the first block of
+    # every Schur complement misses full row rank by 6 rows, so each twist
+    # runs the chain on the left kernel of that block
+    kb, _ = cached_bundle(n, a, seed=7)
+    assert cohomology_table_exact(kb).as_rows() == closed_form_table(n, a).as_rows()
+
+
 def test_default_window():
     assert default_window(2) == (-6, 4)
     assert default_window(3) == (-7, 4)

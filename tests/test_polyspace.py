@@ -471,16 +471,22 @@ def _check_map_rank(phi, m, x=None):
 
 
 def _chosen_blocks(monkeypatch):
-    """List that receives each Phi_k whose kernel map_rank takes, that is
-    each map ranked by the Schur complement."""
+    """List that receives each Phi_k that map_rank turns into [I | 0], that
+    is each map ranked by the Schur complement.  map_rank reduces [Phi_k | I]
+    for every k it tries and takes the first Phi_k whose pivots all lie in
+    Phi_k.  Its kernel_basis calls, the left kernel of the Schur
+    complement's first block among them, are not recorded."""
     chosen = []
-    kernel_basis = polyspace.kernel_basis
+    rref = polyspace.rref
 
     def recording(m):
-        chosen.append(m)
-        return kernel_basis(m)
+        red, piv = rref(m)
+        b = m.cols - m.rows
+        if np.array_equal(m.data[:, b:], np.eye(m.rows)) and piv[-1] < b:
+            chosen.append(DenseMatrix(m.rows, b, m.field, m.data[:, :b]))
+        return red, piv
 
-    monkeypatch.setattr(polyspace, "kernel_basis", recording)
+    monkeypatch.setattr(polyspace, "rref", recording)
     return chosen
 
 
@@ -581,3 +587,53 @@ def test_map_rank_needs_every_step_of_the_schur_complement(p):
             for m in range(6):
                 free = sum(binom(n - 1 + m - e, n - 1) for e in range(min(m, 2) + 1))
                 assert _check_map_rank(phi, m) == 3 * basis_dim(n, m) + free
+
+
+def _counted_products(monkeypatch):
+    """List that receives the shape of each exact product map_rank forms."""
+    shapes = []
+    sub_mul_mod = polyspace._sub_mul_mod
+
+    def recording(c, a, b, p):
+        shapes.append((a.shape, b.shape))
+        sub_mul_mod(c, a, b, p)
+
+    monkeypatch.setattr(polyspace, "_sub_mul_mod", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_map_rank_left_kernel_of_first_block(p, monkeypatch):
+    f = FieldSpec.prime(p)
+    rng = np.random.default_rng(p + 6)
+    products = _counted_products(monkeypatch)
+    # phi = A [x_n I | x_0 I | ... | x_(n-1) I | B] H with A invertible and
+    # H = [[I, X], [0, Y]], Y invertible: the basis change undoes X, so the
+    # Q_0 columns reach every target free of x_n and S_Q0 has full row
+    # rank, delta = 0, at every prime.  The map then has full row rank and
+    # phi G is the only product.
+    for n, a in ((2, 1), (2, 2), (3, 2)):
+        b = a * (n + 1) + 1
+        wide = np.zeros((a, b, n + 1), dtype=object)
+        for k in range(n + 1):
+            j = a * ((k + 1) % (n + 1))
+            wide[:, j : j + a, k] = np.eye(a, dtype=object)
+        wide[:, -1, :] = rng.integers(0, p, size=(a, n + 1))
+        h = np.eye(b, dtype=object)
+        h[:a, a:] = rng.integers(0, p, size=(a, b - a))
+        h[a:, a:] = _invertible(rng, b - a, p)
+        left = _invertible(rng, a, p)
+        mixed = [left @ wide[:, :, k] @ h % p for k in range(n + 1)]
+        phi = from_coeffs(n, a, b, f, np.stack(mixed, axis=2))
+        for m in (2, 3):
+            products.clear()
+            assert _check_map_rank(phi, m) == a * basis_dim(n, m + 1)
+            assert products == [(((n + 1) * a, b), (b, b))]
+    # m = 0 with Phi_n = [I | *] and b - a < a n: S = S_Q0 has fewer
+    # columns than rows, so delta > 0, and there is no chain block to stack
+    for n in (2, 3):
+        values = rng.integers(0, p, size=(2, 4, n + 1))
+        values[:, :2, n] = np.eye(2, dtype=np.int64)
+        products.clear()
+        assert _check_map_rank(from_coeffs(n, 2, 4, f, values), 0) < 2 * (n + 1)
+        assert products == [(((n + 1) * 2, 4), (4, 4))]
