@@ -188,13 +188,14 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
     """Shape of the largest matrix a request builds, from closed forms.
 
     Counts the maps of the surjectivity search, the stabilizer system and,
-    over the twist window, the maps in degree 1 + t, the ideal spans and
-    normal-form matrices on X, and the Serre-dual maps on P^n.  Each grows
+    over the twist window, the P^n map in degree 1 + t, on X its lift
+    [M | F] by the ideal span, and the Serre-dual maps on P^n.  Each grows
     monotonically in its degree, so the last search degree and the two
-    ends of the window bound the rest.  A form of degree e is sampled as
-    C(n+e, n) coefficients, so the ideal span and normal-form matrix of
-    degree e, the first piece that reduces it, count too.  Parts that a
-    later check refuses to build count as empty.
+    ends of the window bound the rest.  A form of degree e is drawn as
+    C(n+e, n) coefficients whatever the window, so its own degree counts
+    too, as the degree-e ideal span with at least H_X(e) rows: a form too
+    large to draw is refused before it is drawn.  Parts that a later check
+    refuses to build count as empty.
     """
     n, a = config.n, config.a
     if config.command == "bound" or n < 2 or a < 1:
@@ -208,18 +209,20 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
     d = n - len(degrees)
     if config.command in ("table", "restrict", "certify") and d >= 2:
         res = koszul_degree_data(n, degrees)
-        ends = [2 + t for t in _window(config, d)]
-        for k in ends:
+
+        def span_rows(k: int) -> int:
+            return sum(basis_dim(n, k - e) for e in degrees)
+
+        for k in (2 + t for t in _window(config, d)):
             shapes.append(
-                (a_tgt * hilbert_function(res, k), b_src * hilbert_function(res, k - 1))
+                (a_tgt * basis_dim(n, k), b_src * basis_dim(n, k - 1) + a_tgt * span_rows(k))
             )
             if not degrees:
                 shapes.append(
                     (b_src * basis_dim(n, -k - n), a_tgt * basis_dim(n, -k - n - 1))
                 )
-        for k in (*ends, *degrees):
-            span_rows = sum(basis_dim(n, k - e) for e in degrees)
-            shapes.append((max(span_rows, hilbert_function(res, k)), basis_dim(n, k)))
+        for e in degrees:
+            shapes.append((max(span_rows(e), hilbert_function(res, e)), basis_dim(n, e)))
     return max(shapes, key=lambda shape: shape[0] * shape[1])
 
 

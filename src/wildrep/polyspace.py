@@ -7,30 +7,26 @@ refer to it.
 
 Hilbert functions of quotient rings come from graded Betti data: for a
 complete intersection the twists are the Koszul sums of sub-multisets of
-the degrees.  Normal forms modulo an ideal are computed degree by degree
-from a reduced row echelon basis of the ideal's graded piece; monomials
-outside the pivot set represent the quotient, so no Groebner machinery is
-needed.  The normal-form matrix N_k of R_k -> (R/I)_k is the transposed
-canonical kernel basis of that echelon basis.
+the degrees.
 
 A matrix of linear forms phi induces, in each degree m, a linear map
-(R/I)_m^b -> (R/I)_(m+1)^a.  mult_map builds it for every complete
-intersection, with Phi_k = phi's coefficients of x_k and S_k the shift
-table of multiplication by x_k, in one of two ways.  On P^n, the
-complete intersection of codimension 0, the targets x_k u of one source
+R_m^b -> R_(m+1)^a on P^n.  With Phi_k = phi's coefficients of x_k and S_k
+the shift table of multiplication by x_k, the targets x_k u of one source
 monomial u are distinct, so every entry is a single coefficient,
 
     M[(i, S_k(u)), (j, u)] = Phi_k[i, j],
 
-written by one scatter per k with no sum.  On X the shifted monomials
-reduce to normal forms, and
+and mult_map writes M by one scatter per k with no sum.  It is the only
+map builder.  On a complete intersection X cut by f_1..f_c the map
+(R_X)_m^b -> (R_X)_(m+1)^a is never built: by right exactness its
+cokernel is that of [phi | f_1 I_a | ... | f_c I_a] over R, so with F the
+span of I_(m+1) placed in each of the a target copies,
 
-    M[(i, r), (j, u)] = sum_k Phi_k[i, j] N_(m+1)[r, S_k(u)]
+    rank M_X = rank [M | F] - a dim I_(m+1),
 
-is one contraction of inner dimension n + 1 against columns gathered
-from N_(m+1).  It runs through the exact float64 product of the exactfield
-module, so the 2^53 bound and the 16-bit limbs cover every accepted prime,
-once per a-th of the target monomials with all target blocks stacked.
+which is a (N_(m+1) - dim I_(m+1)) when M alone has full row rank
+a N_(m+1).  dim I_(m+1) is the rank of the span, and comparing it with
+the Koszul data checks in that degree that the forms are regular.
 
 map_rank ranks a map on P^n with a <= b by the pivot split of Faugere and
 Lachartre.  For a Phi_k of full row rank a, x_n tried first, the source
@@ -52,15 +48,25 @@ are L turns S into [[A, *], [0, L S_Q(>=1)]] with A of full row rank
 and the chain carries the delta rows L W_e instead of W_e: L W_0 =
 L M'[R_0, P_0] and [L S_Q(e+1) | L W_(e+1)] = -L W_e M'[R_(e+1), Q_(e+1)
 P_(e+1)].  At most twists of the ambient tables delta = 0, and then
-nothing is multiplied after phi G.  On X normal-form tails break the unit
-block, so there, as for a > b or with no such Phi_k, the map itself is
-eliminated.
+nothing is multiplied after phi G.
+
+M' itself is never built: its blocks are maps on the hyperplane x_k = 0.
+The x_k-free monomials of _monomials(n, d) come in _monomials(n - 1, d)
+order, and so do those with x_k-exponent e once divided by x_k^e.  So for
+phi_h, phi' with its copies rolled by -a (Q before P) and without the
+coefficients of x_k, a map on P^(n - 1),
+
+    mult_map(phi_h, m) = [S_Q0 | W_0],
+    mult_map(phi_h, m - e - 1) = M'[R_(e+1), Q_(e+1) P_(e+1)],
+
+with R_(e+1) listed as x_k P_e.  For a > b, or with no such Phi_k, the
+map itself is eliminated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -209,21 +215,12 @@ class RegularityError(RuntimeError):
     """Quotient ring dimensions disagree with the resolution degree data."""
 
 
-@dataclass(frozen=True)
-class QuotientPiece:
-    """Degree-k piece of R/I: surviving monomials and the reduction matrix.
+def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
+    """The span of I_k over R_k, one row per product, and dim I_k, its rank.
 
-    monomial_indices are the non-pivot columns of the RREF of I_k; they
-    index monomials of R_k that represent a basis of (R/I)_k.  nf maps a
-    coefficient vector in R_k to its normal-form coordinates.
+    Raises RegularityError unless R_k / I_k has the dimension that the
+    resolution data predict: the forms are then not a regular sequence.
     """
-
-    k: int
-    monomial_indices: tuple[int, ...]
-    nf: DenseMatrix
-
-
-def _quotient_piece(x: "ACMVarietyDescriptor", k: int) -> QuotientPiece:
     nk = basis_dim(x.n, k)
     # I_k is spanned by u * f for each form f and each monomial u of degree
     # k - deg f; row u of a block holds the coefficients of u * f
@@ -233,99 +230,79 @@ def _quotient_piece(x: "ACMVarietyDescriptor", k: int) -> QuotientPiece:
         block = np.zeros((table.shape[0], nk), dtype=np.int64)
         block[np.arange(table.shape[0])[:, None], table] = coeff
         blocks.append(block)
-    data = np.vstack(blocks)
-    span = DenseMatrix(data.shape[0], nk, x.field, data)
-    # row j of the transposed kernel basis is the normal form map's row for
-    # free column f_j: a 1 at f_j, minus the echelon entries at the pivot
-    # columns (all before f_j), so f_j is its last nonzero position
-    nf = transpose(kernel_basis(span))
-    free = tuple(int(np.flatnonzero(row)[-1]) for row in nf.data)
+    span = np.vstack(blocks)
+    dim = rank(DenseMatrix(*span.shape, x.field, span))
     expected = hilbert_function(x.res, k)
-    if len(free) != expected:
+    if nk - dim != expected:
         raise RegularityError(
-            f"degree {k}: quotient dimension {len(free)} != {expected} predicted "
+            f"degree {k}: quotient dimension {nk - dim} != {expected} predicted "
             "by the resolution data; the chosen forms are not a regular sequence"
         )
-    return QuotientPiece(k, free, nf)
+    return span, dim
 
 
-def quotient_piece(x: "ACMVarietyDescriptor", k: int) -> QuotientPiece:
-    """Cached degree-k normal-form data for a variety with explicit forms."""
-    cache = x._nf_cache
-    if k not in cache:
-        cache[k] = _quotient_piece(x, k)
-    return cache[k]
+def _scatter(coeffs: np.ndarray, m: int) -> np.ndarray:
+    # the map of an (a, b, n + 1) coefficient tensor on P^n in degree m;
+    # a hyperplane map can have n = 0, which LinearFormMatrix refuses
+    a, b, n1 = coeffs.shape
+    shifts = _product_table(n1 - 1, m, 1)
+    src, tgt = shifts.shape[0], basis_dim(n1 - 1, m + 1)
+    out = np.zeros((a, tgt, b, src), dtype=np.int64)
+    # advanced indices on axes 1 and 3 put u first: (src, a, b) <- Phi_k
+    for k in range(n1):
+        out[:, shifts[:, k], :, np.arange(src)] = coeffs[:, :, k]
+    return out.reshape(a * tgt, b * src)
 
 
-def mult_map(
-    phi: "LinearFormMatrix", m: int, x: "ACMVarietyDescriptor | None" = None
-) -> DenseMatrix:
-    """Matrix of (R_X)_m^b_src -> (R_X)_(m+1)^a_tgt induced by phi.
+def mult_map(phi: "LinearFormMatrix", m: int) -> DenseMatrix:
+    """Matrix of R_m^b_src -> R_(m+1)^a_tgt induced by phi on P^n.
 
-    X is P^n when x is None or has codimension 0.  Bases are the surviving
-    monomials of each degree (all of them on P^n) in the fixed order;
-    blocks are stacked row-major, block (i, j) multiplying by the linear
-    form phi[i][j] and reducing to normal form.  m < 0 gives a matrix with
-    zero columns.
+    Bases are the monomials of each degree in the fixed order; blocks are
+    stacked row-major, block (i, j) multiplying by the linear form
+    phi[i][j].  m < 0 gives a matrix with zero columns.
     """
-    n, p = phi.n, phi.field.p
-    if x is not None:
-        if x.forms is None:
-            from .restriction import ExactModeError
-
-            raise ExactModeError("variety has no explicit forms; exact mode unavailable")
-        if phi.n != x.n or phi.field != x.field:
-            raise ValueError("phi and variety live over different ambient data")
-    coeffs = phi.coeffs % p
-    a, b = phi.a_tgt, phi.b_src
-    shifts = _product_table(n, m, 1)
-    if x is None or x.codim == 0:
-        src, tgt = shifts.shape[0], basis_dim(n, m + 1)
-        out = np.zeros((a, tgt, b, src), dtype=np.int64)
-        # advanced indices on axes 1 and 3 put u first: (src, a, b) <- Phi_k
-        for k in range(n + 1):
-            out[:, shifts[:, k], :, np.arange(src)] = coeffs[:, :, k]
-    else:
-        keep = np.asarray(quotient_piece(x, m).monomial_indices, dtype=np.intp)
-        src = keep.size
-        nf = quotient_piece(x, m + 1).nf.data
-        tgt = nf.shape[0]
-        # out before the temporaries: allocated after them, it measurably
-        # raised peak RSS, as freeing them left a hole in the heap
-        out = np.empty((a, tgt, b, src), dtype=np.int64)
-        # g[k, (r, u)] = N_(m+1)[r, S_k(u)]
-        g = nf[:, shifts[keep].T].transpose(1, 0, 2).astype(np.float64)
-        g = g.reshape(n + 1, tgt * src)
-        neg = (-coeffs % p).astype(np.float64).reshape(a * b, n + 1)
-        # blocks of one a-th of the target monomials each split g's columns
-        # into limbs once; each is freed before the next, which keeps RSS low
-        for i in range(a):
-            r0, r1 = tgt * i // a, tgt * (i + 1) // a
-            block = np.zeros((a * b, (r1 - r0) * src))
-            _sub_mul_mod(block, neg, g[:, r0 * src : r1 * src], p)
-            out[:, r0:r1] = block.reshape(a, b, r1 - r0, src).transpose(0, 2, 1, 3)
-            del block
-    rows, cols = a * tgt, b * src
-    return DenseMatrix(rows, cols, phi.field, out.reshape(rows, cols))
+    data = _scatter(phi.coeffs % phi.field.p, m)
+    return DenseMatrix(*data.shape, phi.field, data)
 
 
 def map_rank(
     phi: "LinearFormMatrix", m: int, x: "ACMVarietyDescriptor | None" = None
 ) -> int:
-    """Rank of mult_map(phi, m, x), on P^n by the Schur complement above,
-    ranked through the left kernel L of its first block: a N_m unit pivots,
-    |R_0| - delta from the first block and the rank of the delta-row chain."""
+    """Rank of phi's map (R_X)_m^b_src -> (R_X)_(m+1)^a_tgt, X = P^n when x
+    is None or has codimension 0.
+
+    On P^n the Schur complement above is ranked through the left kernel L
+    of its first block: a N_m unit pivots, |R_0| - delta from the first
+    block and the rank of the delta-row chain.  On X the rank is that of
+    the P^n map, or of its lift [M | F] when the P^n map is not onto,
+    minus a dim I_(m+1).  By the lift identity this is the exact rank of
+    the map on X, which is never built, so the cells it fills are
+    "exact-rank".
+    """
     n, p, a, b = phi.n, phi.field.p, phi.a_tgt, phi.b_src
     coeffs = phi.coeffs % p
-    ambient = (x is None or x.codim == 0) and 0 < a <= b and m >= 0
-    for k in range(n, -1, -1) if ambient else ():
+    if x is not None and x.codim:
+        if x.forms is None:
+            from .restriction import ExactModeError
+
+            raise ExactModeError("variety has no explicit forms; exact mode unavailable")
+        if n != x.n or phi.field != x.field:
+            raise ValueError("phi and variety live over different ambient data")
+        span, ideal = ideal_span(x, m + 1)
+        r = map_rank(phi, m)
+        if r < a * basis_dim(n, m + 1):
+            # not onto: F holds the span of I_(m+1) in each of the a target copies
+            lift = np.hstack((_scatter(coeffs, m), np.kron(np.eye(a, dtype=np.int64), span.T)))
+            r = rank(DenseMatrix(*lift.shape, phi.field, lift))
+        return r - a * ideal
+    for k in range(n, -1, -1) if 0 < a <= b and m >= 0 else ():
         # [Phi_k | I] reduces to [rref Phi_k | Phi_k[:, J]^-1] when rank Phi_k = a
         aug = np.hstack((coeffs[:, :, k], np.eye(a, dtype=np.int64)))
         red, piv = rref(DenseMatrix(a, b + a, phi.field, aug))
         if piv[-1] < b:
             break
-    else:  # on X, for a > b, or with no such Phi_k
-        return rank(mult_map(phi, m, x))
+    else:  # for a > b or with no such Phi_k
+        return rank(mult_map(phi, m))
     # G = [R | K] with Phi_k R = I, R on the pivot rows J, and Phi_k K = 0
     g = np.zeros((b, b), dtype=np.int64)
     g[list(piv), :a] = red.data[:, b:]
@@ -335,31 +312,25 @@ def map_rank(
     stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
     _sub_mul_mod(flat, stacked, (-g % p).astype(np.float64), p)
     coeffs = flat.astype(np.int64).reshape(n + 1, a, b).transpose(1, 2, 0)
-    mp = mult_map(replace(phi, coeffs=coeffs), m, x).data
-    src, tgt = basis_dim(n, m), basis_dim(n, m + 1)
-    us = [np.flatnonzero(np.array(_monomials(n, m))[:, k] == e) for e in range(m + 1)]
-    shift, copies = _product_table(n, m, 1)[:, k], np.arange(b)[:, None]
-    # columns Q_e then P_e (copies a..b-1, then 0..a-1), and rows R_(e+1)
-    # listed as x_k P_e, so that M'[R_(e+1), P_e] = I
-    cols = [(np.roll(copies, -a) * src + u).ravel() for u in us]
-    rows = [(copies[:a] * tgt + shift[u]).ravel() for u in us]
-    r0 = (copies[:a] * tgt + np.flatnonzero(np.array(_monomials(n, m + 1))[:, k] == 0)).ravel()
-    q = (b - a) * us[0].size
-    # L, the canonical left kernel of S_Q0 = M'[R_0, Q_0], has delta rows
-    s_q0 = DenseMatrix(r0.size, q, phi.field, mp[np.ix_(r0, cols[0][:q])])
+    # phi_h: the Q copies first, then P, without the coefficients of x_k
+    hyper = np.delete(np.roll(coeffs, -a, axis=1), k, axis=2)
+    first = _scatter(hyper, m)  # [S_Q0 | W_0]
+    q = (b - a) * basis_dim(n - 1, m)
+    # L, the canonical left kernel of S_Q0, has delta rows
+    s_q0 = DenseMatrix(first.shape[0], q, phi.field, first[:, :q])
     left = kernel_basis(transpose(s_q0)).data.T
     delta = left.shape[0]
-    known = a * src + r0.size - delta
+    known = a * basis_dim(n, m) + first.shape[0] - delta
     if not delta or not m:
         return known
-    block = np.zeros((delta, cols[0].size - q))  # L W_0
-    w = mp[np.ix_(r0, cols[0][q:])].astype(np.float64)
-    _sub_mul_mod(block, (-left % p).astype(np.float64), w, p)
+    block = np.zeros((delta, first.shape[1] - q))  # L W_0
+    _sub_mul_mod(block, (-left % p).astype(np.float64), first[:, q:].astype(np.float64), p)
     parts = []
     for e in range(m):  # [L S_Q(e+1) | L W_(e+1)] = -L W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
-        w, block = block, np.zeros((delta, cols[e + 1].size))
-        _sub_mul_mod(block, w, mp[np.ix_(rows[e], cols[e + 1])].astype(np.float64), p)
-        q = (b - a) * us[e + 1].size
+        w, nxt = block, _scatter(hyper, m - e - 1)
+        block = np.zeros((delta, nxt.shape[1]))
+        _sub_mul_mod(block, w, nxt.astype(np.float64), p)
+        q = (b - a) * basis_dim(n - 1, m - e - 1)
         parts.append(block[:, :q])
         block = block[:, q:]
     s = np.hstack(parts).astype(np.int64)

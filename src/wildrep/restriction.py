@@ -5,7 +5,7 @@ dimension d = n - c >= 2) is arithmetically Cohen-Macaulay, and sections
 of O_X(k) are exactly the degree-k piece of its coordinate ring.  The
 restricted presentation 0 -> E|_X(t) -> O_X(1+t)^b -> O_X(2+t)^a -> 0
 stays exact, so h^0 and h^1 on X are again the nullity and corank of one
-multiplication-map matrix, now in normal-form monomial bases.
+multiplication map, ranked through the map on P^n and the ideal of X.
 
 restricted_cohomology_table is the one loop that fills exact tables.  P^n
 is the complete intersection of codimension 0 (make_ci_variety(n, ())),
@@ -29,7 +29,7 @@ whole point of re-embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .polyspace import (
     basis_dim,
     hilbert_function,
     hilbert_polynomial,
+    ideal_span,
     koszul_degree_data,
     map_rank,
 )
@@ -77,9 +78,6 @@ class ACMVarietyDescriptor:
     degrees: tuple[int, ...] = ()
     forms: tuple[np.ndarray, ...] | None = None
     field: FieldSpec | None = None
-    _nf_cache: dict = dataclass_field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
 
     @property
     def codim(self) -> int:
@@ -105,8 +103,8 @@ def make_ci_variety(
 
     Requires d = n - len(degrees) >= 2.  With an rng, each form gets
     uniform coefficients; regularity of the resulting sequence is not
-    assumed but verified against the Koszul Hilbert function the first
-    time each graded piece is reduced.  Empty degrees give X = P^n, which
+    assumed but verified against the Koszul Hilbert function in every
+    degree that an exact table reads.  Empty degrees give X = P^n, which
     needs no forms.
     """
     degrees = tuple(int(e) for e in degrees)
@@ -253,6 +251,8 @@ def restricted_cohomology_table(
         raise ExactModeError("restricted table needs explicit forms")
     n, d = x.n, x.d
     t_min, t_max = default_window(d) if t_range is None else t_range
+    if x.codim:  # map_rank checks regularity in degrees 2 + t, this is 1 + t_min
+        ideal_span(x, 1 + t_min)
     cells = {}
     prov = {}
     for t in range(t_min, t_max + 1):

@@ -2,9 +2,12 @@
 
 None of these runs in the certificate pipeline, so they live beside the
 tests rather than in the package they check: closed-form and structure
-tables, the line-bundle cohomology of a complete intersection, and small
-builders and counters for matrices.
+tables, the line-bundle cohomology of a complete intersection, the
+normal-form map on a complete intersection, and small builders and
+counters for matrices.
 """
+
+import numpy as np
 
 from wildrep import (
     CohomologyTable,
@@ -12,13 +15,18 @@ from wildrep import (
     LinearFormMatrix,
     PROV_CERTIFIED,
     PROV_EULER,
+    basis_dim,
     closed_form_cohomology,
     default_window,
     h_line,
     hilbert_function,
     hilbert_polynomial,
+    kernel_basis,
+    mult_map,
     rank,
+    transpose,
 )
+from wildrep.polyspace import _product_table
 
 PROV_CLOSED = "closed-form"
 
@@ -138,3 +146,44 @@ def structure_table(x, t_range=None):
         cells[(d, t)] = forced
         prov[(d, t)] = PROV_EULER
     return CohomologyTable(d, t_min, t_max, cells, prov)
+
+
+def quotient_piece(x, k):
+    """Degree-k piece of R/I by normal forms: (monomial indices, nf).
+
+    nf, the transposed canonical kernel basis of the span of I_k, maps a
+    coefficient vector in R_k to its normal-form coordinates.  Row j is 1
+    at a free column f_j, minus the echelon entries at the pivot columns,
+    all before f_j, so f_j is its last nonzero position; the free columns
+    index monomials of R_k that represent a basis of (R/I)_k.
+    """
+    nk = basis_dim(x.n, k)
+    span = np.zeros((0, nk), dtype=np.int64)
+    for e, coeff in zip(x.degrees, x.forms):
+        # row u holds the coefficients of u * f, u of degree k - e
+        table = _product_table(x.n, k - e, e)
+        block = np.zeros((table.shape[0], nk), dtype=np.int64)
+        block[np.arange(table.shape[0])[:, None], table] = coeff
+        span = np.vstack((span, block))
+    nf = transpose(kernel_basis(DenseMatrix(span.shape[0], nk, x.field, span)))
+    free = tuple(int(np.flatnonzero(row)[-1]) for row in nf.data)
+    return free, nf.data
+
+
+def normal_form_map(phi, m, x):
+    """The map (R_X)_m^b -> (R_X)_(m+1)^a of phi on X, in normal forms.
+
+    Sources are the surviving monomials of degree m, targets the
+    normal-form coordinates of degree m + 1, blocks stacked row-major as
+    in mult_map.  This is the reference that ranks on X are checked
+    against.  The products split nf into 16-bit limbs, so every int64 sum
+    stays below 2^63 for p < 2^31.
+    """
+    p, a, b = phi.field.p, phi.a_tgt, phi.b_src
+    keep, _ = quotient_piece(x, m)
+    _, nf = quotient_piece(x, m + 1)
+    cols = (np.arange(b)[:, None] * basis_dim(x.n, m) + np.array(keep, dtype=np.intp)).ravel()
+    blocks = mult_map(phi, m).data[:, cols].reshape(a, nf.shape[1], cols.size)
+    hi, lo = np.divmod(nf, 1 << 16)
+    data = np.vstack([((hi @ g) % p * (1 << 16) + lo @ g) % p for g in blocks])
+    return DenseMatrix(*data.shape, phi.field, data)

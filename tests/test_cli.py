@@ -1,6 +1,7 @@
 """Command line behavior: parsing, rendering, serialization, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -184,6 +185,17 @@ def test_certify_matches_golden_under_optimize():
     assert proc.stdout == (GOLDEN_DIR / "certify_n3_ci2_a2_s3.json").read_bytes()
 
 
+def test_outputs_match_digest_golden(capsys):
+    # sha256 of the canonical JSON of the three benchmark workloads and the
+    # restricted ladder configs, seed 7, at primes 101 and 2^31 - 1
+    golden = json.loads((GOLDEN_DIR / "cli_digests.json").read_text())
+    assert len(golden) == 12
+    for entry in golden:
+        assert main(entry["argv"]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == entry["sha256"], entry["argv"]
+
+
 def test_certify_without_s_uses_three(tmp_path):
     target = tmp_path / "default.json"
     argv = ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--output", str(target)]
@@ -258,16 +270,16 @@ def test_largest_matrix_refuses_oversized_requests(config, shape):
     "config, shape",
     [
         # the golden config, also the certify-family benchmark workload
-        (RunConfig("certify", n=3, a=2, ci_degrees=(2,)), (196, 360)),
+        (RunConfig("certify", n=3, a=2, ci_degrees=(2,)), (336, 700)),
         # the ambient-table and ci-restrict benchmark workloads
         (RunConfig("table", n=4, a=2), (840, 1512)),
-        (RunConfig("restrict", n=5, a=1, ci_degrees=(2, 2)), (462, 1022)),
+        (RunConfig("restrict", n=5, a=1, ci_degrees=(2, 2)), (924, 2268)),
         # the largest configurations in the performance ladder
         (RunConfig("table", n=5, a=2), (1848, 3528)),
-        (RunConfig("restrict", n=5, a=2, ci_degrees=(2,)), (1344, 2744)),
-        (RunConfig("restrict", n=5, a=2, ci_degrees=(2, 2)), (924, 2044)),
+        (RunConfig("restrict", n=5, a=2, ci_degrees=(2,)), (1848, 4032)),
+        (RunConfig("restrict", n=5, a=2, ci_degrees=(2, 2)), (1848, 4536)),
         (RunConfig("table", n=6, a=1), (1848, 3696)),
-        (RunConfig("restrict", n=6, a=1, ci_degrees=(2,)), (1428, 3024)),
+        (RunConfig("restrict", n=6, a=1, ci_degrees=(2,)), (1848, 4116)),
     ],
 )
 def test_largest_matrix_admits_benchmarked_requests(config, shape):
@@ -422,7 +434,7 @@ def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
     [
         ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"],
         ["table", "--n", "4", "--a", "2", "--format", "json"],
-        # normal forms and the contraction on X, through the limbs at 2^31 - 1
+        # ranks on X through the P^n map and the ideal span, limbs at 2^31 - 1
         ["restrict", "--n", "5", "--ci-degrees", "2", "2", "--a", "1", "--format", "json"],
         ["restrict", "--n", "3", "--ci-degrees", "2", "--a", "2", "--format", "json"],
     ],

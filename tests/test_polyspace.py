@@ -1,4 +1,4 @@
-"""Monomial bases, multiplication matrices, Hilbert data, normal forms."""
+"""Monomial bases, multiplication matrices, Hilbert data, ranks on P^n and X."""
 
 import numpy as np
 import pytest
@@ -24,11 +24,12 @@ from wildrep import (
     rank,
     sample_phi,
 )
-from wildrep import polyspace
+from wildrep import polyspace, restricted_cohomology_table
 from wildrep.exactfield import _single_gemm_max
-from wildrep.polyspace import _monomials, quotient_piece
+from wildrep.polyspace import _monomials
 from wildrep.restriction import ACMVarietyDescriptor
-from oracles import from_coeffs
+from conftest import cached_bundle
+from oracles import from_coeffs, normal_form_map, quotient_piece
 from test_exactfield import DIFF_PRIMES, _gauss_jordan
 
 
@@ -227,13 +228,12 @@ def test_hilbert_polynomial_signed_low_twists():
 def test_quotient_piece_normal_form_quadric():
     f = FieldSpec.prime()
     x = make_ci_variety(3, (2,), SeededRng(5), f)
-    qp = quotient_piece(x, 2)
-    assert qp.nf.rows == 9
-    assert qp.nf.cols == 10
-    assert len(qp.monomial_indices) == 9
+    keep, nf = quotient_piece(x, 2)
+    assert nf.shape == (9, 10)
+    assert len(keep) == 9
     # quotient basis monomials reduce to unit vectors
-    for r, idx in enumerate(qp.monomial_indices):
-        col = qp.nf.data[:, idx]
+    for r, idx in enumerate(keep):
+        col = nf[:, idx]
         assert col[r] == 1
         assert not np.any(col[np.arange(9) != r])
 
@@ -244,7 +244,7 @@ def test_quotient_piece_kills_the_ideal():
     form = x.forms[0]
     deg2 = _monomials(3, 2)
     deg3 = _monomials(3, 3)
-    qp = quotient_piece(x, 3)
+    _, nf = quotient_piece(x, 3)
     for k in range(4):
         # multiply the quadric by x_k, by hand, then reduce
         vec = np.zeros(len(deg3), dtype=np.int64)
@@ -255,76 +255,37 @@ def test_quotient_piece_kills_the_ideal():
             w = list(mono)
             w[k] += 1
             vec[deg3.index(tuple(w))] = (vec[deg3.index(tuple(w))] + c) % f.p
-        image = (qp.nf.data @ vec) % f.p
+        image = (nf @ vec) % f.p
         assert not image.any()
 
 
-def test_quotient_piece_detects_dependent_forms():
+def test_repeated_form_raises_regularity_error():
+    # (f, f) is not a regular sequence: in degree 2 its span has dimension
+    # 1, not the 2 that the Koszul data of (2, 2) in P^4 predict
     f = FieldSpec.prime()
     sample = make_ci_variety(4, (2, 2), SeededRng(9), f)
-    # repeat one form: not a regular sequence, Hilbert check must trip
-    bad = ACMVarietyDescriptor(
-        4,
-        sample.res,
-        (2, 2),
-        (sample.forms[0], sample.forms[0]),
-        f,
-    )
-    with pytest.raises(RegularityError):
-        quotient_piece(bad, 2)
-
-
-def test_mult_map_on_X_shape_18x20():
-    f = FieldSpec.prime()
-    x = make_ci_variety(3, (2,), SeededRng(5), f)
-    phi = sample_phi(3, 2, 5, SeededRng(0), f)
-    m = mult_map(phi, 1, x)
-    assert (m.rows, m.cols) == (18, 20)
-
-
-def test_mult_map_on_X_trivial_ci_matches_ambient():
-    phi = sample_phi(3, 2, 5, SeededRng(0), FieldSpec.prime())
-    assert mult_map(phi, 1, make_ci_variety(3, ())) == mult_map(phi, 1)
+    bad = ACMVarietyDescriptor(4, sample.res, (2, 2), (sample.forms[0],) * 2, f)
+    kb, _ = cached_bundle(4, 1, seed=0)
+    with pytest.raises(RegularityError, match="^degree 2: "):
+        map_rank(kb.phi, 1, bad)
+    # map_rank checks degree 2 + t, the table checks 1 + t_min as well
+    with pytest.raises(RegularityError, match="^degree 2: "):
+        restricted_cohomology_table(kb, bad, (1, 1))
+    with pytest.raises(RegularityError, match="^degree 2: "):
+        restricted_cohomology_table(kb, bad)
 
 
 @pytest.mark.parametrize("n, m", [(2, -1), (2, 0), (3, 2), (4, 3)])
-def test_mult_map_codimension_zero_is_the_ambient_scatter(n, m, monkeypatch):
-    # P^n as make_ci_variety(n, ()) takes the scatter: no normal forms
+def test_map_rank_codimension_zero_is_the_ambient_rank(n, m, monkeypatch):
+    # P^n as make_ci_variety(n, ()) takes the P^n path: no ideal span
     phi = sample_phi(n, 2, n + 2, SeededRng(n + m), FieldSpec.prime())
-    ambient = mult_map(phi, m)
+    ambient = map_rank(phi, m)
 
-    def no_normal_forms(*args):
-        raise AssertionError("codimension 0 built normal forms")
+    def no_ideal(*args):
+        raise AssertionError("codimension 0 built an ideal span")
 
-    monkeypatch.setattr(polyspace, "quotient_piece", no_normal_forms)
-    assert mult_map(phi, m, make_ci_variety(n, ())) == ambient
-
-
-def _normal_form_columns(phi, m, x):
-    """Columns of the map on X by hand: reduce phi[i][j] * u with Python ints.
-
-    The product of a linear form and a monomial u is summed term by term
-    in R_(m+1) and then multiplied by the normal-form matrix of degree
-    m + 1, all in unbounded integers.
-    """
-    p, n = phi.field.p, phi.n
-    src = quotient_piece(x, m).monomial_indices
-    nf = [[int(v) for v in row] for row in quotient_piece(x, m + 1).nf.data]
-    deg_m = _monomials(n, m)
-    deg_next = _monomials(n, m + 1)
-    columns = []
-    for j in range(phi.b_src):
-        for q in src:
-            column = []
-            for i in range(phi.a_tgt):
-                vec = [0] * len(deg_next)
-                for k in range(n + 1):
-                    w = list(deg_m[q])
-                    w[k] += 1
-                    vec[deg_next.index(tuple(w))] += int(phi.coeffs[i, j, k])
-                column += [sum(a * b for a, b in zip(row, vec)) % p for row in nf]
-            columns.append(column)
-    return columns
+    monkeypatch.setattr(polyspace, "ideal_span", no_ideal)
+    assert map_rank(phi, m, make_ci_variety(n, ())) == ambient
 
 
 @st.composite
@@ -337,29 +298,28 @@ def small_complete_intersections(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_complete_intersections(), st.integers(min_value=-1, max_value=2))
-def test_mult_map_matches_normal_form_oracle(x, m):
+@given(small_complete_intersections(), st.integers(min_value=-1, max_value=2), st.booleans())
+def test_map_rank_on_X_matches_normal_form_oracle(x, m, copied):
+    # a copied target row keeps the P^n map short of onto, so map_rank
+    # ranks the lift [M | F] at every m
     phi = sample_phi(x.n, 2, 3, SeededRng(m + 7), x.field)
-    mat = mult_map(phi, m, x)
-    assert mat.data.T.tolist() == _normal_form_columns(phi, m, x)
+    if copied:
+        phi.coeffs[1] = phi.coeffs[0]
+    assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x))
 
 
 @pytest.mark.parametrize(
     "n, degrees, m", [(3, (2,), 2), (4, (2, 2), 2), (5, (2, 2, 2), 2)]
 )
-def test_mult_map_exact_at_largest_prime(n, degrees, m):
-    # every coefficient p - 1 against normal forms with entries near p, so
-    # each term is close to 2^62 and three of them overflow int64; in
-    # codimension c up to c shifted monomials of one column reduce to dense
-    # normal forms, so the codimension-3 case is the one where a reduction
-    # bound that is too loose shows
+def test_map_rank_on_X_exact_at_largest_prime(n, degrees, m):
+    # every coefficient p - 1, so the P^n map has two equal target blocks
+    # and is not onto: the rank comes from the lift [M | F], whose form
+    # columns hold entries near p, in codimension up to 3
     f = FieldSpec.prime((1 << 31) - 1)
     x = make_ci_variety(n, degrees, SeededRng(3), f)
     phi = LinearFormMatrix.zero(n, 2, 3, f)
     phi.coeffs[...] = f.p - 1
-    mat = mult_map(phi, m, x)
-    assert mat.data.max() < f.p
-    assert mat.data.T.tolist() == _normal_form_columns(phi, m, x)
+    assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x))
 
 
 def test_mult_map_scatter_exact_at_largest_prime():
@@ -374,27 +334,24 @@ def test_mult_map_scatter_exact_at_largest_prime():
         for q in range(src_dim):
             want = _naive_column(phi, 2, j, q).tolist()
             assert mat.data[:, j * src_dim + q].tolist() == want
-    assert mult_map(phi, 2, make_ci_variety(3, (), field=f)) == mat
 
 
-# for n = 5 the contraction on X has inner dimension 6: the first prime
-# still takes one float64 gemm at the worst case 6 (p-1)^2 + p <= 2^53,
-# the next prime up needs the 16-bit limbs
+# the first prime still takes one float64 gemm for an inner dimension of
+# 6 at the worst case 6 (p-1)^2 + p <= 2^53, the next prime up needs the
+# 16-bit limbs
 GEMM_EDGE_PRIMES = (38745307, 38745323)
 
 
 @pytest.mark.parametrize("p", GEMM_EDGE_PRIMES)
-def test_mult_map_on_X_exact_either_side_of_single_gemm(p):
+def test_map_rank_on_X_exact_either_side_of_single_gemm(p):
     assert _single_gemm_max(GEMM_EDGE_PRIMES[0]) == 6 > _single_gemm_max(GEMM_EDGE_PRIMES[1])
     f = FieldSpec.prime(p)
     x = make_ci_variety(5, (2, 2), SeededRng(11), f)
     phi = LinearFormMatrix.zero(5, 2, 3, f)
     phi.coeffs[...] = f.p - 1
-    mat = mult_map(phi, 2, x)
-    assert mat.data.dtype == np.int64
-    assert mat.data.T.tolist() == _normal_form_columns(phi, 2, x)
+    assert map_rank(phi, 2, x) == rank(normal_form_map(phi, 2, x))
     phi = sample_phi(5, 2, 3, SeededRng(12), f)
-    assert mult_map(phi, 2, x).data.T.tolist() == _normal_form_columns(phi, 2, x)
+    assert map_rank(phi, 2, x) == rank(normal_form_map(phi, 2, x))
 
 
 def _append_copies(phi, row=None, col=None):
@@ -410,7 +367,7 @@ def _append_copies(phi, row=None, col=None):
 @pytest.mark.parametrize(
     "n, a, degrees", [(4, 2, ()), (5, 1, (2, 2))]
 )  # the ambient-table and ci-restrict benchmark requests
-def test_pipeline_map_with_copied_blocks_keeps_its_rank(n, a, degrees):
+def test_pipeline_map_with_copied_blocks_keeps_its_rank(n, a, degrees, monkeypatch):
     # at the largest twist the pipeline's map has full row rank, so an
     # elimination defect that only ever finds a maximal rank would pass
     # unseen there; copied blocks make the rank fall short of both sides
@@ -420,22 +377,35 @@ def test_pipeline_map_with_copied_blocks_keeps_its_rank(n, a, degrees):
     x = make_ci_variety(n, degrees, rng, f)
     kb, _ = build_kernel_bundle(n, a, rng, f)
     m = 1 + 4  # the largest twist of the default window is 4
-    base = mult_map(kb.phi, m, x)
+
+    def build(phi):
+        return normal_form_map(phi, m, x) if degrees else mult_map(phi, m)
+
+    base = build(kb.phi)
     r = rank(base)
     assert r == base.rows
     src_dim, tgt_dim = base.cols // kb.phi.b_src, base.rows // kb.phi.a_tgt
     # a copy of a source column adds dim (R_X)_m columns and no rank
-    dup = mult_map(_append_copies(kb.phi, col=1), m, x)
+    dup = build(_append_copies(kb.phi, col=1))
     assert dup.cols == base.cols + src_dim
     assert rank(dup) == r
     # a copy of a target row as well: the rank is short of both sides
-    both = mult_map(_append_copies(kb.phi, row=0, col=1), m, x)
+    both = build(_append_copies(kb.phi, row=0, col=1))
     assert (both.rows, both.cols) == (base.rows + tgt_dim, base.cols + src_dim)
     assert rank(both) == r
     # on P^n base and dup take the Schur complement, and both, whose
-    # copied target row leaves every Phi_k short of full row rank, does not
+    # copied target row leaves every Phi_k short of full row rank, does
+    # not; on X that copied row keeps the P^n map from being onto, so both
+    # alone is ranked through its lift [M | F]
+    ranked = _ranked_shapes(monkeypatch)
+    span_rows = sum(basis_dim(n, m + 1 - e) for e in degrees)
     for copies in ({}, {"col": 1}, {"row": 0, "col": 1}):
-        assert map_rank(_append_copies(kb.phi, **copies), m, x) == r
+        phi = _append_copies(kb.phi, **copies)
+        ranked.clear()
+        assert map_rank(phi, m, x) == r
+        lift = (phi.a_tgt * basis_dim(n, m + 1), phi.b_src * basis_dim(n, m) + phi.a_tgt * span_rows)
+        if degrees:
+            assert (lift in ranked) == ("row" in copies)
 
 
 def test_resolution_degree_data_validation():
@@ -459,10 +429,24 @@ def test_product_table_skips_high_degree_monomials_when_empty(monkeypatch):
     assert (6, 20) not in requested
 
 
+def _ranked_shapes(monkeypatch):
+    """List that receives the shape of each matrix map_rank ranks whole."""
+    shapes = []
+    rank_of = polyspace.rank
+
+    def recording(mat):
+        shapes.append((mat.rows, mat.cols))
+        return rank_of(mat)
+
+    monkeypatch.setattr(polyspace, "rank", recording)
+    return shapes
+
+
 def _check_map_rank(phi, m, x=None):
-    """map_rank against the rank of the map, and against Gauss-Jordan with
-    Python ints where the map is small."""
-    mat = mult_map(phi, m, x)
+    """map_rank against the rank of the map, in normal forms on X, and
+    against Gauss-Jordan with Python ints where the map is small."""
+    on_x = x is not None and x.codim
+    mat = normal_form_map(phi, m, x) if on_x else mult_map(phi, m)
     r = map_rank(phi, m, x)
     assert r == rank(mat)
     if mat.rows * mat.cols <= 2500:
@@ -499,7 +483,7 @@ def test_map_rank_matches_elimination(p, monkeypatch):
     f = FieldSpec.prime(p)
     rng = np.random.default_rng(p)
     schur = _chosen_blocks(monkeypatch)
-    for n in range(2, 6):
+    for n in range(1, 6):
         for a, b in MAP_RANK_SHAPES:
             values = rng.integers(0, p, size=(a, b, n + 1))
             for m in range(-1, 6):
@@ -512,7 +496,7 @@ def test_map_rank_matches_elimination(p, monkeypatch):
 @pytest.mark.parametrize("p", (101, (1 << 31) - 1))
 def test_map_rank_on_complete_intersections(p):
     # P^n as the codimension-0 complete intersection takes the Schur
-    # complement; on X the map itself is eliminated
+    # complement; on X the P^n rank comes first, then the lift if needed
     f = FieldSpec.prime(p)
     for n, degrees in ((2, ()), (3, ()), (3, (2,)), (4, (2, 3))):
         x = make_ci_variety(n, degrees, SeededRng(n), f)

@@ -4,8 +4,8 @@ The heavy oracle here: for a hypersurface X of degree e in P^n, the short
 exact sequence 0 -> E(t-e) -> E(t) -> E|_X(t) -> 0 has a long exact
 cohomology sequence whose ambient terms are all closed-form, and enough
 of them vanish to solve for every h^i(X, E(t)) exactly.  The oracle table
-is assembled from those solved values only, with no reference to the
-implementation's normal-form path.
+is assembled from those solved values only, with no reference to how the
+implementation ranks maps on X.
 """
 
 import pytest
