@@ -259,12 +259,14 @@ def test_quotient_piece_kills_the_ideal():
         assert not image.any()
 
 
-def test_repeated_form_raises_regularity_error():
+def test_quotient_piece_detects_dependent_forms():
     # (f, f) is not a regular sequence: in degree 2 its span has dimension
-    # 1, not the 2 that the Koszul data of (2, 2) in P^4 predict
+    # 1, so R_2 / I_2 is larger than the Koszul data of (2, 2) in P^4 predict
     f = FieldSpec.prime()
     sample = make_ci_variety(4, (2, 2), SeededRng(9), f)
     bad = ACMVarietyDescriptor(4, sample.res, (2, 2), (sample.forms[0],) * 2, f)
+    with pytest.raises(RegularityError, match="^degree 2: "):
+        polyspace.ideal_span(bad, 2)
     kb, _ = cached_bundle(4, 1, seed=0)
     with pytest.raises(RegularityError, match="^degree 2: "):
         map_rank(kb.phi, 1, bad)
@@ -275,9 +277,30 @@ def test_repeated_form_raises_regularity_error():
         restricted_cohomology_table(kb, bad)
 
 
+def test_mult_map_on_X_shape_18x20():
+    # the map on a quadric surface X in P^3 goes (R_X)_1^5 -> (R_X)_2^2,
+    # of dimensions 5 * 4 and 2 * 9; map_rank ranks it without building it
+    f = FieldSpec.prime()
+    x = make_ci_variety(3, (2,), SeededRng(5), f)
+    phi = sample_phi(3, 2, 5, SeededRng(0), f)
+    assert (hilbert_function(x.res, 1), hilbert_function(x.res, 2)) == (4, 9)
+    mat = normal_form_map(phi, 1, x)
+    assert (mat.rows, mat.cols) == (18, 20)
+    assert map_rank(phi, 1, x) == rank(mat)
+
+
+def test_mult_map_on_X_trivial_ci_matches_ambient():
+    # on the complete intersection with no forms the reference map on X is
+    # the P^n scatter itself, and so is its rank
+    phi = sample_phi(3, 2, 5, SeededRng(0), FieldSpec.prime())
+    x = make_ci_variety(3, ())
+    assert normal_form_map(phi, 1, x) == mult_map(phi, 1)
+    assert map_rank(phi, 1, x) == map_rank(phi, 1)
+
+
 @pytest.mark.parametrize("n, m", [(2, -1), (2, 0), (3, 2), (4, 3)])
-def test_map_rank_codimension_zero_is_the_ambient_rank(n, m, monkeypatch):
-    # P^n as make_ci_variety(n, ()) takes the P^n path: no ideal span
+def test_mult_map_codimension_zero_is_the_ambient_scatter(n, m, monkeypatch):
+    # P^n as make_ci_variety(n, ()) is ranked as the P^n scatter: no ideal span
     phi = sample_phi(n, 2, n + 2, SeededRng(n + m), FieldSpec.prime())
     ambient = map_rank(phi, m)
 
@@ -299,7 +322,7 @@ def small_complete_intersections(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(small_complete_intersections(), st.integers(min_value=-1, max_value=2), st.booleans())
-def test_map_rank_on_X_matches_normal_form_oracle(x, m, copied):
+def test_mult_map_matches_normal_form_oracle(x, m, copied):
     # a copied target row keeps the P^n map short of onto, so map_rank
     # ranks the lift [M | F] at every m
     phi = sample_phi(x.n, 2, 3, SeededRng(m + 7), x.field)
@@ -311,7 +334,7 @@ def test_map_rank_on_X_matches_normal_form_oracle(x, m, copied):
 @pytest.mark.parametrize(
     "n, degrees, m", [(3, (2,), 2), (4, (2, 2), 2), (5, (2, 2, 2), 2)]
 )
-def test_map_rank_on_X_exact_at_largest_prime(n, degrees, m):
+def test_mult_map_exact_at_largest_prime(n, degrees, m):
     # every coefficient p - 1, so the P^n map has two equal target blocks
     # and is not onto: the rank comes from the lift [M | F], whose form
     # columns hold entries near p, in codimension up to 3
@@ -343,7 +366,7 @@ GEMM_EDGE_PRIMES = (38745307, 38745323)
 
 
 @pytest.mark.parametrize("p", GEMM_EDGE_PRIMES)
-def test_map_rank_on_X_exact_either_side_of_single_gemm(p):
+def test_mult_map_on_X_exact_either_side_of_single_gemm(p):
     assert _single_gemm_max(GEMM_EDGE_PRIMES[0]) == 6 > _single_gemm_max(GEMM_EDGE_PRIMES[1])
     f = FieldSpec.prime(p)
     x = make_ci_variety(5, (2, 2), SeededRng(11), f)
