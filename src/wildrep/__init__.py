@@ -21,6 +21,7 @@ from .exactfield import (
     transpose,
 )
 from .polyspace import (
+    ExactModeError,
     RegularityError,
     ResolutionDegreeData,
     basis_dim,
@@ -39,8 +40,6 @@ from .presentation import (
     ShapeError,
     SurjectivityCertificate,
     build_kernel_bundle,
-    check_generic_conditions,
-    h0_phi1_is_isomorphism,
     sample_phi,
     sheaf_surjectivity_certificate,
 )
@@ -58,10 +57,8 @@ from .restriction import (
     ACMVarietyDescriptor,
     AcmVerdict,
     DimensionError,
-    ExactModeError,
     VanishingChaseTrace,
     acm_with_respect_to_s,
-    cohomology_table_exact,
     make_ci_variety,
     restricted_cohomology_table,
     restricted_euler_characteristic,

@@ -27,20 +27,20 @@ from .moduli import (
     veronese_bound,
     wildness_certificate,
 )
-from .polyspace import RegularityError, basis_dim, hilbert_function, koszul_degree_data
+from .polyspace import (
+    ExactModeError,
+    RegularityError,
+    basis_dim,
+    hilbert_function,
+    koszul_degree_data,
+)
 from .presentation import (
     SURJECTIVITY_SEARCH_MAX,
     GenericityError,
     ShapeError,
     build_kernel_bundle,
 )
-from .restriction import (
-    DimensionError,
-    ExactModeError,
-    cohomology_table_exact,
-    make_ci_variety,
-    restricted_cohomology_table,
-)
+from .restriction import DimensionError, make_ci_variety, restricted_cohomology_table
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -283,28 +283,8 @@ def run(config: RunConfig) -> int:
         }
         _emit(serialize_report(payload), config)
         return EXIT_OK
-    if config.command == "table":
-        window = _window(config, config.n)
-        kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
-        table = cohomology_table_exact(kb, window)
-        if config.format == "json":
-            payload = {
-                **_meta(config),
-                "n": config.n,
-                "a": config.a,
-                "certificate": asdict(cert),
-                "table": table_dict(table),
-            }
-            _emit(serialize_report(payload), config)
-        else:
-            header = (
-                f"cohomology of the rank-{kb.rank} kernel bundle on P^{config.n}, "
-                f"a = {config.a}, seed {config.seed}, prime {config.prime}, "
-                f"tool {__version__}"
-            )
-            _emit(render_table_markdown(table, header), config)
-        return EXIT_OK
-    if config.command == "restrict":
+    if config.command in ("table", "restrict"):
+        # table is restrict on P^n, the complete intersection of no forms
         x = make_ci_variety(config.n, config.ci_degrees, rng, field)
         window = _window(config, x.d)
         kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
@@ -314,16 +294,23 @@ def run(config: RunConfig) -> int:
                 **_meta(config),
                 "n": config.n,
                 "a": config.a,
-                "ci_degrees": list(config.ci_degrees),
                 "certificate": asdict(cert),
                 "table": table_dict(table),
             }
+            if config.command == "restrict":
+                payload["ci_degrees"] = list(config.ci_degrees)
             _emit(serialize_report(payload), config)
         else:
+            if config.command == "table":
+                about = f"cohomology of the rank-{kb.rank} kernel bundle on P^{config.n}"
+            else:
+                about = (
+                    f"cohomology restricted to a degree-{list(config.ci_degrees)} "
+                    f"complete intersection in P^{config.n}"
+                )
             header = (
-                f"cohomology restricted to a degree-{list(config.ci_degrees)} "
-                f"complete intersection in P^{config.n}, a = {config.a}, "
-                f"seed {config.seed}, prime {config.prime}, tool {__version__}"
+                f"{about}, a = {config.a}, seed {config.seed}, "
+                f"prime {config.prime}, tool {__version__}"
             )
             _emit(render_table_markdown(table, header), config)
         return EXIT_OK
@@ -356,7 +343,7 @@ def run(config: RunConfig) -> int:
         return EXIT_OK
     if config.command == "certify":
         x = make_ci_variety(config.n, config.ci_degrees, rng, field)
-        rep = wildness_certificate(x, s, config.a, rng, field)
+        rep = wildness_certificate(x, s, config.a, rng)
         _emit(serialize_report(wildness_dict(rep)), config)
         return EXIT_OK if rep.verdict else EXIT_FAILED
     raise ValueError(f"unknown command {config.command!r}")

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactfield import DenseMatrix, FieldSpec, SeededRng, rank
+from .exactfield import DenseMatrix, SeededRng, rank
 from .cohomology import CohomologyTable
-from .polyspace import binom, hilbert_function
+from .polyspace import ExactModeError, binom, hilbert_function
 from .presentation import (
     LinearFormMatrix,
     ShapeError,
@@ -32,7 +32,6 @@ from .restriction import (
     ACMVarietyDescriptor,
     AcmVerdict,
     DimensionError,
-    ExactModeError,
     VanishingChaseTrace,
     acm_with_respect_to_s,
     restricted_cohomology_table,
@@ -187,11 +186,7 @@ class WildnessReport:
 
 
 def wildness_certificate(
-    x: ACMVarietyDescriptor,
-    s: int,
-    a: int,
-    rng: SeededRng,
-    field: FieldSpec | None = None,
+    x: ACMVarietyDescriptor, s: int, a: int, rng: SeededRng
 ) -> WildnessReport:
     """Full certificate pipeline for erecting one wildness instance.
 
@@ -210,10 +205,8 @@ def wildness_certificate(
         raise DimensionError(f"variety dimension {x.d} < 2")
     if not x.exact_mode:
         raise ExactModeError("wildness certificate needs a variety with explicit forms")
-    if field is None:
-        field = x.field or FieldSpec.prime()
     n = x.n
-    kb, cert = build_kernel_bundle(n, a, rng, field)
+    kb, cert = build_kernel_bundle(n, a, rng, x.field)
     stab = stabilizer_dimension(kb.phi.transpose())
     traces = vanishing_certificate(x, n, a)
     traces_ok = all(tr.verified for tr in traces)
@@ -230,7 +223,7 @@ def wildness_certificate(
         n=n,
         a=a,
         s=s,
-        prime=field.p,
+        prime=x.field.p,
         seed=cert.seed,
         counter=cert.counter,
         variety_degrees=x.degrees,

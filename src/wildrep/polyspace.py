@@ -215,6 +215,10 @@ class RegularityError(RuntimeError):
     """Quotient ring dimensions disagree with the resolution degree data."""
 
 
+class ExactModeError(RuntimeError):
+    """An exact rank was asked of a variety that has no explicit forms."""
+
+
 def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
     """The span of I_k over R_k, one row per product, and dim I_k, its rank.
 
@@ -281,13 +285,11 @@ def map_rank(
     """
     n, p, a, b = phi.n, phi.field.p, phi.a_tgt, phi.b_src
     coeffs = phi.coeffs % p
+    if x is not None and (n != x.n or phi.field != x.field):
+        raise ValueError("phi and variety live over different ambient data")
     if x is not None and x.codim:
         if x.forms is None:
-            from .restriction import ExactModeError
-
             raise ExactModeError("variety has no explicit forms; exact mode unavailable")
-        if n != x.n or phi.field != x.field:
-            raise ValueError("phi and variety live over different ambient data")
         span, ideal = ideal_span(x, m + 1)
         r = map_rank(phi, m)
         if r < a * basis_dim(n, m + 1):

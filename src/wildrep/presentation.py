@@ -20,7 +20,7 @@ from .exactfield import FieldSpec, SeededRng, random_field_element
 from .polyspace import basis_dim, map_rank
 
 
-# last degree the sheaf surjectivity certificate tries by default
+# last degree the sheaf surjectivity certificate tries
 SURJECTIVITY_SEARCH_MAX = 3
 
 
@@ -76,15 +76,6 @@ class LinearFormMatrix:
         )
 
 
-def check_generic_conditions(a_tgt: int, b_src: int, n: int) -> bool:
-    """Shape conditions under which generic surjectivity is available.
-
-    a_tgt >= 1, b_src >= a_tgt + n and 2 b_src >= (n + 2) a_tgt.  The
-    kernel-bundle shape (2a, (n+2)a) satisfies them for every a >= 1.
-    """
-    return a_tgt >= 1 and b_src >= a_tgt + n and 2 * b_src >= (n + 2) * a_tgt
-
-
 def sample_phi(
     n: int, a_tgt: int, b_src: int, rng: SeededRng, field: FieldSpec
 ) -> LinearFormMatrix:
@@ -123,28 +114,16 @@ class SurjectivityCertificate:
     counter: int | None = None
 
 
-def h0_phi1_is_isomorphism(phi: LinearFormMatrix) -> bool:
-    """True iff the induced map on degree-one sections is bijective.
-
-    Requires the matrix of mult_map(phi, 1) to be square; for the
-    kernel-bundle shape both sides have dimension a (n+1)(n+2).
-    """
-    rows, cols = phi.a_tgt * basis_dim(phi.n, 2), phi.b_src * basis_dim(phi.n, 1)
-    if rows != cols:
-        raise ShapeError(f"degree-one sections matrix is {rows}x{cols}, not square")
-    return map_rank(phi, 1) == rows
-
-
-def sheaf_surjectivity_certificate(
-    phi: LinearFormMatrix, t_max: int = SURJECTIVITY_SEARCH_MAX
-) -> SurjectivityCertificate:
-    """Search degrees -1..t_max for a vanishing cokernel piece.
+def sheaf_surjectivity_certificate(phi: LinearFormMatrix) -> SurjectivityCertificate:
+    """Search degrees -1..SURJECTIVITY_SEARCH_MAX for a vanishing cokernel piece.
 
     Degrees where full row rank is impossible (more rows than columns)
-    are skipped without forming the matrix.
+    are skipped without forming the matrix.  The cokernel is zero from its
+    first zero piece on, so the search also decides h0_phi1_iso: the
+    square degree-one map is onto, hence bijective, iff found <= 1.
     """
     found = None
-    for t in range(-1, t_max + 1):
+    for t in range(-1, SURJECTIVITY_SEARCH_MAX + 1):
         nrows = phi.a_tgt * basis_dim(phi.n, t + 1)
         ncols = phi.b_src * basis_dim(phi.n, t)
         if nrows > ncols:
@@ -153,11 +132,8 @@ def sheaf_surjectivity_certificate(
             found = t
             break
     square = phi.a_tgt * basis_dim(phi.n, 2) == phi.b_src * basis_dim(phi.n, 1)
-    if t_max < 1:
-        iso = square and h0_phi1_is_isomorphism(phi)
-    else:  # t = 1 was searched, and the cokernel is zero from its first zero on
-        iso = square and found is not None and found <= 1
-    return SurjectivityCertificate(found, t_max, iso)
+    iso = square and found is not None and found <= 1
+    return SurjectivityCertificate(found, SURJECTIVITY_SEARCH_MAX, iso)
 
 
 @dataclass(frozen=True)
@@ -198,7 +174,7 @@ def build_kernel_bundle(
     n: int,
     a: int,
     rng: SeededRng,
-    field: FieldSpec | None = None,
+    field: FieldSpec,
     max_resample: int = 8,
 ) -> tuple[KernelBundlePresentation, SurjectivityCertificate]:
     """Sample phi until both genericity certificates pass.
@@ -210,10 +186,8 @@ def build_kernel_bundle(
     or adversarial inputs rather than bad luck; its one-line message names
     each attempt's (seed, counter) and the outcome of both checks.
     """
-    if field is None:
-        field = FieldSpec.prime()
     a_tgt, b_src = 2 * a, (n + 2) * a
-    if n < 2 or a < 1 or not check_generic_conditions(a_tgt, b_src, n):
+    if n < 2 or a < 1:
         raise ShapeError(f"no kernel-bundle shape for n = {n}, a = {a}")
     attempts = 1 + max_resample
     failed = []

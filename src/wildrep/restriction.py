@@ -8,11 +8,10 @@ stays exact, so h^0 and h^1 on X are again the nullity and corank of one
 multiplication map, ranked through the map on P^n and the ideal of X.
 
 restricted_cohomology_table is the one loop that fills exact tables.  P^n
-is the complete intersection of codimension 0 (make_ci_variety(n, ())),
-so the ambient table cohomology_table_exact runs the same loop.  Only the
-top row differs: on X it is forced by the Euler characteristic, on P^n it
-is also the rank of the Serre-dual map, tagged "exact-rank" where the two
-agree.
+is the complete intersection of codimension 0, make_ci_variety(n, ()), so
+the ambient table runs the same loop.  Only the top row differs: on X it
+is forced by the Euler characteristic, on P^n it is also the rank of the
+Serre-dual map, tagged "exact-rank" where the two agree.
 
 Middle rows 2..d-1 vanish for every twist.  The proof tensors the Koszul
 resolution of O_X with E and chases: each consulted ambient group is
@@ -44,6 +43,7 @@ from .cohomology import (
     h_line,
 )
 from .polyspace import (
+    ExactModeError,
     ResolutionDegreeData,
     basis_dim,
     hilbert_function,
@@ -57,10 +57,6 @@ from .presentation import KernelBundlePresentation
 
 class DimensionError(ValueError):
     """Variety dimension too small for the restriction theory."""
-
-
-class ExactModeError(RuntimeError):
-    """An exact table was asked of a variety that has no explicit forms."""
 
 
 @dataclass(frozen=True)
@@ -276,18 +272,6 @@ def restricted_cohomology_table(
             if kb.b_src * h_line(n, n, 1 + t) - dual == forced:
                 prov[(d, t)] = PROV_EXACT
     return CohomologyTable(d, t_min, t_max, cells, prov)
-
-
-def cohomology_table_exact(
-    kb: KernelBundlePresentation, t_range: tuple[int, int] | None = None
-) -> CohomologyTable:
-    """Exact cohomology table of E(t) on P^n over a twist window.
-
-    P^n is the complete intersection of codimension 0, so this is the
-    restricted table on make_ci_variety(n, ()).
-    """
-    x = make_ci_variety(kb.n, (), field=kb.phi.field)
-    return restricted_cohomology_table(kb, x, t_range)
 
 
 @dataclass(frozen=True)

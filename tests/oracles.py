@@ -2,9 +2,10 @@
 
 None of these runs in the certificate pipeline, so they live beside the
 tests rather than in the package they check: closed-form and structure
-tables, the line-bundle cohomology of a complete intersection, the
-normal-form map on a complete intersection, and small builders and
-counters for matrices.
+tables, the ambient table through the restricted loop, a direct rank of
+the degree-one sections map, the line-bundle cohomology of a complete
+intersection, the normal-form map on a complete intersection, and small
+builders and counters for matrices.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from wildrep import (
     LinearFormMatrix,
     PROV_CERTIFIED,
     PROV_EULER,
+    ShapeError,
     basis_dim,
     closed_form_cohomology,
     default_window,
@@ -22,8 +24,11 @@ from wildrep import (
     hilbert_function,
     hilbert_polynomial,
     kernel_basis,
+    make_ci_variety,
+    map_rank,
     mult_map,
     rank,
+    restricted_cohomology_table,
     transpose,
 )
 from wildrep.polyspace import _product_table
@@ -74,6 +79,30 @@ def table_from_dict(data):
         for off, v in enumerate(row):
             prov[(i, data["t_min"] + off)] = v
     return CohomologyTable(data["dim"], data["t_min"], data["t_max"], cells, prov)
+
+
+def cohomology_table_exact(kb, t_range=None):
+    """Exact cohomology table of E(t) on P^n over a twist window.
+
+    P^n is the complete intersection of codimension 0, so this is the
+    restricted table on make_ci_variety(n, ()).
+    """
+    x = make_ci_variety(kb.n, (), field=kb.phi.field)
+    return restricted_cohomology_table(kb, x, t_range)
+
+
+def h0_phi1_is_isomorphism(phi):
+    """True iff the induced map on degree-one sections is bijective.
+
+    Ranks mult_map(phi, 1) on its own, the reference for the certificate's
+    h0_phi1_iso, which it reads off the surjectivity search.  Requires the
+    matrix to be square; for the kernel-bundle shape both sides have
+    dimension a (n+1)(n+2).
+    """
+    rows, cols = phi.a_tgt * basis_dim(phi.n, 2), phi.b_src * basis_dim(phi.n, 1)
+    if rows != cols:
+        raise ShapeError(f"degree-one sections matrix is {rows}x{cols}, not square")
+    return map_rank(phi, 1) == rows
 
 
 def closed_form_table(n, a, t_range=None):

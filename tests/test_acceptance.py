@@ -18,7 +18,6 @@ from wildrep import (
     SeededRng,
     acm_with_respect_to_s,
     build_kernel_bundle,
-    cohomology_table_exact,
     embedding_dimension,
     euler_characteristic,
     family_dimension,
@@ -32,7 +31,12 @@ from wildrep import (
 )
 from wildrep.cli import main as cli_main
 from conftest import GOLDEN_DIR
-from oracles import alternating_sum, closed_form_table, vanishing_squeeze
+from oracles import (
+    alternating_sum,
+    closed_form_table,
+    cohomology_table_exact,
+    vanishing_squeeze,
+)
 
 GRID_CONFIGS = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
 SEEDS = range(10)

@@ -13,7 +13,6 @@ import pytest
 from wildrep import (
     SeededRng,
     cli,
-    cohomology_table_exact,
     make_ci_variety,
     wildness_certificate,
 )
@@ -33,7 +32,7 @@ from wildrep.cli import (
     wildness_dict,
 )
 from conftest import GOLDEN_DIR, cached_bundle
-from oracles import table_from_dict
+from oracles import cohomology_table_exact, table_from_dict
 
 
 def test_parser_defaults():
@@ -107,6 +106,37 @@ def test_table_command_markdown(capsys):
     out = capsys.readouterr().out
     assert "| h^2 |" in out
     assert out.splitlines()[2].startswith("| h^i \\ t | -2 |")
+
+
+# sha256 of the markdown output at seed 7, headers included
+MARKDOWN_DIGESTS = {
+    ("table", "--n", "2"):
+        "d7d28ea4dacd5253c7346ca57866027244da9ad4bfba6df9ab893310cfc4c1da",
+    ("table", "--n", "3", "--a", "2", "--t-min", "-2", "--t-max", "1"):
+        "9befa9c7e9bd4ad00aa8c89a6beaa41f939eeebeba828ea3add615467dcaf00b",
+    ("restrict", "--n", "3", "--ci-degrees", "2"):
+        "0855e612adac618f0abf0955ab0ff2e62e005cec065d481bdbe160484eb6d5f1",
+    ("restrict", "--n", "4", "--ci-degrees", "2", "2"):
+        "7f0316cb4ca5b87da6a8988465a380d7ea0b1f3aef8f4bdcc6cbb8b5f53cd00f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MARKDOWN_DIGESTS))
+def test_markdown_output_is_pinned(argv, capsys):
+    assert main([*argv, "--seed", "7"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MARKDOWN_DIGESTS[argv]
+
+
+def test_restrict_without_forms_is_the_ambient_table(capsys):
+    # P^n is the complete intersection of no forms: only the key differs
+    bodies = []
+    for command in ("restrict", "table"):
+        assert main([command, "--n", "4", "--a", "2", "--format", "json"]) == EXIT_OK
+        bodies.append(json.loads(capsys.readouterr().out))
+    restricted, ambient = bodies
+    assert restricted.pop("ci_degrees") == []
+    assert restricted == ambient
 
 
 def test_restrict_command_json(capsys):
@@ -239,7 +269,7 @@ def test_seed_outside_u64_exits_usage(seed, capsys):
 def test_wildness_dict_emits_trace_failures_only_when_present(fp):
     # d = 3 gives two traces
     x = make_ci_variety(4, (2,), SeededRng(7), fp)
-    rep = wildness_certificate(x, 3, 1, SeededRng(0), fp)
+    rep = wildness_certificate(x, 3, 1, SeededRng(0))
     assert len(rep.traces) == 2
     assert all("failures" not in tr for tr in wildness_dict(rep)["vanishing_traces"])
     broken = dataclasses.replace(
@@ -413,7 +443,7 @@ def test_used_flags_reach_sampling(argv, monkeypatch):
 
 def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
     # the window never reaches degree 40, but the form alone would draw
-    # C(46, 6) coefficients; its degree-40 normal-form matrix is counted
+    # C(46, 6) coefficients; the ideal span of its own degree is counted
     config = RunConfig("restrict", n=6, t_max=0, ci_degrees=(40,))
     assert largest_matrix(config) == (9366818, 9366819)
 

@@ -13,7 +13,6 @@ from wildrep import (
     SeededRng,
     chi_binom,
     closed_form_cohomology,
-    cohomology_table_exact,
     default_window,
     euler_characteristic,
     h_line,
@@ -21,7 +20,13 @@ from wildrep import (
     sample_phi,
 )
 from conftest import cached_bundle
-from oracles import PROV_CLOSED, alternating_sum, closed_form_table, vanishing_squeeze
+from oracles import (
+    PROV_CLOSED,
+    alternating_sum,
+    closed_form_table,
+    cohomology_table_exact,
+    vanishing_squeeze,
+)
 
 
 def test_h_line_values():

@@ -165,7 +165,7 @@ def test_intertwiner_system_matches_naive_assembly(fp):
 
 def test_wildness_certificate_quadric(fp):
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
-    rep = wildness_certificate(x, 3, 1, SeededRng(0), fp)
+    rep = wildness_certificate(x, 3, 1, SeededRng(0))
     assert rep.verdict is True
     assert all(rep.checks.values())
     assert rep.bundle_rank == 3
@@ -183,7 +183,7 @@ def test_wildness_certificate_refuses_small_s(fp):
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     for s in (1, 2):
         with pytest.raises(RefusalError):
-            wildness_certificate(x, s, 1, SeededRng(0), fp)
+            wildness_certificate(x, s, 1, SeededRng(0))
 
 
 def test_wildness_certificate_without_forms_fails_before_sampling():
@@ -197,7 +197,7 @@ def test_wildness_certificate_without_forms_fails_before_sampling():
 
 def test_wildness_certificate_records_rng_state(fp):
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
-    rep = wildness_certificate(x, 3, 2, SeededRng(21), fp)
+    rep = wildness_certificate(x, 3, 2, SeededRng(21))
     assert rep.seed == 21
     assert rep.counter == 0
     assert rep.a == 2 and rep.s == 3

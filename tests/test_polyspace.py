@@ -529,6 +529,23 @@ def test_map_rank_on_complete_intersections(p):
                 _check_map_rank(phi, m, x)
 
 
+def test_map_rank_refuses_a_variety_over_other_ambient_data():
+    # the check runs before the codimension branch, so a P^m or an F_101
+    # descriptor is refused like a complete intersection of the wrong P^m
+    kb, _ = cached_bundle(3, 1)
+    other_n = make_ci_variety(5, (), field=kb.phi.field)
+    other_field = make_ci_variety(3, (), field=FieldSpec.prime(101))
+    other_field_ci = make_ci_variety(3, (2,), SeededRng(0), FieldSpec.prime(101))
+    for x in (other_n, other_field, other_field_ci, make_ci_variety(5, (2,), SeededRng(0))):
+        with pytest.raises(ValueError, match="different ambient data"):
+            map_rank(kb.phi, 2, x)
+    with pytest.raises(ValueError, match="P\\^5"):
+        restricted_cohomology_table(kb, other_n, (-1, 1))
+    for x in (other_field, other_field_ci):
+        with pytest.raises(ValueError, match="different ambient data"):
+            restricted_cohomology_table(kb, x, (-1, 1))
+
+
 @pytest.mark.parametrize("p", DIFF_PRIMES)
 def test_map_rank_degenerate_coefficient_blocks(p, monkeypatch):
     f = FieldSpec.prime(p)

@@ -22,7 +22,6 @@ from wildrep import (
     acm_with_respect_to_s,
     build_kernel_bundle,
     closed_form_cohomology,
-    cohomology_table_exact,
     default_window,
     hilbert_function,
     make_ci_variety,
@@ -33,6 +32,7 @@ from wildrep import (
 from conftest import cached_bundle
 from oracles import (
     alternating_sum,
+    cohomology_table_exact,
     line_cohomology_on_ci,
     structure_table,
     vanishing_squeeze,

@@ -22,6 +22,21 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_only_at_module_level():
+    # an import inside a function body hides an import cycle until that
+    # function first runs; the module-level TYPE_CHECKING block is allowed
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []
+
+
 def _definitions(tree):
     """Top-level functions and classes, and the non-dunder methods."""
     for node in tree.body:
