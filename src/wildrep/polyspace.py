@@ -34,21 +34,11 @@ basis change G = [R | K] with Phi_k R = I and Phi_k K = 0 keeps the rank and
 gives Phi'_k = [I | 0] in phi' = phi G.  Graded by the exponent e of x_k,
 the targets of M' = mult_map(phi', m) split into R_0..R_(m+1), the sources
 of the first a copies into P_e and the others into Q_e.  x_k maps P_e onto
-R_(e+1), so M'[R_(>=1), P] is I plus the blocks N_e = M'[R_(e+1), P_(e+1)]:
-a N_m pivots with no search.  The rest is the rank of the Schur complement
-S on R_0, with Q_0 block S_Q0 = M'[R_0, Q_0] and Q_(e+1) block S_Q(e+1) =
--W_e M'[R_(e+1), Q_(e+1)], for W_0 = M'[R_0, P_0] and W_(e+1) = -W_e N_e.
-Let L, delta x |R_0|, be the canonical left kernel of S_Q0: kernel_basis
-of its transpose, transposed.  An invertible row transform whose last rows
-are L turns S into [[A, *], [0, L S_Q(>=1)]] with A of full row rank
-|R_0| - delta, so
-
-    rank S = |R_0| - delta + rank L [S_Q1 | ... | S_Qm],
-
-and the chain carries the delta rows L W_e instead of W_e: L W_0 =
-L M'[R_0, P_0] and [L S_Q(e+1) | L W_(e+1)] = -L W_e M'[R_(e+1), Q_(e+1)
-P_(e+1)].  At most twists of the ambient tables delta = 0, and then
-nothing is multiplied after phi G.
+R_(e+1), so B = M'[R_(>=1), P] is I plus the blocks N_e = M'[R_(e+1),
+P_(e+1)]: a N_m pivots with no search.  The rest is the rank of the Schur
+complement S on R_0, with Q_0 block S_Q0 = M'[R_0, Q_0] and Q_(e+1) block
+S_Q(e+1) = -W_e M'[R_(e+1), Q_(e+1)], for W_0 = M'[R_0, P_0] and W_(e+1) =
+-W_e N_e.
 
 M' itself is never built: its blocks are maps on the hyperplane x_k = 0.
 The x_k-free monomials of _monomials(n, d) come in _monomials(n - 1, d)
@@ -59,8 +49,33 @@ coefficients of x_k, a map on P^(n - 1),
     mult_map(phi_h, m) = [S_Q0 | W_0],
     mult_map(phi_h, m - e - 1) = M'[R_(e+1), Q_(e+1) P_(e+1)],
 
-with R_(e+1) listed as x_k P_e.  For a > b, or with no such Phi_k, the
-map itself is eliminated.
+with R_(e+1) listed as x_k P_e.  In particular S_Q0 is the map of phi'',
+the first b - a copies of phi_h, so it is ranked by the same split one
+dimension down.  That call also returns L_0, delta x |R_0|, a basis of
+the left kernel of S_Q0.  An invertible row transform whose last rows are
+L_0 turns S into [[A, *], [0, L_0 S_Q(>=1)]] with A of full row rank
+|R_0| - delta, so
+
+    rank S = |R_0| - delta + rank L_0 [S_Q1 | ... | S_Qm],
+
+and the chain carries the delta rows L_0 W_e instead of W_e: L_0 W_0 and
+[L_0 S_Q(e+1) | L_0 W_(e+1)] = -L_0 W_e M'[R_(e+1), Q_(e+1) P_(e+1)].  At
+most twists of the ambient tables delta = 0, and then nothing is
+multiplied after phi G at any level.
+
+The left kernel that the level above needs comes from the same chain.  A
+row y = [y_0 | y_(>=1)] has y M' = 0 exactly when y_0 S = 0 and y_(>=1) =
+-y_0 M'[R_0, P] B^-1, whose block on R_(e+1) is -y_0 W_e.  The left kernel
+of S is u L_0 for u a basis of the left kernel of L_0 S_Q(>=1), so the
+left kernel of the map is spanned by the rows
+
+    u [L_0 | -L_0 W_0 | ... | -L_0 W_m]
+
+on R_0, R_1, ..., R_(m+1), put back in the map's own row order.  The
+recursion stops at P^0, where R_0 is empty; at b = a, where S_Q0 has no
+columns and L_0 = I; and at a > b or with no such Phi_k, where the map
+itself is eliminated, and its left kernel, when asked for, is kernel_basis
+of its transpose.
 """
 
 from __future__ import annotations
@@ -73,7 +88,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exactfield import DenseMatrix, _sub_mul_mod, kernel_basis, rank, rref, transpose
+from .exactfield import DenseMatrix, FieldSpec, _sub_mul_mod, kernel_basis, rank, rref, transpose
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .presentation import LinearFormMatrix
@@ -269,71 +284,107 @@ def mult_map(phi: "LinearFormMatrix", m: int) -> DenseMatrix:
     return DenseMatrix(*data.shape, phi.field, data)
 
 
+def _hyperplane_rank(
+    coeffs: np.ndarray, m: int, field: FieldSpec, left: bool
+) -> tuple[int, np.ndarray | None]:
+    """Rank of the map of an (a, b, n + 1) coefficient tensor in [0, p) on
+    P^n in degree m and, with left, a basis of its left kernel: one float64
+    row with entries in [0, p) per missing rank, indexed like the map's
+    rows."""
+    a, b, n1 = coeffs.shape
+    p = field.p
+    rows = a * basis_dim(n1 - 1, m + 1)
+    for k in range(n1 - 1, -1, -1) if 0 < a <= b and m >= 0 else ():
+        # [Phi_k | I] reduces to [rref Phi_k | Phi_k[:, J]^-1] when rank Phi_k = a
+        aug = np.hstack((coeffs[:, :, k], np.eye(a, dtype=np.int64)))
+        red, piv = rref(DenseMatrix(a, b + a, field, aug))
+        if piv[-1] < b:
+            break
+    else:  # for a > b or with no such Phi_k
+        mat = DenseMatrix(rows, b * basis_dim(n1 - 1, m), field, _scatter(coeffs, m))
+        if not left:
+            return rank(mat), None
+        ker = kernel_basis(transpose(mat)).data.T.astype(np.float64)
+        return rows - ker.shape[0], ker
+    known = a * basis_dim(n1 - 1, m)  # the unit pivots
+    r0 = a * basis_dim(n1 - 2, m + 1)  # |R_0|, which is empty on P^0
+    if not r0 or not (left or b > a):
+        # on P^0 the unit pivots fill every row; at b = a Phi_k is
+        # invertible, so they fill every column
+        return known, np.zeros((0, rows)) if left else None
+    # G = [R | K] with Phi_k R = I, R on the pivot rows J, and Phi_k K = 0
+    g = np.zeros((b, b), dtype=np.int64)
+    g[list(piv), :a] = red.data[:, b:]
+    g[:, a:] = kernel_basis(DenseMatrix(a, b, field, coeffs[:, :, k])).data
+    # phi' = phi G, as -(phi (-G)), for every Phi_l at once
+    flat = np.zeros((n1 * a, b))
+    stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
+    _sub_mul_mod(flat, stacked, (-g % p).astype(np.float64), p)
+    coeffs = flat.astype(np.int64).reshape(n1, a, b).transpose(1, 2, 0)
+    # phi_h: the Q copies first, then P, without the coefficients of x_k;
+    # its first b - a copies are phi'', whose map is S_Q0
+    hyper = np.delete(np.roll(coeffs, -a, axis=1), k, axis=2)
+    if b > a:
+        r, l0 = _hyperplane_rank(hyper[:, : b - a], m, field, left or m > 0)
+    else:  # S_Q0 has no columns, so its left kernel is the identity
+        r, l0 = 0, np.eye(r0)
+    delta = r0 - r
+    if not delta or not (left or (m and b > a)):
+        return known + r, np.zeros((0, rows)) if left else None
+    # the chain on the delta rows of L_0: L_0 W_0, then
+    # [L_0 S_Q(e+1) | L_0 W_(e+1)] = -L_0 W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
+    w = np.zeros((delta, a * basis_dim(n1 - 2, m)))
+    _sub_mul_mod(w, -l0 % p, _scatter(hyper[:, b - a :], m).astype(np.float64), p)
+    chain, parts = [w], []
+    for e in range(m):
+        nxt = _scatter(hyper, m - e - 1)
+        w = np.zeros((delta, nxt.shape[1]))
+        _sub_mul_mod(w, chain[-1], nxt.astype(np.float64), p)
+        q = (b - a) * basis_dim(n1 - 2, m - e - 1)
+        parts.append(w[:, :q])
+        chain.append(w[:, q:])
+    s = np.hstack([np.zeros((delta, 0))] + parts).astype(np.int64)
+    s = DenseMatrix(*s.shape, field, s)
+    if not left:
+        return known + r + rank(s), None
+    # leftker S = u L_0 for u a basis of leftker(L_0 S_rest), and leftker M
+    # = u [L_0 | -L_0 W_0 | ... | -L_0 W_m] on R_0, R_1, ..., R_(m+1), with
+    # R_(e+1) listed as x_k P_e; as -(u [-L_0 | L_0 W_0 | ... | L_0 W_m])
+    u = kernel_basis(transpose(s)).data.T.astype(np.float64)
+    lifted = np.zeros((u.shape[0], rows))
+    _sub_mul_mod(lifted, u, np.hstack([-l0 % p] + chain), p)
+    # R_e lists the target rows whose monomial has x_k-exponent e, in order
+    exponent = np.array(_monomials(n1 - 1, m + 1))[:, k]
+    ker = np.empty_like(lifted)
+    ker[:, np.argsort(np.tile(exponent, a), kind="stable")] = lifted
+    return rows - u.shape[0], ker
+
+
 def map_rank(
     phi: "LinearFormMatrix", m: int, x: "ACMVarietyDescriptor | None" = None
 ) -> int:
     """Rank of phi's map (R_X)_m^b_src -> (R_X)_(m+1)^a_tgt, X = P^n when x
     is None or has codimension 0.
 
-    On P^n the Schur complement above is ranked through the left kernel L
-    of its first block: a N_m unit pivots, |R_0| - delta from the first
-    block and the rank of the delta-row chain.  On X the rank is that of
-    the P^n map, or of its lift [M | F] when the P^n map is not onto,
-    minus a dim I_(m+1).  By the lift identity this is the exact rank of
-    the map on X, which is never built, so the cells it fills are
-    "exact-rank".
+    On P^n the rank is a N_m unit pivots plus rank S, and rank S is
+    rank S_Q0, a map_rank of phi'' one dimension down, plus the rank of the
+    chain on the left kernel of S_Q0 that the same recursion returns.  On
+    X the rank is that of the P^n map, or of its lift [M | F] when the P^n
+    map is not onto, minus a dim I_(m+1).  By the lift identity this is
+    the exact rank of the map on X, which is never built, so the cells it
+    fills are "exact-rank".
     """
-    n, p, a, b = phi.n, phi.field.p, phi.a_tgt, phi.b_src
-    coeffs = phi.coeffs % p
+    n, p, a = phi.n, phi.field.p, phi.a_tgt
     if x is not None and (n != x.n or phi.field != x.field):
         raise ValueError("phi and variety live over different ambient data")
-    if x is not None and x.codim:
-        if x.forms is None:
-            raise ExactModeError("variety has no explicit forms; exact mode unavailable")
-        span, ideal = ideal_span(x, m + 1)
-        r = map_rank(phi, m)
-        if r < a * basis_dim(n, m + 1):
-            # not onto: F holds the span of I_(m+1) in each of the a target copies
-            lift = np.hstack((_scatter(coeffs, m), np.kron(np.eye(a, dtype=np.int64), span.T)))
-            r = rank(DenseMatrix(*lift.shape, phi.field, lift))
-        return r - a * ideal
-    for k in range(n, -1, -1) if 0 < a <= b and m >= 0 else ():
-        # [Phi_k | I] reduces to [rref Phi_k | Phi_k[:, J]^-1] when rank Phi_k = a
-        aug = np.hstack((coeffs[:, :, k], np.eye(a, dtype=np.int64)))
-        red, piv = rref(DenseMatrix(a, b + a, phi.field, aug))
-        if piv[-1] < b:
-            break
-    else:  # for a > b or with no such Phi_k
-        return rank(mult_map(phi, m))
-    # G = [R | K] with Phi_k R = I, R on the pivot rows J, and Phi_k K = 0
-    g = np.zeros((b, b), dtype=np.int64)
-    g[list(piv), :a] = red.data[:, b:]
-    g[:, a:] = kernel_basis(DenseMatrix(a, b, phi.field, coeffs[:, :, k])).data
-    # phi' = phi G, as -(phi (-G)), for every Phi_l at once
-    flat = np.zeros(((n + 1) * a, b))
-    stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
-    _sub_mul_mod(flat, stacked, (-g % p).astype(np.float64), p)
-    coeffs = flat.astype(np.int64).reshape(n + 1, a, b).transpose(1, 2, 0)
-    # phi_h: the Q copies first, then P, without the coefficients of x_k
-    hyper = np.delete(np.roll(coeffs, -a, axis=1), k, axis=2)
-    first = _scatter(hyper, m)  # [S_Q0 | W_0]
-    q = (b - a) * basis_dim(n - 1, m)
-    # L, the canonical left kernel of S_Q0, has delta rows
-    s_q0 = DenseMatrix(first.shape[0], q, phi.field, first[:, :q])
-    left = kernel_basis(transpose(s_q0)).data.T
-    delta = left.shape[0]
-    known = a * basis_dim(n, m) + first.shape[0] - delta
-    if not delta or not m:
-        return known
-    block = np.zeros((delta, first.shape[1] - q))  # L W_0
-    _sub_mul_mod(block, (-left % p).astype(np.float64), first[:, q:].astype(np.float64), p)
-    parts = []
-    for e in range(m):  # [L S_Q(e+1) | L W_(e+1)] = -L W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
-        w, nxt = block, _scatter(hyper, m - e - 1)
-        block = np.zeros((delta, nxt.shape[1]))
-        _sub_mul_mod(block, w, nxt.astype(np.float64), p)
-        q = (b - a) * basis_dim(n - 1, m - e - 1)
-        parts.append(block[:, :q])
-        block = block[:, q:]
-    s = np.hstack(parts).astype(np.int64)
-    return known + rank(DenseMatrix(*s.shape, phi.field, s))
+    if x is None or not x.codim:
+        return _hyperplane_rank(phi.coeffs % p, m, phi.field, False)[0]
+    if x.forms is None:
+        raise ExactModeError("variety has no explicit forms; exact mode unavailable")
+    span, ideal = ideal_span(x, m + 1)
+    r = map_rank(phi, m)
+    if r < a * basis_dim(n, m + 1):
+        # not onto: F holds the span of I_(m+1) in each of the a target copies
+        lift = np.hstack((mult_map(phi, m).data, np.kron(np.eye(a, dtype=np.int64), span.T)))
+        r = rank(DenseMatrix(*lift.shape, phi.field, lift))
+    return r - a * ideal

@@ -32,7 +32,7 @@ from wildrep.cli import (
     wildness_dict,
 )
 from conftest import GOLDEN_DIR, cached_bundle
-from oracles import cohomology_table_exact, table_from_dict
+from oracles import closed_form_table, cohomology_table_exact, table_from_dict
 
 
 def test_parser_defaults():
@@ -220,6 +220,18 @@ def test_outputs_match_digest_golden(capsys):
     # restricted ladder configs, seed 7, at primes 101 and 2^31 - 1
     golden = json.loads((GOLDEN_DIR / "cli_digests.json").read_text())
     assert len(golden) == 12
+    for entry in golden:
+        assert main(entry["argv"]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == entry["sha256"], entry["argv"]
+
+
+def test_outputs_match_ladder_digest_golden(capsys):
+    # sha256 of the canonical JSON of the larger ambient rungs, n = 5, a = 2
+    # and n = 6, a = 1, and of the complete intersection of three quadrics
+    # in P^6, seed 7, at primes 101 and 2^31 - 1
+    golden = json.loads((GOLDEN_DIR / "ladder_digests.json").read_text())
+    assert len(golden) == 6
     for entry in golden:
         assert main(entry["argv"]) == EXIT_OK
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -481,3 +493,14 @@ def test_verdict_and_table_agree_at_two_primes(argv, capsys):
     assert low["table"]["cells"] == high["table"]["cells"]
     assert low["table"]["provenance"] == high["table"]["provenance"]
     assert low.get("verdict") == high.get("verdict")
+
+
+@pytest.mark.parametrize("prime", (32003, (1 << 31) - 1))
+@pytest.mark.parametrize("n, a", ((5, 2), (6, 1)))
+def test_large_ambient_table_commands_match_closed_form(n, a, prime, capsys):
+    # the larger ambient rungs of the bench ladder, through the CLI, at a
+    # single-gemm prime and at the limb prime
+    argv = ["table", "--n", str(n), "--a", str(a), "--format", "json", "--seed", "7"]
+    assert main(argv + ["--prime", str(prime)]) == EXIT_OK
+    table = table_from_dict(json.loads(capsys.readouterr().out)["table"])
+    assert table.as_rows() == closed_form_table(n, a, (table.t_min, table.t_max)).as_rows()

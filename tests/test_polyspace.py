@@ -479,10 +479,10 @@ def _check_map_rank(phi, m, x=None):
 
 def _chosen_blocks(monkeypatch):
     """List that receives each Phi_k that map_rank turns into [I | 0], that
-    is each map ranked by the Schur complement.  map_rank reduces [Phi_k | I]
-    for every k it tries and takes the first Phi_k whose pivots all lie in
-    Phi_k.  Its kernel_basis calls, the left kernel of the Schur
-    complement's first block among them, are not recorded."""
+    is each map ranked by the Schur complement: the top-level pick first,
+    then one per level of the recursion onto the hyperplane.  Each level
+    reduces [Phi_k | I] for every k it tries and takes the first Phi_k
+    whose pivots all lie in Phi_k."""
     chosen = []
     rref = polyspace.rref
 
@@ -561,18 +561,21 @@ def test_map_rank_degenerate_coefficient_blocks(p, monkeypatch):
             chosen.clear()
             _check_map_rank(from_coeffs(n, 2, 4, f, copied), m)
             assert chosen == []
-            # Phi_n = 0: a lower variable carries the unit pivots
+            # Phi_n = 0: a lower variable carries the unit pivots; S_Q0 is
+            # the map of phi'' with b - a = a, one more level
             low = values.copy()
             low[:, :, n] = 0
             chosen.clear()
             _check_map_rank(from_coeffs(n, 2, 4, f, low), m)
             picked = [k.data.tolist() for k in chosen]
             if p >= 101:
-                assert picked == [low[:, :, n - 1].tolist()]
+                assert picked[:1] == [low[:, :, n - 1].tolist()] and len(picked) == 2
             else:
-                assert picked in [[]] + [[low[:, :, k].tolist()] for k in range(n)]
+                assert picked[:1] in [[]] + [[low[:, :, k].tolist()] for k in range(n)]
+                assert len(picked) <= 2
             # target row 0 only in x_n: its R_0 rows of the Schur
-            # complement are zero, so the complement is rank-deficient
+            # complement are zero, so the complement is rank-deficient, and
+            # phi'' has a zero target row, so S_Q0 is eliminated whole
             only = values.copy()
             only[0, :, :n] = 0
             chosen.clear()
@@ -626,16 +629,34 @@ def _counted_products(monkeypatch):
     return shapes
 
 
+def _transposed_blocks(monkeypatch):
+    """List that receives the shape of each matrix map_rank transposes,
+    which it does only for a dense left kernel at the base of the
+    recursion."""
+    shapes = []
+    transpose = polyspace.transpose
+
+    def recording(mat):
+        shapes.append((mat.rows, mat.cols))
+        return transpose(mat)
+
+    monkeypatch.setattr(polyspace, "transpose", recording)
+    return shapes
+
+
 @pytest.mark.parametrize("p", DIFF_PRIMES)
 def test_map_rank_left_kernel_of_first_block(p, monkeypatch):
     f = FieldSpec.prime(p)
     rng = np.random.default_rng(p + 6)
     products = _counted_products(monkeypatch)
+    transposed = _transposed_blocks(monkeypatch)
     # phi = A [x_n I | x_0 I | ... | x_(n-1) I | B] H with A invertible and
     # H = [[I, X], [0, Y]], Y invertible: the basis change undoes X, so the
     # Q_0 columns reach every target free of x_n and S_Q0 has full row
-    # rank, delta = 0, at every prime.  The map then has full row rank and
-    # phi G is the only product.
+    # rank, delta = 0, at every prime.  The map then has full row rank, and
+    # so does S_Q0, the map of phi'' with a fewer sources on P^(n-1), one
+    # level down, and so on to P^0: the only products are phi G, one per
+    # level, with no chain and no dense left kernel.
     for n, a in ((2, 1), (2, 2), (3, 2)):
         b = a * (n + 1) + 1
         wide = np.zeros((a, b, n + 1), dtype=object)
@@ -649,15 +670,85 @@ def test_map_rank_left_kernel_of_first_block(p, monkeypatch):
         left = _invertible(rng, a, p)
         mixed = [left @ wide[:, :, k] @ h % p for k in range(n + 1)]
         phi = from_coeffs(n, a, b, f, np.stack(mixed, axis=2))
+        levels = [(((n + 1 - j) * a, b - j * a), (b - j * a, b - j * a)) for j in range(n)]
         for m in (2, 3):
             products.clear()
+            transposed.clear()
             assert _check_map_rank(phi, m) == a * basis_dim(n, m + 1)
-            assert products == [(((n + 1) * a, b), (b, b))]
+            assert products == levels
+            assert transposed == []
     # m = 0 with Phi_n = [I | *] and b - a < a n: S = S_Q0 has fewer
-    # columns than rows, so delta > 0, and there is no chain block to stack
+    # columns than rows, so delta > 0, and there is no chain block to stack;
+    # phi'' has b - a = a, so its rank needs no product either
     for n in (2, 3):
         values = rng.integers(0, p, size=(2, 4, n + 1))
         values[:, :2, n] = np.eye(2, dtype=np.int64)
         products.clear()
+        transposed.clear()
         assert _check_map_rank(from_coeffs(n, 2, 4, f, values), 0) < 2 * (n + 1)
         assert products == [(((n + 1) * 2, 4), (4, 4))]
+        assert transposed == []
+
+
+def _recursion_levels(monkeypatch):
+    """List that receives (depth, n, a, b, rows - rank) for each map that
+    the recursion onto the hyperplane ranks, the top-level map at depth 0."""
+    levels = []
+    depth = [0]
+    hyperplane_rank = polyspace._hyperplane_rank
+
+    def recording(coeffs, m, field, left):
+        depth[0] += 1
+        try:
+            r, ker = hyperplane_rank(coeffs, m, field, left)
+        finally:
+            depth[0] -= 1
+        a, b, n1 = coeffs.shape
+        levels.append((depth[0], n1 - 1, a, b, a * basis_dim(n1 - 1, m + 1) - r))
+        return r, ker
+
+    monkeypatch.setattr(polyspace, "_hyperplane_rank", recording)
+    return levels
+
+
+# (n, a, b, m): n = 1 recurses to P^0; (3, 2, 5) is short at two levels, so
+# delta > 0 there; (4, 1, 4) is three levels deep; (2, 2, 4) reaches b = a
+# one level down, where L_0 = I, and (2, 3, 4) a > b
+RECURSION_CASES = ((1, 1, 2, 3), (1, 2, 3, 2), (3, 2, 5, 2), (4, 1, 4, 2), (2, 2, 4, 3), (2, 3, 4, 2))
+
+
+def _check_left_kernel(coeffs, m, field):
+    """The helper's rank and left kernel L of the map of coeffs: L M = 0
+    exactly, and L has rows - rank rows, all independent."""
+    mat = polyspace._scatter(coeffs, m)
+    r, ker = polyspace._hyperplane_rank(coeffs, m, field, True)
+    assert r == rank(DenseMatrix(*mat.shape, field, mat))
+    assert ker.shape == (mat.shape[0] - r, mat.shape[0])
+    ker = ker.astype(np.int64)
+    assert not (ker.astype(object) @ mat.astype(object) % field.p).any()
+    assert rank(DenseMatrix(*ker.shape, field, ker)) == ker.shape[0]
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_map_rank_recursion_onto_the_hyperplane(p, monkeypatch):
+    f = FieldSpec.prime(p)
+    rng = np.random.default_rng(p + 8)
+    levels = _recursion_levels(monkeypatch)
+    seen = set()
+    for n, a, b, m in RECURSION_CASES:
+        for _ in range(3):
+            values = rng.integers(0, p, size=(a, b, n + 1))
+            levels.clear()
+            _check_map_rank(from_coeffs(n, a, b, f, values), m)
+            _check_left_kernel(values, m, f)
+            # a recursive call at depth d + 1 is S_Q0 of a level at depth d,
+            # so its missing rank is that level's delta
+            below = [level for level in levels if level[0]]
+            found = {
+                "depth 2": any(d >= 2 for d, *_ in below),
+                "delta at two levels": len({d for d, *_, delta in below if delta}) >= 2,
+                "P^0": any(k == 0 for _, k, *_ in below),
+                "b = a": any(a_ == b_ for _, _, a_, b_, _ in below),
+            }
+            seen.update(name for name, hit in found.items() if hit)
+    assert seen == {"depth 2", "delta at two levels", "P^0", "b = a"}
