@@ -61,15 +61,21 @@ MAX_FORMS = 16
 # re-embedding degree of bound and certify when --s is not given
 DEFAULT_S = 3
 
-# the optional flags each command reads; run refuses any other it is given.
-# Commands without "--format markdown" write JSON only
-_READS = {
-    "construct": (),
-    "table": ("--t-min", "--t-max", "--format markdown"),
-    "restrict": ("--t-min", "--t-max", "--ci-degrees", "--format markdown"),
-    "simplicity": (),
-    "bound": ("--s", "--ci-degrees"),
-    "certify": ("--s", "--ci-degrees"),
+# each command's help text and the optional flags it reads; run refuses any
+# other flag it is given.  Commands without "--format markdown" write JSON only
+_COMMANDS = {
+    "construct": ("sample a kernel bundle and report its certificates", ()),
+    "table": (
+        "exact cohomology table on the ambient projective space",
+        ("--t-min", "--t-max", "--format markdown"),
+    ),
+    "restrict": (
+        "exact cohomology table on a complete intersection",
+        ("--t-min", "--t-max", "--ci-degrees", "--format markdown"),
+    ),
+    "simplicity": ("stabilizer dimension of a sampled presentation", ()),
+    "bound": ("dimension counts: family, Veronese bound, embedding", ("--s", "--ci-degrees")),
+    "certify": ("full wildness certificate for one (X, s, a) instance", ("--s", "--ci-degrees")),
 }
 
 
@@ -110,10 +116,7 @@ def phi_dict(phi) -> dict:
         "n": phi.n,
         "a_tgt": phi.a_tgt,
         "b_src": phi.b_src,
-        "coeffs": [
-            [[int(c) for c in phi.coeffs[i, j]] for j in range(phi.b_src)]
-            for i in range(phi.a_tgt)
-        ],
+        "coeffs": phi.coeffs.tolist(),
     }
 
 
@@ -237,12 +240,10 @@ def _emit(text: str, config: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _meta(config: RunConfig) -> dict:
-    return {"prime": config.prime, "seed": config.seed}
-
-
 def run(config: RunConfig) -> int:
     """Execute one command; returns the exit code, writing output as asked."""
+    if config.command not in _COMMANDS:
+        raise ValueError(f"unknown command {config.command!r}")
     if not 0 <= config.seed < 1 << 64:
         raise ValueError(f"seed {config.seed} outside [0, 2^64)")
     if config.command == "certify" and (config.t_min, config.t_max) != (None, None):
@@ -254,7 +255,7 @@ def run(config: RunConfig) -> int:
         "--ci-degrees": bool(config.ci_degrees),
         "--format markdown": config.format == "markdown",
     }
-    reads = _READS.get(config.command, ())
+    _, reads = _COMMANDS[config.command]
     unused = [flag for flag, on in given.items() if on and flag not in reads]
     if unused:
         raise ValueError(f"{config.command} does not use {', '.join(unused)}")
@@ -271,82 +272,57 @@ def run(config: RunConfig) -> int:
             f"{MAX_MATRIX_CELLS} cells allowed"
         )
     rng = SeededRng(config.seed)
+    n, a, degrees = config.n, config.a, config.ci_degrees
+    s = DEFAULT_S if config.s is None else config.s
+    payload = {"prime": config.prime, "seed": config.seed, "n": n, "a": a}
+    code = EXIT_OK
     if config.command == "construct":
-        kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
-        payload = {
-            **_meta(config),
-            "n": config.n,
-            "a": config.a,
-            "bundle_rank": kb.rank,
-            "certificate": asdict(cert),
-            "phi": phi_dict(kb.phi),
-        }
-        _emit(serialize_report(payload), config)
-        return EXIT_OK
-    if config.command in ("table", "restrict"):
+        kb, cert = build_kernel_bundle(n, a, rng, field)
+        payload.update(bundle_rank=kb.rank, certificate=asdict(cert), phi=phi_dict(kb.phi))
+    elif config.command in ("table", "restrict"):
         # table is restrict on P^n, the complete intersection of no forms
-        x = make_ci_variety(config.n, config.ci_degrees, rng, field)
+        x = make_ci_variety(n, degrees, rng, field)
         window = _window(config, x.d)
-        kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
+        kb, cert = build_kernel_bundle(n, a, rng, field)
         table = restricted_cohomology_table(kb, x, window)
-        if config.format == "json":
-            payload = {
-                **_meta(config),
-                "n": config.n,
-                "a": config.a,
-                "certificate": asdict(cert),
-                "table": table_dict(table),
-            }
-            if config.command == "restrict":
-                payload["ci_degrees"] = list(config.ci_degrees)
-            _emit(serialize_report(payload), config)
-        else:
+        if config.format != "json":
             if config.command == "table":
-                about = f"cohomology of the rank-{kb.rank} kernel bundle on P^{config.n}"
+                about = f"cohomology of the rank-{kb.rank} kernel bundle on P^{n}"
             else:
                 about = (
-                    f"cohomology restricted to a degree-{list(config.ci_degrees)} "
-                    f"complete intersection in P^{config.n}"
+                    f"cohomology restricted to a degree-{list(degrees)} "
+                    f"complete intersection in P^{n}"
                 )
             header = (
-                f"{about}, a = {config.a}, seed {config.seed}, "
+                f"{about}, a = {a}, seed {config.seed}, "
                 f"prime {config.prime}, tool {__version__}"
             )
             _emit(render_table_markdown(table, header), config)
-        return EXIT_OK
-    if config.command == "simplicity":
-        kb, cert = build_kernel_bundle(config.n, config.a, rng, field)
+            return EXIT_OK
+        payload.update(certificate=asdict(cert), table=table_dict(table))
+        if config.command == "restrict":
+            payload["ci_degrees"] = list(degrees)
+    elif config.command == "simplicity":
+        kb, cert = build_kernel_bundle(n, a, rng, field)
         rep = stabilizer_dimension(kb.phi.transpose())
-        payload = {
-            **_meta(config),
-            "n": config.n,
-            "a": config.a,
-            "certificate": asdict(cert),
-            "stabilizer": asdict(rep),
-        }
-        _emit(serialize_report(payload), config)
-        return EXIT_OK if rep.simple else EXIT_FAILED
-    s = DEFAULT_S if config.s is None else config.s
-    if config.command == "bound":
-        payload = {
-            **_meta(config),
-            "n": config.n,
-            "a": config.a,
-            "s": s,
-            "family_dim": family_dimension(config.n, config.a),
-            "veronese_bound": veronese_bound(config.n),
-        }
-        x = make_ci_variety(config.n, config.ci_degrees)
-        payload["embedding_dim"] = embedding_dimension(x, s)
-        payload["variety_dim"] = x.d
-        _emit(serialize_report(payload), config)
-        return EXIT_OK
-    if config.command == "certify":
-        x = make_ci_variety(config.n, config.ci_degrees, rng, field)
-        rep = wildness_certificate(x, s, config.a, rng)
-        _emit(serialize_report(wildness_dict(rep)), config)
-        return EXIT_OK if rep.verdict else EXIT_FAILED
-    raise ValueError(f"unknown command {config.command!r}")
+        payload.update(certificate=asdict(cert), stabilizer=asdict(rep))
+        code = EXIT_OK if rep.simple else EXIT_FAILED
+    elif config.command == "bound":
+        x = make_ci_variety(n, degrees)
+        payload.update(
+            s=s,
+            family_dim=family_dimension(n, a),
+            veronese_bound=veronese_bound(n),
+            embedding_dim=embedding_dimension(x, s),
+            variety_dim=x.d,
+        )
+    else:
+        x = make_ci_variety(n, degrees, rng, field)
+        rep = wildness_certificate(x, s, a, rng)
+        payload = wildness_dict(rep)
+        code = EXIT_OK if rep.verdict else EXIT_FAILED
+    _emit(serialize_report(payload), config)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,15 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact certificates for families of simple ACM bundles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "construct": "sample a kernel bundle and report its certificates",
-        "table": "exact cohomology table on the ambient projective space",
-        "restrict": "exact cohomology table on a complete intersection",
-        "simplicity": "stabilizer dimension of a sampled presentation",
-        "bound": "dimension counts: family, Veronese bound, embedding",
-        "certify": "full wildness certificate for one (X, s, a) instance",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, reads) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, required=True, help="ambient projective dimension")
         p.add_argument("--a", type=int, default=1, help="family parameter (bundle rank is n*a)")
@@ -376,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--ci-degrees", type=int, nargs="*", default=[], dest="ci_degrees",
             help="degrees of the complete intersection forms (empty for P^n)",
         )
-        default_fmt = "markdown" if "--format markdown" in _READS[name] else "json"
+        default_fmt = "markdown" if "--format markdown" in reads else "json"
         p.add_argument("--format", choices=("markdown", "json"), default=default_fmt)
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
     return parser
@@ -385,19 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        n=args.n,
-        a=args.a,
-        s=args.s,
-        prime=args.prime,
-        seed=args.seed,
-        t_min=args.t_min,
-        t_max=args.t_max,
-        ci_degrees=tuple(args.ci_degrees),
-        format=args.format,
-        output=args.output,
-    )
+    config = RunConfig(**{**vars(args), "ci_degrees": tuple(args.ci_degrees)})
     try:
         code = run(config)
     except (GenericityError, RefusalError, ExactModeError, RegularityError) as exc:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exactfield import DenseMatrix, SeededRng, rank
 from .cohomology import CohomologyTable
 from .polyspace import ExactModeError, binom, hilbert_function
@@ -58,8 +60,10 @@ def family_dimension(n: int, a: int) -> int:
 
     Equals the parameter count minus the group dimension plus one global
     scalar: 2 a^2 (n+2)(n+1) - a^2 (n+2)^2 - 4 a^2 + 1; both forms are
-    computed and compared.
+    computed and compared.  Like the bundle, it has no shape for a < 1.
     """
+    if a < 1:
+        raise ShapeError(f"no kernel-bundle shape for n = {n}, a = {a}")
     direct = a * a * (n * n + 2 * n - 4) + 1
     counted = (
         2 * a * a * (n + 2) * (n + 1) - a * a * (n + 2) ** 2 - 4 * a * a + 1
@@ -106,23 +110,19 @@ def intertwiner_system(a_mat: LinearFormMatrix) -> DenseMatrix:
 
     Unknowns are vec(B) then vec(C), row-major.  Equations are indexed by
     (entry row r, entry column s, variable k): the x_k-coefficient of
-    (AC - BA)[r, s] must vanish.
+    (AC - BA)[r, s] must vanish.  That equation holds -A[i, s, k] at B[r, i]
+    and A[r, j, k] at C[j, s]; these positions never coincide, so both sets
+    are written once, through diagonal views of the system.
     """
     rows_a, cols_a, nvars = a_mat.a_tgt, a_mat.b_src, a_mat.n + 1
-    nb = rows_a * rows_a
-    nc = cols_a * cols_a
+    nb, nc = rows_a * rows_a, cols_a * cols_a
+    system = np.zeros((rows_a, cols_a, nvars, nb + nc), dtype=np.int64)
+    b_part = system[..., :nb].reshape(rows_a, cols_a, nvars, rows_a, rows_a)
+    c_part = system[..., nb:].reshape(rows_a, cols_a, nvars, cols_a, cols_a)
+    np.einsum("rskri->rski", b_part)[...] = -a_mat.coeffs.transpose(1, 2, 0) % a_mat.field.p
+    np.einsum("rskjs->rskj", c_part)[...] = a_mat.coeffs.transpose(0, 2, 1)[:, None]
     neq = rows_a * cols_a * nvars
-    system = DenseMatrix.zeros(neq, nb + nc, a_mat.field)
-    for r in range(rows_a):
-        for s in range(cols_a):
-            for k in range(nvars):
-                eq = (r * cols_a + s) * nvars + k
-                for j in range(cols_a):
-                    system.data[eq, nb + j * cols_a + s] += a_mat.coeffs[r, j, k]
-                for i in range(rows_a):
-                    system.data[eq, r * rows_a + i] -= a_mat.coeffs[i, s, k]
-    system.data %= a_mat.field.p
-    return system
+    return DenseMatrix(neq, nb + nc, a_mat.field, system.reshape(neq, nb + nc))
 
 
 def stabilizer_dimension(a_mat: LinearFormMatrix) -> StabilizerReport:

@@ -12,8 +12,10 @@ import pytest
 
 from wildrep import (
     SeededRng,
+    StabilizerReport,
     cli,
     make_ci_variety,
+    moduli,
     wildness_certificate,
 )
 from wildrep.cli import (
@@ -128,6 +130,35 @@ def test_markdown_output_is_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MARKDOWN_DIGESTS[argv]
 
 
+# sha256 of the JSON output at seed 7 of the commands that no golden file
+# or digest list pins otherwise
+JSON_DIGESTS = {
+    ("construct", "--n", "3", "--a", "2", "--prime", "101"):
+        "86ebcdd59bc7312ec30ae7d770676f9e01161949df73e5ba6069e806e7240207",
+    ("construct", "--n", "3", "--a", "2", "--prime", "2147483647"):
+        "019bd694d6a76a8ddffdf07f04d4001e7909f9287795573f633ad2e3f3fa37fa",
+    ("simplicity", "--n", "3", "--a", "2", "--prime", "101"):
+        "720a096cc5ee549d573118cf077b684a2ea0211bd4fcfe40904851f1ab9948ad",
+    ("simplicity", "--n", "3", "--a", "2", "--prime", "2147483647"):
+        "a9e6cc5a399aea1286d58e6fe9044f5a34545a938235164b6611caf5aa4cca36",
+    ("bound", "--n", "3", "--ci-degrees", "2", "--prime", "101"):
+        "e13ce906c8bf696b1c382210a4eeeb952377c10626f8d36cc0c26bd0b23f8be4",
+    ("bound", "--n", "3", "--ci-degrees", "2", "--prime", "2147483647"):
+        "893c7079a75b351dbb04c90a2279dc6a3c118a84e4a40fa368cd8d54be9db7f1",
+    ("bound", "--n", "4", "--a", "2", "--prime", "101"):
+        "f88fe733c78f28c6ad0f0b9172b77ddec7a9d4a537dd1212492ed43955d6982e",
+    ("bound", "--n", "4", "--a", "2", "--prime", "2147483647"):
+        "f51da04422b7ea1defd8ac718b6effb8d174d1a5fa2da712274bc698d6047c6a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(JSON_DIGESTS))
+def test_json_output_is_pinned(argv, capsys):
+    assert main([*argv, "--seed", "7"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[argv]
+
+
 def test_restrict_without_forms_is_the_ambient_table(capsys):
     # P^n is the complete intersection of no forms: only the key differs
     bodies = []
@@ -167,6 +198,56 @@ def test_bound_command(capsys):
     assert body["veronese_bound"] == 19
     assert body["embedding_dim"] == 15
     assert body["variety_dim"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "3", "--a", "0"], "no kernel-bundle shape for n = 3, a = 0"),
+        (["--n", "3", "--a", "-2"], "no kernel-bundle shape for n = 3, a = -2"),
+        (["--n", "1"], "ambient dimension n = 1 < 2"),
+    ],
+)
+def test_bound_refuses_invalid_shape(argv, message, capsys):
+    # as every other command does, with one line and nothing on stdout
+    assert main(["bound", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
+def _not_simple(a_mat):
+    return StabilizerReport(
+        n=a_mat.n, a=a_mat.b_src // 2, stab_dimension=2, simple=False,
+        kac_value=0, system_rows=1, system_cols=2,
+    )
+
+
+def test_simplicity_not_simple_prints_report_and_exits_failed(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "stabilizer_dimension", _not_simple)
+    assert main(["simplicity", "--n", "2", "--seed", "7"]) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    body = json.loads(captured.out)
+    assert body["stabilizer"]["simple"] is False
+    assert body["stabilizer"]["stab_dimension"] == 2
+    assert (body["n"], body["a"], body["seed"]) == (2, 1, 7)
+    assert body["certificate"]["surjective_at_degree"] == 1
+
+
+def test_certify_false_verdict_prints_report_and_exits_failed(monkeypatch, capsys):
+    monkeypatch.setattr(moduli, "stabilizer_dimension", _not_simple)
+    argv = ["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"]
+    assert main(argv) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    body = json.loads(captured.out)
+    assert body["verdict"] is False
+    assert body["checks"]["simple"] is False
+    assert all(ok for check, ok in body["checks"].items() if check != "simple")
+    golden = json.loads((GOLDEN_DIR / "certify_n3_ci2_a2_s3.json").read_text())
+    assert body.keys() == golden.keys()
+    assert body["table"] == golden["table"]
 
 
 def test_certify_refusal_exits_failed(capsys):

@@ -55,6 +55,13 @@ def test_family_dimension_is_one_minus_kac():
             assert family_dimension(n, a) == 1 - kac_discriminant(n, a)
 
 
+def test_family_dimension_refuses_a_below_one():
+    # the kernel bundle has no shape for a < 1, so neither has its family
+    for a in (0, -2):
+        with pytest.raises(ShapeError, match=f"no kernel-bundle shape for n = 3, a = {a}"):
+            family_dimension(3, a)
+
+
 def test_veronese_bound_pinned():
     assert veronese_bound(2) == 9
     assert veronese_bound(3) == 19
@@ -161,6 +168,35 @@ def test_intertwiner_system_matches_naive_assembly(fp):
         assert nullity(intertwiner_system(a_mat)) == _naive_intertwiner_nullity(
             a_mat, fp
         )
+
+
+def _loop_intertwiner_system(a_mat, fp):
+    """The system entry by entry, in the implementation's row and column order."""
+    ra, ca, nv = a_mat.a_tgt, a_mat.b_src, a_mat.n + 1
+    system = np.zeros((ra * ca * nv, ra * ra + ca * ca), dtype=np.int64)
+    for r in range(ra):
+        for s in range(ca):
+            for k in range(nv):
+                eq = (r * ca + s) * nv + k
+                for j in range(ca):
+                    system[eq, ra * ra + j * ca + s] += int(a_mat.coeffs[r, j, k])
+                for i in range(ra):
+                    system[eq, r * ra + i] -= int(a_mat.coeffs[i, s, k])
+    return system % fp.p
+
+
+@pytest.mark.parametrize("p", (101, 32003, (1 << 31) - 1))
+def test_intertwiner_system_matches_loop_assembly_entrywise(p):
+    fp = FieldSpec.prime(p)
+    for n, a, seed in [(3, 2, 0), (2, 1, 3), (4, 1, 1), (2, 2, 4)]:
+        rows_a, cols_a = (n + 2) * a, 2 * a
+        for a_mat in (
+            sample_phi(n, rows_a, cols_a, SeededRng(seed), fp),
+            sample_phi(n, cols_a, rows_a, SeededRng(seed), fp).transpose(),
+        ):
+            system = intertwiner_system(a_mat)
+            assert system.data.dtype == np.int64
+            assert np.array_equal(system.data, _loop_intertwiner_system(a_mat, fp))
 
 
 def test_wildness_certificate_quadric(fp):
