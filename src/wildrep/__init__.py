@@ -23,13 +23,12 @@ from .exactfield import (
 from .polyspace import (
     ExactModeError,
     RegularityError,
-    ResolutionDegreeData,
     basis_dim,
     binom,
     chi_binom,
     hilbert_function,
     hilbert_polynomial,
-    koszul_degree_data,
+    koszul_twists,
     map_rank,
     mult_map,
 )
@@ -61,7 +60,6 @@ from .restriction import (
     acm_with_respect_to_s,
     make_ci_variety,
     restricted_cohomology_table,
-    restricted_euler_characteristic,
     vanishing_certificate,
 )
 from .moduli import (

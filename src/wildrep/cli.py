@@ -32,7 +32,6 @@ from .polyspace import (
     RegularityError,
     basis_dim,
     hilbert_function,
-    koszul_degree_data,
 )
 from .presentation import (
     SURJECTIVITY_SEARCH_MAX,
@@ -211,7 +210,8 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
     degrees = config.ci_degrees
     d = n - len(degrees)
     if config.command in ("table", "restrict", "certify") and d >= 2:
-        res = koszul_degree_data(n, degrees)
+        # the Hilbert function refuses a degree < 1 before the window is read
+        form_rows = [hilbert_function(n, degrees, e) for e in degrees]
 
         def span_rows(k: int) -> int:
             return sum(basis_dim(n, k - e) for e in degrees)
@@ -224,8 +224,8 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
                 shapes.append(
                     (b_src * basis_dim(n, -k - n), a_tgt * basis_dim(n, -k - n - 1))
                 )
-        for e in degrees:
-            shapes.append((max(span_rows(e), hilbert_function(res, e)), basis_dim(n, e)))
+        for e, rows in zip(degrees, form_rows):
+            shapes.append((max(span_rows(e), rows), basis_dim(n, e)))
     return max(shapes, key=lambda shape: shape[0] * shape[1])
 
 

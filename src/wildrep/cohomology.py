@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .polyspace import binom, chi_binom
+from .polyspace import binom, hilbert_polynomial
 
 PROV_EXACT = "exact-rank"
 PROV_CERTIFIED = "certified-vanishing"
@@ -39,13 +39,16 @@ def h_line(n: int, i: int, t: int) -> int:
     return 0
 
 
-def euler_characteristic(n: int, a: int, t: int) -> int:
-    """chi(E(t)) for the rank-na kernel bundle, via additivity.
+def euler_characteristic(n: int, a: int, t: int, degrees: tuple[int, ...] = ()) -> int:
+    """chi(E|_X(t)) for the rank-na kernel bundle on P^n, restricted to the
+    complete intersection X of the degrees (P^n itself by default).
 
-    (n+2)a * chi(O(1+t)) - 2a * chi(O(2+t)) with the signed polynomial
-    binomials, so the value is correct at every integer twist.
+    By additivity (n+2)a P_X(1+t) - 2a P_X(2+t), with P_X the Hilbert
+    polynomial, which is chi(O_X) at every integer twist.
     """
-    return (n + 2) * a * chi_binom(n, 1 + t) - 2 * a * chi_binom(n, 2 + t)
+    return (n + 2) * a * hilbert_polynomial(n, degrees, 1 + t) - 2 * a * hilbert_polynomial(
+        n, degrees, 2 + t
+    )
 
 
 def closed_form_cohomology(n: int, a: int, i: int, t: int) -> int:

@@ -82,7 +82,7 @@ def embedding_dimension(x: ACMVarietyDescriptor, s: int) -> int:
     """h^0(O_X(s)) - 1: the target dimension of the re-embedding by s-forms."""
     if s < 0:
         raise ValueError(f"degree s = {s} < 0")
-    return hilbert_function(x.res, s) - 1
+    return hilbert_function(x.n, x.degrees, s) - 1
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def wildness_certificate(
     n = x.n
     kb, cert = build_kernel_bundle(n, a, rng, x.field)
     stab = stabilizer_dimension(kb.phi.transpose())
-    traces = vanishing_certificate(x, n, a)
+    traces = vanishing_certificate(x, a)
     traces_ok = all(tr.verified for tr in traces)
     table = restricted_cohomology_table(kb, x)
     acm = acm_with_respect_to_s(table, s, x.d)

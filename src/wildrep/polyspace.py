@@ -5,9 +5,9 @@ reverse lexicographic order with x_0 > x_1 > ... > x_n, and that order is
 fixed forever: matrix columns, kernel bases and serialized reports all
 refer to it.
 
-Hilbert functions of quotient rings come from graded Betti data: for a
-complete intersection the twists are the Koszul sums of sub-multisets of
-the degrees.
+A complete intersection is described by its degrees alone: the twists of
+its Koszul resolution are the sums of sub-multisets of the degrees, and
+its Hilbert function is the alternating sum over them.
 
 A matrix of linear forms phi induces, in each degree m, a linear map
 R_m^b -> R_(m+1)^a on P^n.  With Phi_k = phi's coefficients of x_k and S_k
@@ -29,9 +29,10 @@ a N_(m+1).  dim I_(m+1) is the rank of the span, and comparing it with
 the Koszul data checks in that degree that the forms are regular.
 
 map_rank ranks a map on P^n with a <= b by the pivot split of Faugere and
-Lachartre.  For a Phi_k of full row rank a, x_n tried first, the source
-basis change G = [R | K] with Phi_k R = I and Phi_k K = 0 keeps the rank and
-gives Phi'_k = [I | 0] in phi' = phi G.  Graded by the exponent e of x_k,
+Lachartre.  For a Phi_k of full row rank a, x_n tried first, one
+elimination takes [Phi_k^T | I] to [E Phi_k^T | E] with E Phi_k^T = [I | 0]^T,
+and the source basis change G = E^T keeps the rank and gives
+Phi'_k = [I | 0] in phi' = phi G.  Graded by the exponent e of x_k,
 the targets of M' = mult_map(phi', m) split into R_0..R_(m+1), the sources
 of the first a copies into P_e and the others into Q_e.  x_k maps P_e onto
 R_(e+1), so B = M'[R_(>=1), P] is I plus the blocks N_e = M'[R_(e+1),
@@ -81,7 +82,6 @@ of its transpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -154,80 +154,53 @@ def _product_table(n: int, d: int, e: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class ResolutionDegreeData:
-    """Twists of a graded free resolution of a quotient ring R/I.
+@lru_cache(maxsize=None)
+def koszul_twists(degrees: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Twists of the Koszul resolution of a complete intersection.
 
-    betti[i - 1] lists the twists n_j^i of the i-th free module F_i, with
-    multiplicity, sorted ascending.  F_0 = R is implicit.
+    Entry i - 1 lists, sorted, the twists of the i-th free module: the sum
+    of each i-element sub-multiset of the degrees.  P^n, with no degrees,
+    has none.
     """
-
-    n: int
-    betti: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for twists in self.betti:
-            for t in twists:
-                if t < 1:
-                    raise ValueError(f"resolution twist {t} < 1")
-            if tuple(sorted(twists)) != twists:
-                raise ValueError("twists must be sorted ascending")
-
-    @property
-    def c(self) -> int:
-        """Length of the resolution (codimension for a complete intersection)."""
-        return len(self.betti)
-
-
-def koszul_degree_data(n: int, degrees: tuple[int, ...]) -> ResolutionDegreeData:
-    """Koszul resolution twists for a complete intersection of the given degrees.
-
-    The i-th free module has one twist for every i-element sub-multiset:
-    the sum of the chosen degrees.
-    """
-    degrees = tuple(degrees)
     for e in degrees:
         if e < 1:
             raise ValueError(f"complete intersection degree {e} < 1")
-    betti = []
-    for i in range(1, len(degrees) + 1):
-        twists = sorted(sum(sub) for sub in combinations(degrees, i))
-        betti.append(tuple(twists))
-    return ResolutionDegreeData(n, tuple(betti))
+    return tuple(
+        tuple(sorted(sum(sub) for sub in combinations(degrees, i)))
+        for i in range(1, len(degrees) + 1)
+    )
 
 
-def hilbert_function(res: ResolutionDegreeData, k: int) -> int:
-    """dim (R/I)_k from resolution degree data, truncated binomials.
-
-    Alternating sum C(n+k, n) - sum_i (-1)^(i+1) sum_j C(n+k-n_j^i, n)
-    with C(m, n) = 0 for m < n.
-    """
-    n = res.n
-    total = binom(n + k, n)
-    for i, twists in enumerate(res.betti, start=1):
+def _koszul_sum(binomial, n: int, degrees: tuple[int, ...], k: int) -> int:
+    # binomial(n, k) + sum_i (-1)^i sum_j binomial(n, k - n_j^i) over the twists
+    total = binomial(n, k)
+    for i, twists in enumerate(koszul_twists(degrees), start=1):
         sign = -1 if i % 2 == 1 else 1
         for t in twists:
-            total += sign * binom(n + k - t, n)
+            total += sign * binomial(n, k - t)
     return total
 
 
-def hilbert_polynomial(res: ResolutionDegreeData, k: int) -> int:
+def hilbert_function(n: int, degrees: tuple[int, ...], k: int) -> int:
+    """dim (R/I)_k for the complete intersection of the degrees in P^n.
+
+    Alternating sum C(n+k, n) - sum_i (-1)^(i+1) sum_j C(n+k-n_j^i, n)
+    over the Koszul twists, with C(m, n) = 0 for m < n.
+    """
+    return _koszul_sum(basis_dim, n, degrees, k)
+
+
+def hilbert_polynomial(n: int, degrees: tuple[int, ...], k: int) -> int:
     """Hilbert polynomial value at k: same sum with signed binomials.
 
     For an arithmetically Cohen-Macaulay quotient this equals the sheaf
     Euler characteristic chi(O_X(k)) at every integer k.
     """
-    n = res.n
-    total = chi_binom(n, k)
-    for i, twists in enumerate(res.betti, start=1):
-        sign = -1 if i % 2 == 1 else 1
-        for t in twists:
-            total += sign * chi_binom(n, k - t)
-    return total
+    return _koszul_sum(chi_binom, n, degrees, k)
 
 
 class RegularityError(RuntimeError):
-    """Quotient ring dimensions disagree with the resolution degree data."""
+    """Quotient ring dimensions disagree with the Koszul data of the degrees."""
 
 
 class ExactModeError(RuntimeError):
@@ -238,7 +211,7 @@ def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
     """The span of I_k over R_k, one row per product, and dim I_k, its rank.
 
     Raises RegularityError unless R_k / I_k has the dimension that the
-    resolution data predict: the forms are then not a regular sequence.
+    Koszul data predict: the forms are then not a regular sequence.
     """
     nk = basis_dim(x.n, k)
     # I_k is spanned by u * f for each form f and each monomial u of degree
@@ -251,7 +224,7 @@ def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
         blocks.append(block)
     span = np.vstack(blocks)
     dim = rank(DenseMatrix(*span.shape, x.field, span))
-    expected = hilbert_function(x.res, k)
+    expected = hilbert_function(x.n, x.degrees, k)
     if nk - dim != expected:
         raise RegularityError(
             f"degree {k}: quotient dimension {nk - dim} != {expected} predicted "
@@ -288,17 +261,17 @@ def _hyperplane_rank(
     coeffs: np.ndarray, m: int, field: FieldSpec, left: bool
 ) -> tuple[int, np.ndarray | None]:
     """Rank of the map of an (a, b, n + 1) coefficient tensor in [0, p) on
-    P^n in degree m and, with left, a basis of its left kernel: one float64
+    P^n in degree m >= 0 and, with left, a basis of its left kernel: one float64
     row with entries in [0, p) per missing rank, indexed like the map's
     rows."""
     a, b, n1 = coeffs.shape
     p = field.p
     rows = a * basis_dim(n1 - 1, m + 1)
-    for k in range(n1 - 1, -1, -1) if 0 < a <= b and m >= 0 else ():
-        # [Phi_k | I] reduces to [rref Phi_k | Phi_k[:, J]^-1] when rank Phi_k = a
-        aug = np.hstack((coeffs[:, :, k], np.eye(a, dtype=np.int64)))
-        red, piv = rref(DenseMatrix(a, b + a, field, aug))
-        if piv[-1] < b:
+    for k in range(n1 - 1, -1, -1) if 0 < a <= b else ():
+        # [Phi_k^T | I] reduces to [[I | 0]^T | G^T] when rank Phi_k = a
+        aug = np.hstack((coeffs[:, :, k].T, np.eye(b, dtype=np.int64)))
+        red, piv = rref(DenseMatrix(b, a + b, field, aug))
+        if piv[a - 1] < a:
             break
     else:  # for a > b or with no such Phi_k
         mat = DenseMatrix(rows, b * basis_dim(n1 - 1, m), field, _scatter(coeffs, m))
@@ -312,14 +285,10 @@ def _hyperplane_rank(
         # on P^0 the unit pivots fill every row; at b = a Phi_k is
         # invertible, so they fill every column
         return known, np.zeros((0, rows)) if left else None
-    # G = [R | K] with Phi_k R = I, R on the pivot rows J, and Phi_k K = 0
-    g = np.zeros((b, b), dtype=np.int64)
-    g[list(piv), :a] = red.data[:, b:]
-    g[:, a:] = kernel_basis(DenseMatrix(a, b, field, coeffs[:, :, k])).data
     # phi' = phi G, as -(phi (-G)), for every Phi_l at once
     flat = np.zeros((n1 * a, b))
     stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
-    _sub_mul_mod(flat, stacked, (-g % p).astype(np.float64), p)
+    _sub_mul_mod(flat, stacked, (-red.data[:, a:].T % p).astype(np.float64), p)
     coeffs = flat.astype(np.int64).reshape(n1, a, b).transpose(1, 2, 0)
     # phi_h: the Q copies first, then P, without the coefficients of x_k;
     # its first b - a copies are phi'', whose map is S_Q0
@@ -377,10 +346,12 @@ def map_rank(
     n, p, a = phi.n, phi.field.p, phi.a_tgt
     if x is not None and (n != x.n or phi.field != x.field):
         raise ValueError("phi and variety live over different ambient data")
+    if x is not None and x.codim and x.forms is None:
+        raise ExactModeError("variety has no explicit forms; exact mode unavailable")
+    if m < 0:  # the source R_m is zero
+        return 0
     if x is None or not x.codim:
         return _hyperplane_rank(phi.coeffs % p, m, phi.field, False)[0]
-    if x.forms is None:
-        raise ExactModeError("variety has no explicit forms; exact mode unavailable")
     span, ideal = ideal_span(x, m + 1)
     r = map_rank(phi, m)
     if r < a * basis_dim(n, m + 1):

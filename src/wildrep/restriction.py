@@ -40,16 +40,15 @@ from .cohomology import (
     CohomologyTable,
     closed_form_cohomology,
     default_window,
+    euler_characteristic,
     h_line,
 )
 from .polyspace import (
     ExactModeError,
-    ResolutionDegreeData,
     basis_dim,
     hilbert_function,
-    hilbert_polynomial,
     ideal_span,
-    koszul_degree_data,
+    koszul_twists,
     map_rank,
 )
 from .presentation import KernelBundlePresentation
@@ -61,28 +60,29 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class ACMVarietyDescriptor:
-    """A complete intersection in P^n: its degrees and resolution twists.
+    """A complete intersection in P^n, described by its degrees.
 
-    When sampled or supplied, forms holds explicit forms as coefficient
-    vectors over the fixed monomial bases; exact tables need those.
-    Without them only the combinatorial operations (Hilbert functions,
-    vanishing certificates, embedding dimensions) apply.
+    Its Hilbert function and resolution twists are the Koszul data of the
+    degrees; P^n is the complete intersection of no degrees.  When sampled
+    or supplied, forms holds explicit forms as coefficient vectors over the
+    fixed monomial bases; exact tables need those.  Without them only the
+    combinatorial operations (Hilbert functions, vanishing certificates,
+    embedding dimensions) apply.
     """
 
     n: int
-    res: ResolutionDegreeData
     degrees: tuple[int, ...] = ()
     forms: tuple[np.ndarray, ...] | None = None
     field: FieldSpec | None = None
 
     @property
     def codim(self) -> int:
-        return self.res.c
+        return len(self.degrees)
 
     @property
     def d(self) -> int:
         """Dimension of the variety."""
-        return self.n - self.res.c
+        return self.n - self.codim
 
     @property
     def exact_mode(self) -> bool:
@@ -111,11 +111,11 @@ def make_ci_variety(
         raise DimensionError(
             f"codimension {len(degrees)} leaves dimension {d} < 2 in P^{n}"
         )
-    res = koszul_degree_data(n, degrees)
+    koszul_twists(degrees)  # refuses a degree < 1 before any form is drawn
     if not degrees:
-        return ACMVarietyDescriptor(n, res, (), (), field or FieldSpec.prime())
+        return ACMVarietyDescriptor(n, (), (), field or FieldSpec.prime())
     if rng is None:
-        return ACMVarietyDescriptor(n, res, degrees, None, field)
+        return ACMVarietyDescriptor(n, degrees, None, field)
     if field is None:
         field = FieldSpec.prime()
     forms = []
@@ -125,7 +125,7 @@ def make_ci_variety(
         for q in range(size):
             coeff[q] = random_field_element(rng, field)
         forms.append(coeff)
-    return ACMVarietyDescriptor(n, res, degrees, tuple(forms), field)
+    return ACMVarietyDescriptor(n, degrees, tuple(forms), field)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def _verify_chain(n: int, a: int, chain, excluded) -> tuple[bool, tuple]:
 
 
 def vanishing_certificate(
-    x: ACMVarietyDescriptor, n: int, a: int
+    x: ACMVarietyDescriptor, a: int
 ) -> tuple[VanishingChaseTrace, ...]:
     """Symbolic vanishing traces for rows 1..d-1 of the restricted table.
 
@@ -187,14 +187,12 @@ def vanishing_certificate(
     vanishes off twists {-1, -2}.  With c = 0 the chain degenerates to
     the single ambient cell.
 
-    Purely combinatorial in the resolution twists, so it needs no
-    explicit forms.  Each trace is spot-verified against the closed
+    Purely combinatorial in the Koszul twists of the degrees, so it needs
+    no explicit forms.  Each trace is spot-verified against the closed
     forms; an unverified trace signals a bug, and is returned with its
     failures for diagnosis rather than raised.
     """
-    if x.n != n:
-        raise ValueError(f"variety lives in P^{x.n}, not P^{n}")
-    d = x.d
+    n, d = x.n, x.d
     if d < 2:
         raise DimensionError(f"variety dimension {d} < 2")
     traces = []
@@ -203,7 +201,7 @@ def vanishing_certificate(
         excluded = (-1, -2) if i == 1 else ()
         just0 = "index-1" if i == 1 else "middle"
         chain.append(ChaseCell(i, (0,), just0))
-        for k, twists in enumerate(x.res.betti, start=1):
+        for k, twists in enumerate(koszul_twists(x.degrees), start=1):
             # index i + k is within 2..n-1: i <= d-1 and k <= c
             chain.append(ChaseCell(i + k, tuple(-t for t in twists), "middle"))
         ok, failures = _verify_chain(n, a, chain, excluded)
@@ -211,16 +209,6 @@ def vanishing_certificate(
             VanishingChaseTrace(i, excluded, tuple(chain), ok, failures)
         )
     return tuple(traces)
-
-
-def restricted_euler_characteristic(
-    x: ACMVarietyDescriptor, a: int, t: int
-) -> int:
-    """chi(E|_X(t)) = (n+2)a P_X(1+t) - 2a P_X(2+t)."""
-    n = x.n
-    return (n + 2) * a * hilbert_polynomial(x.res, 1 + t) - 2 * a * hilbert_polynomial(
-        x.res, 2 + t
-    )
 
 
 def restricted_cohomology_table(
@@ -253,14 +241,14 @@ def restricted_cohomology_table(
     prov = {}
     for t in range(t_min, t_max + 1):
         r = map_rank(kb.phi, 1 + t, x)
-        cells[(0, t)] = kb.b_src * hilbert_function(x.res, 1 + t) - r
+        cells[(0, t)] = kb.b_src * hilbert_function(n, x.degrees, 1 + t) - r
         prov[(0, t)] = PROV_EXACT
-        cells[(1, t)] = kb.a_tgt * hilbert_function(x.res, 2 + t) - r
+        cells[(1, t)] = kb.a_tgt * hilbert_function(n, x.degrees, 2 + t) - r
         prov[(1, t)] = PROV_EXACT
         for i in range(2, d):
             cells[(i, t)] = 0
             prov[(i, t)] = PROV_CERTIFIED
-        forced = restricted_euler_characteristic(x, kb.a, t) - (
+        forced = euler_characteristic(n, kb.a, t, x.degrees) - (
             cells[(0, t)] - cells[(1, t)]
         )
         if d % 2 == 1:

@@ -24,6 +24,7 @@ from wildrep import (
     hilbert_function,
     hilbert_polynomial,
     kernel_basis,
+    koszul_twists,
     make_ci_variety,
     map_rank,
     mult_map,
@@ -129,7 +130,7 @@ def line_cohomology_on_ci(x, i, k):
     if not 1 <= i <= d - 1:
         raise ValueError(f"index {i} outside the middle range 1..{d - 1}")
     total = h_line(x.n, i, k)
-    for step, twists in enumerate(x.res.betti, start=1):
+    for step, twists in enumerate(koszul_twists(x.degrees), start=1):
         for t in twists:
             total += h_line(x.n, i + step, k - t)
     return total
@@ -149,7 +150,7 @@ def vanishing_squeeze(x, a, i, t):
 
 
 def structure_table(x, t_range=None):
-    """Cohomology table of O_X itself from the resolution degree data.
+    """Cohomology table of O_X itself from the Koszul data of its degrees.
 
     h^0 is the Hilbert function, middle rows vanish (ACM), and the top
     row is forced by the Hilbert polynomial.  Needs no explicit forms.
@@ -159,7 +160,7 @@ def structure_table(x, t_range=None):
     cells = {}
     prov = {}
     for t in range(t_min, t_max + 1):
-        h0 = hilbert_function(x.res, t) if t >= 0 else 0
+        h0 = hilbert_function(x.n, x.degrees, t) if t >= 0 else 0
         cells[(0, t)] = h0
         prov[(0, t)] = PROV_CLOSED
         for i in range(1, d):
@@ -169,7 +170,7 @@ def structure_table(x, t_range=None):
                 )
             cells[(i, t)] = 0
             prov[(i, t)] = PROV_CERTIFIED
-        forced = hilbert_polynomial(x.res, t) - h0
+        forced = hilbert_polynomial(x.n, x.degrees, t) - h0
         if d % 2 == 1:
             forced = -forced
         cells[(d, t)] = forced

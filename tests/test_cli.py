@@ -16,6 +16,7 @@ from wildrep import (
     cli,
     make_ci_variety,
     moduli,
+    restriction,
     wildness_certificate,
 )
 from wildrep.cli import (
@@ -498,13 +499,35 @@ def test_form_count_boundary_for_bound(monkeypatch, capsys):
         raise AssertionError("a refused request reached the Koszul data")
 
     monkeypatch.setattr(cli, "make_ci_variety", must_not_enumerate)
-    monkeypatch.setattr(cli, "koszul_degree_data", must_not_enumerate)
+    monkeypatch.setattr(cli, "hilbert_function", must_not_enumerate)
     assert main(["bound", "--n", "19", "--ci-degrees", *["2"] * 17]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "invalid input: --ci-degrees lists 17 forms, more than the 16 allowed\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["restrict", "--n", "3", "--ci-degrees", "0"],
+        ["bound", "--n", "3", "--ci-degrees", "0"],
+        ["certify", "--n", "4", "--ci-degrees", "2", "0"],
+        # the degrees are checked before the window
+        ["restrict", "--n", "3", "--ci-degrees", "0", "--t-min", "5", "--t-max", "1"],
+    ],
+)
+def test_low_degree_form_exits_usage_before_sampling(argv, monkeypatch, capsys):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("a refused request reached sampling")
+
+    monkeypatch.setattr(cli, "build_kernel_bundle", must_not_sample)
+    monkeypatch.setattr(restriction, "random_field_element", must_not_sample)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: complete intersection degree 0 < 1\n"
 
 
 class _Sampled(Exception):

@@ -80,7 +80,7 @@ def test_embedding_dimension_values(fp):
     assert embedding_dimension(quadric, 3) == 15
     assert embedding_dimension(quadric, 2) == 8
     cubic = make_ci_variety(3, (3,))
-    assert embedding_dimension(cubic, 3) == hilbert_function(cubic.res, 3) - 1 == 18
+    assert embedding_dimension(cubic, 3) == hilbert_function(cubic.n, cubic.degrees, 3) - 1 == 18
 
 
 def test_family_exceeds_veronese_bound_eventually():

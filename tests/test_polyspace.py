@@ -9,7 +9,6 @@ from wildrep import (
     FieldSpec,
     LinearFormMatrix,
     RegularityError,
-    ResolutionDegreeData,
     SeededRng,
     basis_dim,
     binom,
@@ -17,7 +16,7 @@ from wildrep import (
     chi_binom,
     hilbert_function,
     hilbert_polynomial,
-    koszul_degree_data,
+    koszul_twists,
     make_ci_variety,
     map_rank,
     mult_map,
@@ -154,25 +153,24 @@ def test_mult_map_negative_degree_is_empty():
 
 
 def test_koszul_degree_data_shapes():
-    res = koszul_degree_data(4, (2, 3))
-    assert res.betti == ((2, 3), (5,))
-    assert res.c == 2
-    res = koszul_degree_data(3, (2,))
-    assert res.betti == ((2,),)
-    res = koszul_degree_data(5, (2, 2, 3))
-    assert res.betti == ((2, 2, 3), (4, 5, 5), (7,))
-    assert koszul_degree_data(3, ()).betti == ()
+    res = koszul_twists((2, 3))
+    assert res == ((2, 3), (5,))
+    assert len(res) == 2
+    res = koszul_twists((2,))
+    assert res == ((2,),)
+    res = koszul_twists((2, 2, 3))
+    assert res == ((2, 2, 3), (4, 5, 5), (7,))
+    assert koszul_twists(()) == ()
 
 
 def test_koszul_rejects_low_degrees():
     with pytest.raises(ValueError):
-        koszul_degree_data(3, (0,))
+        koszul_twists((0,))
 
 
 def test_hilbert_function_quadric_pinned():
-    res = koszul_degree_data(3, (2,))
-    assert [hilbert_function(res, k) for k in range(5)] == [1, 4, 9, 16, 25]
-    assert hilbert_function(res, -1) == 0
+    assert [hilbert_function(3, (2,), k) for k in range(5)] == [1, 4, 9, 16, 25]
+    assert hilbert_function(3, (2,), -1) == 0
 
 
 def _brute_hilbert(n, degrees, k):
@@ -198,9 +196,8 @@ def test_hilbert_function_against_monomial_ci():
         (4, (2, 2)),
     ]
     for n, degrees in cases:
-        res = koszul_degree_data(n, degrees)
         for k in range(0, 7):
-            assert hilbert_function(res, k) == _brute_hilbert(n, degrees, k), (
+            assert hilbert_function(n, degrees, k) == _brute_hilbert(n, degrees, k), (
                 n,
                 degrees,
                 k,
@@ -209,20 +206,17 @@ def test_hilbert_function_against_monomial_ci():
 
 def test_hilbert_polynomial_eventually_equals_function():
     for n, degrees in [(3, (2,)), (3, (3,)), (4, (2, 2))]:
-        res = koszul_degree_data(n, degrees)
         for k in range(sum(degrees), sum(degrees) + 5):
-            assert hilbert_polynomial(res, k) == hilbert_function(res, k)
+            assert hilbert_polynomial(n, degrees, k) == hilbert_function(n, degrees, k)
 
 
 def test_hilbert_polynomial_signed_low_twists():
     # P^3 itself: the polynomial is chi(O(k)), negative below -3
-    res = koszul_degree_data(3, ())
-    assert hilbert_polynomial(res, -5) == -4
-    assert hilbert_polynomial(res, -4) == -1
-    assert hilbert_polynomial(res, -3) == 0
+    assert hilbert_polynomial(3, (), -5) == -4
+    assert hilbert_polynomial(3, (), -4) == -1
+    assert hilbert_polynomial(3, (), -3) == 0
     # quadric surface: chi(O_X(k)) = (k+1)^2 + k^2 - ... pinned spot value
-    q = koszul_degree_data(3, (2,))
-    assert hilbert_polynomial(q, -1) == chi_binom(3, -1) - chi_binom(3, -3)
+    assert hilbert_polynomial(3, (2,), -1) == chi_binom(3, -1) - chi_binom(3, -3)
 
 
 def test_quotient_piece_normal_form_quadric():
@@ -264,7 +258,7 @@ def test_quotient_piece_detects_dependent_forms():
     # 1, so R_2 / I_2 is larger than the Koszul data of (2, 2) in P^4 predict
     f = FieldSpec.prime()
     sample = make_ci_variety(4, (2, 2), SeededRng(9), f)
-    bad = ACMVarietyDescriptor(4, sample.res, (2, 2), (sample.forms[0],) * 2, f)
+    bad = ACMVarietyDescriptor(4, (2, 2), (sample.forms[0],) * 2, f)
     with pytest.raises(RegularityError, match="^degree 2: "):
         polyspace.ideal_span(bad, 2)
     kb, _ = cached_bundle(4, 1, seed=0)
@@ -283,7 +277,7 @@ def test_mult_map_on_X_shape_18x20():
     f = FieldSpec.prime()
     x = make_ci_variety(3, (2,), SeededRng(5), f)
     phi = sample_phi(3, 2, 5, SeededRng(0), f)
-    assert (hilbert_function(x.res, 1), hilbert_function(x.res, 2)) == (4, 9)
+    assert (hilbert_function(3, x.degrees, 1), hilbert_function(3, x.degrees, 2)) == (4, 9)
     mat = normal_form_map(phi, 1, x)
     assert (mat.rows, mat.cols) == (18, 20)
     assert map_rank(phi, 1, x) == rank(mat)
@@ -431,11 +425,6 @@ def test_pipeline_map_with_copied_blocks_keeps_its_rank(n, a, degrees, monkeypat
             assert (lift in ranked) == ("row" in copies)
 
 
-def test_resolution_degree_data_validation():
-    with pytest.raises(ValueError):
-        ResolutionDegreeData(3, ((0,),))
-
-
 def test_product_table_skips_high_degree_monomials_when_empty(monkeypatch):
     # a degree-20 form in degree 2 has no multiples; its C(26, 6) monomials
     # must not be enumerated just to size the empty table
@@ -481,16 +470,16 @@ def _chosen_blocks(monkeypatch):
     """List that receives each Phi_k that map_rank turns into [I | 0], that
     is each map ranked by the Schur complement: the top-level pick first,
     then one per level of the recursion onto the hyperplane.  Each level
-    reduces [Phi_k | I] for every k it tries and takes the first Phi_k
-    whose pivots all lie in Phi_k."""
+    reduces [Phi_k^T | I] for every k it tries and takes the first Phi_k
+    whose transpose has a pivot in each of its a columns."""
     chosen = []
     rref = polyspace.rref
 
     def recording(m):
         red, piv = rref(m)
-        b = m.cols - m.rows
-        if np.array_equal(m.data[:, b:], np.eye(m.rows)) and piv[-1] < b:
-            chosen.append(DenseMatrix(m.rows, b, m.field, m.data[:, :b]))
+        a = m.cols - m.rows
+        if np.array_equal(m.data[:, a:], np.eye(m.rows)) and piv[a - 1] < a:
+            chosen.append(DenseMatrix(a, m.rows, m.field, m.data[:, :a].T))
         return red, piv
 
     monkeypatch.setattr(polyspace, "rref", recording)
@@ -527,6 +516,23 @@ def test_map_rank_on_complete_intersections(p):
             phi = sample_phi(n, a, b, SeededRng(a + b), f)
             for m in range(-1, 4):
                 _check_map_rank(phi, m, x)
+
+
+def test_map_rank_builds_nothing_below_degree_zero(monkeypatch):
+    # R_m = 0 for m < 0, so the map has no columns and rank 0 on P^n and
+    # on X; no scatter, span or lift is built to find that out
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("map_rank built a matrix for m < 0")
+
+    f = FieldSpec.prime(101)
+    phi = sample_phi(3, 2, 5, SeededRng(0), f)
+    x = make_ci_variety(3, (2,), SeededRng(3), f)
+    monkeypatch.setattr(polyspace, "_scatter", must_not_build)
+    monkeypatch.setattr(polyspace, "ideal_span", must_not_build)
+    for m in (-1, -2, -7):
+        assert map_rank(phi, m) == 0
+        assert map_rank(phi, m, x) == 0
+        assert map_rank(phi.transpose(), m) == 0
 
 
 def test_map_rank_refuses_a_variety_over_other_ambient_data():
