@@ -10,7 +10,6 @@ O_X(s), s >= 3.
 
 from .exactfield import (
     DEFAULT_PRIME,
-    DenseMatrix,
     FieldSpec,
     SamplingError,
     SeededRng,
@@ -18,7 +17,6 @@ from .exactfield import (
     random_field_element,
     rank,
     rref,
-    transpose,
 )
 from .polyspace import (
     ExactModeError,

@@ -2,8 +2,10 @@
 
 Everything downstream (multiplication-map matrices, cohomology tables,
 stabilizer systems) reduces to ranks and kernels computed here, so this
-module is deliberately small and deterministic.  Matrices are stored as
-int64 numpy arrays with entries reduced to [0, p).
+module is deliberately small and deterministic.  A matrix is a plain 2-D
+int64 numpy array, passed with the FieldSpec of its prime as in
+FFLAS-FFPACK; results have entries in [0, p), and an input is reduced into
+[0, p) on entry and never modified.
 
 All row reduction is one recursive routine that brings a matrix to
 reduced row echelon form in place.  A block of at most 32 rows (a leaf) is
@@ -91,10 +93,12 @@ class FieldSpec:
     p: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p!r} is not prime")
+        # the size check comes first: trial division of a large modulus
+        # takes up to sqrt(p) steps
         if self.p >= _MAX_PRIME:
             raise ValueError(f"modulus {self.p} too large for int64 arithmetic")
+        if not _is_prime(self.p):
+            raise ValueError(f"modulus {self.p!r} is not prime")
 
     @staticmethod
     def prime(p: int = DEFAULT_PRIME) -> "FieldSpec":
@@ -139,41 +143,6 @@ def random_field_element(rng: SeededRng, field: FieldSpec) -> int:
             f"sampling needs a prime >= {_MIN_SAMPLING_PRIME}, got {field.p}"
         )
     return rng.next_u64() % field.p
-
-
-class DenseMatrix:
-    """Dense matrix over F_p: data is a 2-D int64 array with entries in [0, p)."""
-
-    __slots__ = ("rows", "cols", "field", "data")
-
-    def __init__(self, rows: int, cols: int, field: FieldSpec, data: np.ndarray):
-        if data.shape != (rows, cols):
-            raise ValueError(f"shape mismatch: {data.shape} vs ({rows}, {cols})")
-        self.rows = rows
-        self.cols = cols
-        self.field = field
-        self.data = data
-
-    @staticmethod
-    def zeros(rows: int, cols: int, field: FieldSpec) -> "DenseMatrix":
-        return DenseMatrix(rows, cols, field, np.zeros((rows, cols), dtype=np.int64))
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.field == other.field
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-    def __repr__(self):
-        return f"DenseMatrix({self.rows}x{self.cols} over F_{self.field.p})"
-
-
-def transpose(m: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix(m.cols, m.rows, m.field, m.data.T.copy())
 
 
 # blocks of at most this many rows are reduced one pivot at a time in int64;
@@ -323,49 +292,48 @@ def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
     return top_piv + bottom_piv
 
 
-def _carrier(m: DenseMatrix) -> np.ndarray:
-    """float64 copy of m's entries, reduced into [0, p).
+def _carrier(a: np.ndarray, p: int) -> np.ndarray:
+    """C-ordered float64 copy of a's entries, reduced into [0, p).
 
-    Only entries outside [0, p), which DenseMatrix never makes itself but
-    a library caller can store, cost a reduction before the conversion.
+    Only entries outside [0, p), which a library caller can pass, cost a
+    reduction before the conversion.  The order is explicit because astype
+    keeps the F order of a transposed view.
     """
-    data = m.data
-    if data.size and (data.min() < 0 or data.max() >= m.field.p):
-        data = data % m.field.p
-    return data.astype(np.float64)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    return a.astype(np.float64, order="C")
 
 
-def rank(m: DenseMatrix) -> int:
-    return len(_echelon_mod(_carrier(m), m.field.p, reduced=False))
+def rank(a: np.ndarray, field: FieldSpec) -> int:
+    return len(_echelon_mod(_carrier(a, field.p), field.p, reduced=False))
 
 
-def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
+def rref(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of a 2-D int64 array, and its pivot columns.
 
     The result is canonical: it depends only on the row space and the
     column order, never on pivot search details.
     """
-    a = _carrier(m)
-    piv = _echelon_mod(a, m.field.p)
-    order = np.argsort(piv)
-    red = np.zeros(m.data.shape, dtype=np.int64)
-    red[: len(piv)] = a[order]
-    return DenseMatrix(m.rows, m.cols, m.field, red), tuple(sorted(piv))
+    work = _carrier(a, field.p)
+    piv = _echelon_mod(work, field.p)
+    red = np.zeros(a.shape, dtype=np.int64)
+    red[: len(piv)] = work[np.argsort(piv)]
+    return red, tuple(sorted(piv))
 
 
-def kernel_basis(m: DenseMatrix) -> DenseMatrix:
+def kernel_basis(a: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Canonical basis of the right kernel, one column per free column.
 
     Basis vector for free column f has a 1 in position f and -RREF[r, f]
     in the position of the r-th pivot column.  Returned as a cols x nullity
-    matrix whose columns are ordered by increasing free column index.
+    array whose columns are ordered by increasing free column index.
     """
-    red, piv = rref(m)
+    red, piv = rref(a, field)
     piv = list(piv)
-    is_free = np.ones(m.cols, dtype=bool)
+    is_free = np.ones(a.shape[1], dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    k = DenseMatrix.zeros(m.cols, free.size, m.field)
-    k.data[free, np.arange(free.size)] = 1
-    k.data[piv, :] = -red.data[: len(piv), free] % m.field.p
+    k = np.zeros((a.shape[1], free.size), dtype=np.int64)
+    k[free, np.arange(free.size)] = 1
+    k[piv, :] = -red[: len(piv), free] % field.p
     return k

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactfield import DenseMatrix, SeededRng, rank
+from .exactfield import SeededRng, rank
 from .cohomology import CohomologyTable
 from .polyspace import ExactModeError, binom, hilbert_function
 from .presentation import (
@@ -59,18 +59,12 @@ def family_dimension(n: int, a: int) -> int:
     """Dimension of the family of kernel bundles: a^2 (n^2 + 2n - 4) + 1.
 
     Equals the parameter count minus the group dimension plus one global
-    scalar: 2 a^2 (n+2)(n+1) - a^2 (n+2)^2 - 4 a^2 + 1; both forms are
-    computed and compared.  Like the bundle, it has no shape for a < 1.
+    scalar: 2 a^2 (n+2)(n+1) - a^2 (n+2)^2 - 4 a^2 + 1, the same
+    polynomial.  Like the bundle, it has no shape for a < 1.
     """
     if a < 1:
         raise ShapeError(f"no kernel-bundle shape for n = {n}, a = {a}")
-    direct = a * a * (n * n + 2 * n - 4) + 1
-    counted = (
-        2 * a * a * (n + 2) * (n + 1) - a * a * (n + 2) ** 2 - 4 * a * a + 1
-    )
-    if direct != counted:
-        raise AssertionError(f"family dimension counts disagree: {direct} != {counted}")
-    return direct
+    return a * a * (n * n + 2 * n - 4) + 1
 
 
 def veronese_bound(n: int) -> int:
@@ -105,7 +99,7 @@ class StabilizerReport:
     system_cols: int
 
 
-def intertwiner_system(a_mat: LinearFormMatrix) -> DenseMatrix:
+def intertwiner_system(a_mat: LinearFormMatrix) -> np.ndarray:
     """Coefficient matrix of AC = BA in the unknown entries of (B, C).
 
     Unknowns are vec(B) then vec(C), row-major.  Equations are indexed by
@@ -121,8 +115,7 @@ def intertwiner_system(a_mat: LinearFormMatrix) -> DenseMatrix:
     c_part = system[..., nb:].reshape(rows_a, cols_a, nvars, cols_a, cols_a)
     np.einsum("rskri->rski", b_part)[...] = -a_mat.coeffs.transpose(1, 2, 0) % a_mat.field.p
     np.einsum("rskjs->rskj", c_part)[...] = a_mat.coeffs.transpose(0, 2, 1)[:, None]
-    neq = rows_a * cols_a * nvars
-    return DenseMatrix(neq, nb + nc, a_mat.field, system.reshape(neq, nb + nc))
+    return system.reshape(rows_a * cols_a * nvars, nb + nc)
 
 
 def stabilizer_dimension(a_mat: LinearFormMatrix) -> StabilizerReport:
@@ -141,15 +134,15 @@ def stabilizer_dimension(a_mat: LinearFormMatrix) -> StabilizerReport:
             f"((n+2)a)x(2a) for n = {n}"
         )
     system = intertwiner_system(a_mat)
-    dim = system.cols - rank(system)
+    dim = system.shape[1] - rank(system, a_mat.field)
     return StabilizerReport(
         n=n,
         a=a,
         stab_dimension=dim,
         simple=(dim == 1),
         kac_value=kac_discriminant(n, a),
-        system_rows=system.rows,
-        system_cols=system.cols,
+        system_rows=system.shape[0],
+        system_cols=system.shape[1],
     )
 
 

@@ -9,15 +9,20 @@ A complete intersection is described by its degrees alone: the twists of
 its Koszul resolution are the sums of sub-multisets of the degrees, and
 its Hilbert function is the alternating sum over them.
 
-A matrix of linear forms phi induces, in each degree m, a linear map
-R_m^b -> R_(m+1)^a on P^n.  With Phi_k = phi's coefficients of x_k and S_k
-the shift table of multiplication by x_k, the targets x_k u of one source
-monomial u are distinct, so every entry is a single coefficient,
+An a x b matrix of degree-e forms, an (a, b, C(n+e, n)) coefficient
+tensor, induces in each degree m a linear map R_m^b -> R_(m+e)^a on P^n.
+With Phi_w its coefficients of the w-th degree-e monomial v_w and S_w the
+table of multiplication by v_w, the targets v_w u of one source monomial u
+are distinct, so every entry is a single coefficient,
 
-    M[(i, S_k(u)), (j, u)] = Phi_k[i, j],
+    M[(i, S_w(u)), (j, u)] = Phi_w[i, j],
 
-and mult_map writes M by one scatter per k with no sum.  It is the only
-map builder.  On a complete intersection X cut by f_1..f_c the map
+and mult_map writes M by one scatter with no sum.  It is the only map
+builder: a matrix phi of linear forms is the case e = 1, with Phi_k the
+coefficients of x_k, and the span of I_k is the map of each form f, a
+1 x 1 matrix, in degree k - deg f.
+
+On a complete intersection X cut by f_1..f_c the map
 (R_X)_m^b -> (R_X)_(m+1)^a is never built: by right exactness its
 cokernel is that of [phi | f_1 I_a | ... | f_c I_a] over R, so with F the
 span of I_(m+1) placed in each of the a target copies,
@@ -88,7 +93,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exactfield import DenseMatrix, FieldSpec, _sub_mul_mod, kernel_basis, rank, rref, transpose
+from .exactfield import FieldSpec, _sub_mul_mod, kernel_basis, rank, rref
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .presentation import LinearFormMatrix
@@ -207,54 +212,46 @@ class ExactModeError(RuntimeError):
     """An exact rank was asked of a variety that has no explicit forms."""
 
 
+def mult_map(coeffs: np.ndarray, n: int, m: int, e: int) -> np.ndarray:
+    """Matrix of R_m^b -> R_(m+e)^a on P^n induced by an (a, b, C(n+e, n))
+    tensor of degree-e forms with entries in [0, p).
+
+    Bases are the monomials of each degree in the fixed order; blocks are
+    stacked row-major, block (i, j) multiplying by the form coeffs[i, j].
+    m < 0 gives a matrix with zero columns.
+    """
+    a, b, _ = coeffs.shape
+    shifts = _product_table(n, m, e)
+    src, tgt = shifts.shape[0], basis_dim(n, m + e)
+    out = np.zeros((a, tgt, b, src), dtype=np.int64)
+    # advanced indices on axes 1 and 3 put (u, w) first: (src, W, a, b) <- Phi_w
+    out[:, shifts, :, np.arange(src)[:, None]] = coeffs.transpose(2, 0, 1)
+    return out.reshape(a * tgt, b * src)
+
+
 def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
-    """The span of I_k over R_k, one row per product, and dim I_k, its rank.
+    """The span of I_k in R_k, one column per product, and dim I_k, its rank.
 
     Raises RegularityError unless R_k / I_k has the dimension that the
-    Koszul data predict: the forms are then not a regular sequence.
+    Koszul Hilbert function of the degrees predicts: the forms are then not
+    a regular sequence.
     """
     nk = basis_dim(x.n, k)
     # I_k is spanned by u * f for each form f and each monomial u of degree
-    # k - deg f; row u of a block holds the coefficients of u * f
-    blocks = [np.zeros((0, nk), dtype=np.int64)]
-    for e_deg, coeff in zip(x.degrees, x.forms):
-        table = _product_table(x.n, k - e_deg, e_deg)
-        block = np.zeros((table.shape[0], nk), dtype=np.int64)
-        block[np.arange(table.shape[0])[:, None], table] = coeff
-        blocks.append(block)
-    span = np.vstack(blocks)
-    dim = rank(DenseMatrix(*span.shape, x.field, span))
+    # k - deg f: the columns of the map of f in degree k - deg f
+    span = np.hstack([np.zeros((nk, 0), dtype=np.int64)] + [
+        mult_map(coeff[None, None], x.n, k - e, e) for e, coeff in zip(x.degrees, x.forms)
+    ])
+    # ranked by its products, usually fewer than the monomials
+    dim = rank(span.T, x.field)
     expected = hilbert_function(x.n, x.degrees, k)
     if nk - dim != expected:
         raise RegularityError(
             f"degree {k}: quotient dimension {nk - dim} != {expected} predicted "
-            "by the resolution data; the chosen forms are not a regular sequence"
+            "by the Koszul Hilbert function of the degrees; the chosen forms "
+            "are not a regular sequence"
         )
     return span, dim
-
-
-def _scatter(coeffs: np.ndarray, m: int) -> np.ndarray:
-    # the map of an (a, b, n + 1) coefficient tensor on P^n in degree m;
-    # a hyperplane map can have n = 0, which LinearFormMatrix refuses
-    a, b, n1 = coeffs.shape
-    shifts = _product_table(n1 - 1, m, 1)
-    src, tgt = shifts.shape[0], basis_dim(n1 - 1, m + 1)
-    out = np.zeros((a, tgt, b, src), dtype=np.int64)
-    # advanced indices on axes 1 and 3 put u first: (src, a, b) <- Phi_k
-    for k in range(n1):
-        out[:, shifts[:, k], :, np.arange(src)] = coeffs[:, :, k]
-    return out.reshape(a * tgt, b * src)
-
-
-def mult_map(phi: "LinearFormMatrix", m: int) -> DenseMatrix:
-    """Matrix of R_m^b_src -> R_(m+1)^a_tgt induced by phi on P^n.
-
-    Bases are the monomials of each degree in the fixed order; blocks are
-    stacked row-major, block (i, j) multiplying by the linear form
-    phi[i][j].  m < 0 gives a matrix with zero columns.
-    """
-    data = _scatter(phi.coeffs % phi.field.p, m)
-    return DenseMatrix(*data.shape, phi.field, data)
 
 
 def _hyperplane_rank(
@@ -270,14 +267,14 @@ def _hyperplane_rank(
     for k in range(n1 - 1, -1, -1) if 0 < a <= b else ():
         # [Phi_k^T | I] reduces to [[I | 0]^T | G^T] when rank Phi_k = a
         aug = np.hstack((coeffs[:, :, k].T, np.eye(b, dtype=np.int64)))
-        red, piv = rref(DenseMatrix(b, a + b, field, aug))
+        red, piv = rref(aug, field)
         if piv[a - 1] < a:
             break
     else:  # for a > b or with no such Phi_k
-        mat = DenseMatrix(rows, b * basis_dim(n1 - 1, m), field, _scatter(coeffs, m))
+        mat = mult_map(coeffs, n1 - 1, m, 1)
         if not left:
-            return rank(mat), None
-        ker = kernel_basis(transpose(mat)).data.T.astype(np.float64)
+            return rank(mat, field), None
+        ker = kernel_basis(mat.T, field).T.astype(np.float64)
         return rows - ker.shape[0], ker
     known = a * basis_dim(n1 - 1, m)  # the unit pivots
     r0 = a * basis_dim(n1 - 2, m + 1)  # |R_0|, which is empty on P^0
@@ -288,7 +285,7 @@ def _hyperplane_rank(
     # phi' = phi G, as -(phi (-G)), for every Phi_l at once
     flat = np.zeros((n1 * a, b))
     stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
-    _sub_mul_mod(flat, stacked, (-red.data[:, a:].T % p).astype(np.float64), p)
+    _sub_mul_mod(flat, stacked, (-red[:, a:].T % p).astype(np.float64), p)
     coeffs = flat.astype(np.int64).reshape(n1, a, b).transpose(1, 2, 0)
     # phi_h: the Q copies first, then P, without the coefficients of x_k;
     # its first b - a copies are phi'', whose map is S_Q0
@@ -303,23 +300,22 @@ def _hyperplane_rank(
     # the chain on the delta rows of L_0: L_0 W_0, then
     # [L_0 S_Q(e+1) | L_0 W_(e+1)] = -L_0 W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
     w = np.zeros((delta, a * basis_dim(n1 - 2, m)))
-    _sub_mul_mod(w, -l0 % p, _scatter(hyper[:, b - a :], m).astype(np.float64), p)
+    _sub_mul_mod(w, -l0 % p, mult_map(hyper[:, b - a :], n1 - 2, m, 1).astype(np.float64), p)
     chain, parts = [w], []
     for e in range(m):
-        nxt = _scatter(hyper, m - e - 1)
+        nxt = mult_map(hyper, n1 - 2, m - e - 1, 1)
         w = np.zeros((delta, nxt.shape[1]))
         _sub_mul_mod(w, chain[-1], nxt.astype(np.float64), p)
         q = (b - a) * basis_dim(n1 - 2, m - e - 1)
         parts.append(w[:, :q])
         chain.append(w[:, q:])
     s = np.hstack([np.zeros((delta, 0))] + parts).astype(np.int64)
-    s = DenseMatrix(*s.shape, field, s)
     if not left:
-        return known + r + rank(s), None
+        return known + r + rank(s, field), None
     # leftker S = u L_0 for u a basis of leftker(L_0 S_rest), and leftker M
     # = u [L_0 | -L_0 W_0 | ... | -L_0 W_m] on R_0, R_1, ..., R_(m+1), with
     # R_(e+1) listed as x_k P_e; as -(u [-L_0 | L_0 W_0 | ... | L_0 W_m])
-    u = kernel_basis(transpose(s)).data.T.astype(np.float64)
+    u = kernel_basis(s.T, field).T.astype(np.float64)
     lifted = np.zeros((u.shape[0], rows))
     _sub_mul_mod(lifted, u, np.hstack([-l0 % p] + chain), p)
     # R_e lists the target rows whose monomial has x_k-exponent e, in order
@@ -356,6 +352,6 @@ def map_rank(
     r = map_rank(phi, m)
     if r < a * basis_dim(n, m + 1):
         # not onto: F holds the span of I_(m+1) in each of the a target copies
-        lift = np.hstack((mult_map(phi, m).data, np.kron(np.eye(a, dtype=np.int64), span.T)))
-        r = rank(DenseMatrix(*lift.shape, phi.field, lift))
+        lift = np.hstack((mult_map(phi.coeffs % p, n, m, 1), np.kron(np.eye(a, dtype=np.int64), span)))
+        r = rank(lift, phi.field)
     return r - a * ideal

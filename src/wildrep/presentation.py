@@ -12,7 +12,7 @@ are resampled a bounded number of times and then rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,12 +196,7 @@ def build_kernel_bundle(
         phi = sample_phi(n, a_tgt, b_src, rng, field)
         cert = sheaf_surjectivity_certificate(phi)
         if cert.surjective_at_degree is not None and cert.h0_phi1_iso:
-            kb = KernelBundlePresentation(n, a, phi)
-            full = SurjectivityCertificate(
-                cert.surjective_at_degree, cert.searched_up_to, cert.h0_phi1_iso,
-                seed=seed, counter=counter,
-            )
-            return kb, full
+            return KernelBundlePresentation(n, a, phi), replace(cert, seed=seed, counter=counter)
         failed.append(
             f"(seed {seed}, counter {counter}): surjective_at_degree="
             f"{cert.surjective_at_degree}, h0_phi1_iso={cert.h0_phi1_iso}"

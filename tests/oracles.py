@@ -12,7 +12,6 @@ import numpy as np
 
 from wildrep import (
     CohomologyTable,
-    DenseMatrix,
     LinearFormMatrix,
     PROV_CERTIFIED,
     PROV_EULER,
@@ -30,7 +29,6 @@ from wildrep import (
     mult_map,
     rank,
     restricted_cohomology_table,
-    transpose,
 )
 from wildrep.polyspace import _product_table
 
@@ -38,15 +36,15 @@ PROV_CLOSED = "closed-form"
 
 
 def from_rows(entries, field):
-    """DenseMatrix from a nested sequence of scalars, reduced into [0, p)."""
+    """int64 array from a nested sequence of scalars, reduced into [0, p)."""
     rows = len(entries)
     cols = len(entries[0]) if rows else 0
-    m = DenseMatrix.zeros(rows, cols, field)
+    m = np.zeros((rows, cols), dtype=np.int64)
     for i, row in enumerate(entries):
         if len(row) != cols:
             raise ValueError("ragged rows")
         for j, v in enumerate(row):
-            m.data[i, j] = int(v) % field.p
+            m[i, j] = int(v) % field.p
     return m
 
 
@@ -60,8 +58,8 @@ def from_coeffs(n, a_tgt, b_src, field, values):
     return m
 
 
-def nullity(m):
-    return m.cols - rank(m)
+def nullity(m, field):
+    return m.shape[1] - rank(m, field)
 
 
 def alternating_sum(table, t):
@@ -95,7 +93,7 @@ def cohomology_table_exact(kb, t_range=None):
 def h0_phi1_is_isomorphism(phi):
     """True iff the induced map on degree-one sections is bijective.
 
-    Ranks mult_map(phi, 1) on its own, the reference for the certificate's
+    Ranks phi's map in degree 1 on its own, the reference for the certificate's
     h0_phi1_iso, which it reads off the surjectivity search.  Requires the
     matrix to be square; for the kernel-bundle shape both sides have
     dimension a (n+1)(n+2).
@@ -195,9 +193,9 @@ def quotient_piece(x, k):
         block = np.zeros((table.shape[0], nk), dtype=np.int64)
         block[np.arange(table.shape[0])[:, None], table] = coeff
         span = np.vstack((span, block))
-    nf = transpose(kernel_basis(DenseMatrix(span.shape[0], nk, x.field, span)))
-    free = tuple(int(np.flatnonzero(row)[-1]) for row in nf.data)
-    return free, nf.data
+    nf = kernel_basis(span, x.field).T
+    free = tuple(int(np.flatnonzero(row)[-1]) for row in nf)
+    return free, nf
 
 
 def normal_form_map(phi, m, x):
@@ -213,7 +211,6 @@ def normal_form_map(phi, m, x):
     keep, _ = quotient_piece(x, m)
     _, nf = quotient_piece(x, m + 1)
     cols = (np.arange(b)[:, None] * basis_dim(x.n, m) + np.array(keep, dtype=np.intp)).ravel()
-    blocks = mult_map(phi, m).data[:, cols].reshape(a, nf.shape[1], cols.size)
+    blocks = mult_map(phi.coeffs % p, x.n, m, 1)[:, cols].reshape(a, nf.shape[1], cols.size)
     hi, lo = np.divmod(nf, 1 << 16)
-    data = np.vstack([((hi @ g) % p * (1 << 16) + lo @ g) % p for g in blocks])
-    return DenseMatrix(*data.shape, phi.field, data)
+    return np.vstack([((hi @ g) % p * (1 << 16) + lo @ g) % p for g in blocks])

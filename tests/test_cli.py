@@ -14,6 +14,7 @@ from wildrep import (
     SeededRng,
     StabilizerReport,
     cli,
+    exactfield,
     make_ci_variety,
     moduli,
     restriction,
@@ -266,6 +267,21 @@ def test_invalid_shape_exits_usage(capsys):
 def test_composite_prime_exits_usage(capsys):
     code = main(["construct", "--n", "2", "--prime", "32004"])
     assert code == EXIT_USAGE
+
+
+def test_oversized_prime_exits_usage_before_trial_division(monkeypatch, capsys):
+    # 2^61 - 1 is prime, but trial division would take about 1.5e9 steps;
+    # the size bound refuses it first
+    def must_not_divide(m):
+        raise AssertionError("an oversized modulus reached trial division")
+
+    monkeypatch.setattr(exactfield, "_is_prime", must_not_divide)
+    assert main(["bound", "--n", "3", "--prime", "2305843009213693951"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid input: modulus 2305843009213693951 too large for int64 arithmetic\n"
+    )
 
 
 def test_certify_matches_golden_and_is_byte_stable(tmp_path):

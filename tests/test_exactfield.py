@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from wildrep import (
     DEFAULT_PRIME,
-    DenseMatrix,
     FieldSpec,
     SamplingError,
     SeededRng,
@@ -14,18 +13,16 @@ from wildrep import (
     rank,
     random_field_element,
     rref,
-    transpose,
 )
 from wildrep import exactfield
 from wildrep.exactfield import _LIMB_INNER_MAX, _reduce, _single_gemm_max, _sub_mul_mod
 from oracles import from_rows, nullity
 
 
-def _product_mod_p(a, b):
+def _product_mod_p(a, b, p):
     """Exact a @ b mod p with Python ints, which cannot overflow."""
-    p = a.field.p
-    rows = [[int(v) for v in row] for row in a.data]
-    cols = [[int(v) for v in col] for col in b.data.T]
+    rows = [[int(v) for v in row] for row in a]
+    cols = [[int(v) for v in col] for col in b.T]
     return [[sum(x * y for x, y in zip(r, c)) % p for c in cols] for r in rows]
 
 
@@ -99,43 +96,42 @@ def test_field_spec_prime_size_bound():
 
 
 def test_rank_identity_and_zero(fp):
-    assert rank(DenseMatrix(5, 5, fp, np.eye(5, dtype=np.int64))) == 5
-    assert rank(DenseMatrix.zeros(3, 7, fp)) == 0
-    assert nullity(DenseMatrix.zeros(3, 7, fp)) == 7
+    assert rank(np.eye(5, dtype=np.int64), fp) == 5
+    assert rank(np.zeros((3, 7), dtype=np.int64), fp) == 0
+    assert nullity(np.zeros((3, 7), dtype=np.int64), fp) == 7
 
 
 def test_rank_singular_3x3(fp):
     m = from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]], fp)
-    assert rank(m) == 2
-    assert nullity(m) == 1
+    assert rank(m, fp) == 2
+    assert nullity(m, fp) == 1
 
 
 def test_rref_canonical_pivots(fp):
     m = from_rows([[0, 2, 4], [1, 1, 1]], fp)
-    r, pivots = rref(m)
+    r, pivots = rref(m, fp)
     assert pivots == (0, 1)
-    assert r.data.tolist() == [[1, 0, fp.p - 1], [0, 1, 2]]
+    assert r.tolist() == [[1, 0, fp.p - 1], [0, 1, 2]]
 
 
 def test_rref_idempotent(fp):
     m = from_rows([[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]], fp)
-    r1, p1 = rref(m)
-    r2, p2 = rref(r1)
+    r1, p1 = rref(m, fp)
+    r2, p2 = rref(r1, fp)
     assert p1 == p2
-    assert r1 == r2
+    assert np.array_equal(r1, r2)
 
 
 def test_kernel_annihilates(fp):
     m = from_rows([[1, 2, 3], [4, 5, 6]], fp)
-    k = kernel_basis(m)
-    assert k.rows == 3 and k.cols == 1
-    assert not any(any(row) for row in _product_mod_p(m, k))
+    k = kernel_basis(m, fp)
+    assert k.shape == (3, 1)
+    assert not any(any(row) for row in _product_mod_p(m, k, fp.p))
 
 
 def test_kernel_of_full_rank_is_empty(fp):
-    m = DenseMatrix(4, 4, fp, np.eye(4, dtype=np.int64))
-    k = kernel_basis(m)
-    assert k.cols == 0
+    k = kernel_basis(np.eye(4, dtype=np.int64), fp)
+    assert k.shape[1] == 0
 
 
 def test_rational_field_rref(fp):
@@ -143,11 +139,11 @@ def test_rational_field_rref(fp):
     # rational RREF row (1, 2/3) reduces to (1, 2 * 3^-1) mod p
     rows = [[6, 4], [3, 2]]
     m = from_rows(rows, fp)
-    assert rank(m) == _bareiss_rank(rows) == 1
-    r, pivots = rref(m)
+    assert rank(m, fp) == _bareiss_rank(rows) == 1
+    r, pivots = rref(m, fp)
     assert pivots == (0,)
-    assert r.data[0, 0] == 1
-    assert r.data[0, 1] == 2 * pow(3, -1, fp.p) % fp.p
+    assert r[0, 0] == 1
+    assert r[0, 1] == 2 * pow(3, -1, fp.p) % fp.p
 
 
 def test_rank_agrees_mod_p_and_rationals():
@@ -161,10 +157,11 @@ def test_rank_agrees_mod_p_and_rationals():
         [[0, 0], [0, 0]],
     ]
     for rows in rows_list:
-        assert rank(from_rows(rows, p)) == _bareiss_rank(rows)
+        assert rank(from_rows(rows, p), p) == _bareiss_rank(rows)
 
 
 small_entries = st.integers(min_value=0, max_value=DEFAULT_PRIME - 1)
+DEFAULT_FIELD = FieldSpec.prime()
 
 
 @st.composite
@@ -176,40 +173,40 @@ def random_matrix(draw):
             st.lists(small_entries, min_size=c, max_size=c), min_size=r, max_size=r
         )
     )
-    return from_rows(rows, FieldSpec.prime())
+    return from_rows(rows, DEFAULT_FIELD)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrix())
 def test_rank_transpose_invariant(m):
-    assert rank(m) == rank(transpose(m))
+    assert rank(m, DEFAULT_FIELD) == rank(m.T, DEFAULT_FIELD)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrix())
 def test_rank_nullity(m):
-    assert rank(m) + nullity(m) == m.cols
+    assert rank(m, DEFAULT_FIELD) + nullity(m, DEFAULT_FIELD) == m.shape[1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrix())
 def test_kernel_columns_lie_in_kernel(m):
-    k = kernel_basis(m)
-    assert k.cols == nullity(m)
-    if k.cols:
-        assert not any(any(row) for row in _product_mod_p(m, k))
+    k = kernel_basis(m, DEFAULT_FIELD)
+    assert k.shape[1] == nullity(m, DEFAULT_FIELD)
+    if k.shape[1]:
+        assert not any(any(row) for row in _product_mod_p(m, k, DEFAULT_PRIME))
         # canonical form: the free-column rows form an identity block
-        assert rank(k) == k.cols
+        assert rank(k, DEFAULT_FIELD) == k.shape[1]
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_matrix())
 def test_rref_pivot_columns_are_unit(m):
-    r, pivots = rref(m)
+    r, pivots = rref(m, DEFAULT_FIELD)
     for j, c in enumerate(pivots):
-        col = r.data[:, c]
+        col = r[:, c]
         assert col[j] == 1
-        assert not np.any(col[np.arange(r.rows) != j])
+        assert not np.any(col[np.arange(r.shape[0]) != j])
 
 
 ORACLE_PRIMES = (2, 3, 101, 32003, (1 << 31) - 1)
@@ -230,23 +227,23 @@ def matrix_with_rows(draw):
             k = draw(st.integers(min_value=1, max_value=p - 1))
             rows[i] = [v * k % p for v in rows[j]]
     data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
-    return rows, DenseMatrix(nrows, ncols, FieldSpec.prime(p), data)
+    return rows, FieldSpec.prime(p), data
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrix_with_rows())
 def test_elimination_matches_gauss_jordan_reference(case):
-    rows, m = case
-    p = m.field.p
-    red, pivots = _gauss_jordan(rows, m.cols, p)
-    assert rank(m) == len(pivots)
-    r, piv = rref(m)
+    rows, f, m = case
+    p, cols = f.p, m.shape[1]
+    red, pivots = _gauss_jordan(rows, cols, p)
+    assert rank(m, f) == len(pivots)
+    r, piv = rref(m, f)
     assert piv == pivots
-    assert r.data.tolist() == red
-    k = kernel_basis(m)
-    assert (k.rows, k.cols) == (m.cols, m.cols - len(pivots))
-    assert k.data.tolist() == _reference_kernel(red, pivots, m.cols, p)
-    assert m.data.tolist() == rows  # the input is left untouched
+    assert r.tolist() == red
+    k = kernel_basis(m, f)
+    assert k.shape == (cols, cols - len(pivots))
+    assert k.tolist() == _reference_kernel(red, pivots, cols, p)
+    assert m.tolist() == rows  # the input is left untouched
 
 
 # the top half of a full-rank 96-row matrix has 48 pivots, so the first
@@ -291,19 +288,19 @@ DIFF_SHAPES = (
 
 
 def _check_against_gauss_jordan(rows, nrows, ncols, p):
-    data = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
-    m = DenseMatrix(nrows, ncols, FieldSpec.prime(p), data)
+    m = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    f = FieldSpec.prime(p)
     red, pivots = _gauss_jordan(rows, ncols, p)
-    assert rank(m) == len(pivots)
-    r, piv = rref(m)
+    assert rank(m, f) == len(pivots)
+    r, piv = rref(m, f)
     assert piv == pivots
-    assert r.data.dtype == np.int64
-    assert r.data.tolist() == red
-    k = kernel_basis(m)
-    assert k.data.dtype == np.int64
-    assert k.data.tolist() == _reference_kernel(red, pivots, ncols, p)
-    assert 0 <= k.data.min(initial=0) and k.data.max(initial=0) < p
-    assert m.data.tolist() == rows  # the input is left untouched
+    assert r.dtype == np.int64
+    assert r.tolist() == red
+    k = kernel_basis(m, f)
+    assert k.dtype == np.int64
+    assert k.tolist() == _reference_kernel(red, pivots, ncols, p)
+    assert 0 <= k.min(initial=0) and k.max(initial=0) < p
+    assert m.tolist() == rows  # the input is left untouched
 
 
 @pytest.mark.parametrize("p", DIFF_PRIMES)
@@ -369,13 +366,14 @@ LEAF_PRIMES = DIFF_PRIMES + (P_SPLIT, P_LAZY)
 def _check_rref_against_gauss_jordan(rows, ncols, p):
     """rank, rref and pivots against the reference, for shapes too wide to
     compare kernel bases entry by entry."""
-    m = DenseMatrix(len(rows), ncols, FieldSpec.prime(p), np.array(rows, dtype=np.int64))
+    m = np.array(rows, dtype=np.int64)
+    f = FieldSpec.prime(p)
     red, pivots = _gauss_jordan(rows, ncols, p)
-    assert rank(m) == len(pivots)
-    r, piv = rref(m)
+    assert rank(m, f) == len(pivots)
+    r, piv = rref(m, f)
     assert piv == pivots
-    assert r.data.tolist() == red
-    assert m.data.tolist() == rows
+    assert r.tolist() == red
+    assert m.tolist() == rows
 
 
 @pytest.mark.parametrize("p", LEAF_PRIMES)
@@ -436,20 +434,38 @@ def test_lazy_and_eager_clearing_match_gauss_jordan(p):
 
 @pytest.mark.parametrize("p", [101, 32003, (1 << 31) - 1])
 def test_unreduced_entries_match_their_reduced_copy(p):
-    # DenseMatrix keeps entries in [0, p), but a library caller can store
-    # any int64; negative entries, nonnegative ones at or above p, and ones
-    # many multiples of p away must give the rank and rref of the reduced copy
+    # a library caller can pass any int64; negative entries, nonnegative
+    # ones at or above p, and ones many multiples of p away must give the
+    # rank and rref of the reduced copy
     rng = np.random.default_rng(p + 2)
     f = FieldSpec.prime(p)
     reduced = rng.integers(0, p, size=(70, 161))
     reduced[40:] = reduced[:30] * 3 % p
     far = rng.integers(-(1 << 31), 1 << 31, size=reduced.shape) * p
     for data in (-reduced, reduced - p, reduced + p * (reduced % 2), reduced + far):
-        canon = DenseMatrix(70, 161, f, data % p)
-        m = DenseMatrix(70, 161, f, data.copy())
-        assert rank(m) == rank(canon) == 40
-        assert rref(m) == rref(canon)
-        assert np.array_equal(m.data, data)  # the input is left untouched
+        canon = data % p
+        m = data.copy()
+        assert rank(m, f) == rank(canon, f) == 40
+        (red, piv), (canon_red, canon_piv) = rref(m, f), rref(canon, f)
+        assert piv == canon_piv and np.array_equal(red, canon_red)
+        assert np.array_equal(m, data)  # the input is left untouched
+
+
+@pytest.mark.parametrize("p", [32003, (1 << 31) - 1])
+def test_transposed_view_matches_its_contiguous_copy(p):
+    # a left kernel is the kernel of a .T view, an F-ordered array; with 90
+    # rows the view recurses, and it must reduce like a C-ordered copy
+    rng = np.random.default_rng(p + 7)
+    f = FieldSpec.prime(p)
+    a = np.array(_random_rows(rng, p, 60, 90, 0.5), dtype=np.int64)
+    before = a.copy()
+    view, copy = a.T, np.ascontiguousarray(a.T)
+    assert view.shape == (90, 60) and not view.flags.c_contiguous
+    assert rank(view, f) == rank(copy, f)
+    (red, piv), (copy_red, copy_piv) = rref(view, f), rref(copy, f)
+    assert piv == copy_piv and np.array_equal(red, copy_red)
+    assert np.array_equal(kernel_basis(view, f), kernel_basis(copy, f))
+    assert np.array_equal(a, before)  # the input is left untouched
 
 
 def _sub_mul_reference(c, a, b, p):
@@ -550,7 +566,7 @@ def test_small_prime_field_arithmetic():
     # only sampling insists on p >= 101
     f = FieldSpec.prime(2)
     m = from_rows([[1, 1], [1, 1]], f)
-    assert rank(m) == 1
+    assert rank(m, f) == 1
 
 
 def test_from_rows_validates_shape(fp):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildrep import (
-    DenseMatrix,
     FieldSpec,
     LinearFormMatrix,
     RegularityError,
@@ -93,9 +92,9 @@ def test_mult_map_by_single_variable():
     # phi = (x0) on P^1: columns are x0, x1 and rows x0^2, x0 x1, x1^2
     f = FieldSpec.prime()
     phi = from_coeffs(1, 1, 1, f, [[[1, 0]]])
-    m = mult_map(phi, 1)
-    assert (m.rows, m.cols) == (3, 2)
-    assert m.data.tolist() == [[1, 0], [0, 1], [0, 0]]
+    m = mult_map(phi.coeffs, 1, 1, 1)
+    assert m.shape == (3, 2)
+    assert m.tolist() == [[1, 0], [0, 1], [0, 0]]
 
 
 def test_mult_map_degree_one_matrix_is_square():
@@ -104,8 +103,8 @@ def test_mult_map_degree_one_matrix_is_square():
     f = FieldSpec.prime()
     for n, a in [(2, 1), (3, 1), (3, 2)]:
         phi = sample_phi(n, 2 * a, (n + 2) * a, SeededRng(0), f)
-        m = mult_map(phi, 1)
-        assert m.rows == m.cols == 2 * a * basis_dim(n, 2)
+        m = mult_map(phi.coeffs, n, 1, 1)
+        assert m.shape[0] == m.shape[1] == 2 * a * basis_dim(n, 2)
 
 
 def _naive_column(phi, m, j, q):
@@ -136,20 +135,20 @@ def _naive_column(phi, m, j, q):
 def test_mult_map_matches_naive_multiplication(n, m, seed):
     f = FieldSpec.prime()
     phi = sample_phi(n, 2, n + 3, SeededRng(seed), f)
-    mat = mult_map(phi, m)
+    mat = mult_map(phi.coeffs, n, m, 1)
     src_dim = basis_dim(n, m)
-    assert mat.cols == phi.b_src * src_dim
+    assert mat.shape[1] == phi.b_src * src_dim
     for j in range(phi.b_src):
         for q in range(src_dim):
-            col = mat.data[:, j * src_dim + q]
+            col = mat[:, j * src_dim + q]
             assert col.tolist() == _naive_column(phi, m, j, q).tolist()
 
 
 def test_mult_map_negative_degree_is_empty():
     f = FieldSpec.prime()
     phi = sample_phi(2, 2, 4, SeededRng(1), f)
-    m = mult_map(phi, -1)
-    assert m.cols == 0
+    m = mult_map(phi.coeffs, 2, -1, 1)
+    assert m.shape[1] == 0
 
 
 def test_koszul_degree_data_shapes():
@@ -279,8 +278,8 @@ def test_mult_map_on_X_shape_18x20():
     phi = sample_phi(3, 2, 5, SeededRng(0), f)
     assert (hilbert_function(3, x.degrees, 1), hilbert_function(3, x.degrees, 2)) == (4, 9)
     mat = normal_form_map(phi, 1, x)
-    assert (mat.rows, mat.cols) == (18, 20)
-    assert map_rank(phi, 1, x) == rank(mat)
+    assert mat.shape == (18, 20)
+    assert map_rank(phi, 1, x) == rank(mat, f)
 
 
 def test_mult_map_on_X_trivial_ci_matches_ambient():
@@ -288,7 +287,7 @@ def test_mult_map_on_X_trivial_ci_matches_ambient():
     # the P^n scatter itself, and so is its rank
     phi = sample_phi(3, 2, 5, SeededRng(0), FieldSpec.prime())
     x = make_ci_variety(3, ())
-    assert normal_form_map(phi, 1, x) == mult_map(phi, 1)
+    assert np.array_equal(normal_form_map(phi, 1, x), mult_map(phi.coeffs, 3, 1, 1))
     assert map_rank(phi, 1, x) == map_rank(phi, 1)
 
 
@@ -322,7 +321,7 @@ def test_mult_map_matches_normal_form_oracle(x, m, copied):
     phi = sample_phi(x.n, 2, 3, SeededRng(m + 7), x.field)
     if copied:
         phi.coeffs[1] = phi.coeffs[0]
-    assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x))
+    assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x), x.field)
 
 
 @pytest.mark.parametrize(
@@ -336,7 +335,7 @@ def test_mult_map_exact_at_largest_prime(n, degrees, m):
     x = make_ci_variety(n, degrees, SeededRng(3), f)
     phi = LinearFormMatrix.zero(n, 2, 3, f)
     phi.coeffs[...] = f.p - 1
-    assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x))
+    assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x), x.field)
 
 
 def test_mult_map_scatter_exact_at_largest_prime():
@@ -344,13 +343,13 @@ def test_mult_map_scatter_exact_at_largest_prime():
     f = FieldSpec.prime((1 << 31) - 1)
     phi = LinearFormMatrix.zero(3, 2, 3, f)
     phi.coeffs[...] = f.p - 1
-    mat = mult_map(phi, 2)
-    assert mat.data.dtype == np.int64
+    mat = mult_map(phi.coeffs, 3, 2, 1)
+    assert mat.dtype == np.int64
     src_dim = basis_dim(3, 2)
     for j in range(phi.b_src):
         for q in range(src_dim):
             want = _naive_column(phi, 2, j, q).tolist()
-            assert mat.data[:, j * src_dim + q].tolist() == want
+            assert mat[:, j * src_dim + q].tolist() == want
 
 
 # the first prime still takes one float64 gemm for an inner dimension of
@@ -366,9 +365,9 @@ def test_mult_map_on_X_exact_either_side_of_single_gemm(p):
     x = make_ci_variety(5, (2, 2), SeededRng(11), f)
     phi = LinearFormMatrix.zero(5, 2, 3, f)
     phi.coeffs[...] = f.p - 1
-    assert map_rank(phi, 2, x) == rank(normal_form_map(phi, 2, x))
+    assert map_rank(phi, 2, x) == rank(normal_form_map(phi, 2, x), f)
     phi = sample_phi(5, 2, 3, SeededRng(12), f)
-    assert map_rank(phi, 2, x) == rank(normal_form_map(phi, 2, x))
+    assert map_rank(phi, 2, x) == rank(normal_form_map(phi, 2, x), f)
 
 
 def _append_copies(phi, row=None, col=None):
@@ -396,20 +395,20 @@ def test_pipeline_map_with_copied_blocks_keeps_its_rank(n, a, degrees, monkeypat
     m = 1 + 4  # the largest twist of the default window is 4
 
     def build(phi):
-        return normal_form_map(phi, m, x) if degrees else mult_map(phi, m)
+        return normal_form_map(phi, m, x) if degrees else mult_map(phi.coeffs, n, m, 1)
 
     base = build(kb.phi)
-    r = rank(base)
-    assert r == base.rows
-    src_dim, tgt_dim = base.cols // kb.phi.b_src, base.rows // kb.phi.a_tgt
+    r = rank(base, f)
+    assert r == base.shape[0]
+    src_dim, tgt_dim = base.shape[1] // kb.phi.b_src, base.shape[0] // kb.phi.a_tgt
     # a copy of a source column adds dim (R_X)_m columns and no rank
     dup = build(_append_copies(kb.phi, col=1))
-    assert dup.cols == base.cols + src_dim
-    assert rank(dup) == r
+    assert dup.shape[1] == base.shape[1] + src_dim
+    assert rank(dup, f) == r
     # a copy of a target row as well: the rank is short of both sides
     both = build(_append_copies(kb.phi, row=0, col=1))
-    assert (both.rows, both.cols) == (base.rows + tgt_dim, base.cols + src_dim)
-    assert rank(both) == r
+    assert both.shape == (base.shape[0] + tgt_dim, base.shape[1] + src_dim)
+    assert rank(both, f) == r
     # on P^n base and dup take the Schur complement, and both, whose
     # copied target row leaves every Phi_k short of full row rank, does
     # not; on X that copied row keeps the P^n map from being onto, so both
@@ -446,9 +445,9 @@ def _ranked_shapes(monkeypatch):
     shapes = []
     rank_of = polyspace.rank
 
-    def recording(mat):
-        shapes.append((mat.rows, mat.cols))
-        return rank_of(mat)
+    def recording(mat, field):
+        shapes.append(mat.shape)
+        return rank_of(mat, field)
 
     monkeypatch.setattr(polyspace, "rank", recording)
     return shapes
@@ -458,11 +457,11 @@ def _check_map_rank(phi, m, x=None):
     """map_rank against the rank of the map, in normal forms on X, and
     against Gauss-Jordan with Python ints where the map is small."""
     on_x = x is not None and x.codim
-    mat = normal_form_map(phi, m, x) if on_x else mult_map(phi, m)
+    mat = normal_form_map(phi, m, x) if on_x else mult_map(phi.coeffs, phi.n, m, 1)
     r = map_rank(phi, m, x)
-    assert r == rank(mat)
-    if mat.rows * mat.cols <= 2500:
-        assert r == len(_gauss_jordan(mat.data.tolist(), mat.cols, phi.field.p)[1])
+    assert r == rank(mat, phi.field)
+    if mat.size <= 2500:
+        assert r == len(_gauss_jordan(mat.tolist(), mat.shape[1], phi.field.p)[1])
     return r
 
 
@@ -475,11 +474,12 @@ def _chosen_blocks(monkeypatch):
     chosen = []
     rref = polyspace.rref
 
-    def recording(m):
-        red, piv = rref(m)
-        a = m.cols - m.rows
-        if np.array_equal(m.data[:, a:], np.eye(m.rows)) and piv[a - 1] < a:
-            chosen.append(DenseMatrix(a, m.rows, m.field, m.data[:, :a].T))
+    def recording(m, field):
+        red, piv = rref(m, field)
+        b = m.shape[0]
+        a = m.shape[1] - b
+        if np.array_equal(m[:, a:], np.eye(b)) and piv[a - 1] < a:
+            chosen.append(m[:, :a].T)
         return red, piv
 
     monkeypatch.setattr(polyspace, "rref", recording)
@@ -527,7 +527,7 @@ def test_map_rank_builds_nothing_below_degree_zero(monkeypatch):
     f = FieldSpec.prime(101)
     phi = sample_phi(3, 2, 5, SeededRng(0), f)
     x = make_ci_variety(3, (2,), SeededRng(3), f)
-    monkeypatch.setattr(polyspace, "_scatter", must_not_build)
+    monkeypatch.setattr(polyspace, "mult_map", must_not_build)
     monkeypatch.setattr(polyspace, "ideal_span", must_not_build)
     for m in (-1, -2, -7):
         assert map_rank(phi, m) == 0
@@ -573,7 +573,7 @@ def test_map_rank_degenerate_coefficient_blocks(p, monkeypatch):
             low[:, :, n] = 0
             chosen.clear()
             _check_map_rank(from_coeffs(n, 2, 4, f, low), m)
-            picked = [k.data.tolist() for k in chosen]
+            picked = [k.tolist() for k in chosen]
             if p >= 101:
                 assert picked[:1] == [low[:, :, n - 1].tolist()] and len(picked) == 2
             else:
@@ -588,13 +588,13 @@ def test_map_rank_degenerate_coefficient_blocks(p, monkeypatch):
             r = _check_map_rank(from_coeffs(n, 2, 4, f, only), m)
             assert r < 2 * basis_dim(n, m + 1)
             if p >= 101:
-                assert [k.data.tolist() for k in chosen] == [only[:, :, n].tolist()]
+                assert [k.tolist() for k in chosen] == [only[:, :, n].tolist()]
 
 
 def _invertible(rng, size, p):
     while True:
         g = rng.integers(0, p, size=(size, size))
-        if rank(DenseMatrix(size, size, FieldSpec.prime(p), g)) == size:
+        if rank(g, FieldSpec.prime(p)) == size:
             return g.astype(object)
 
 
@@ -636,17 +636,17 @@ def _counted_products(monkeypatch):
 
 
 def _transposed_blocks(monkeypatch):
-    """List that receives the shape of each matrix map_rank transposes,
-    which it does only for a dense left kernel at the base of the
-    recursion."""
+    """List that receives the shape of each matrix whose left kernel
+    map_rank takes as the kernel of its transpose, which it does only for
+    a dense left kernel at the base of the recursion."""
     shapes = []
-    transpose = polyspace.transpose
+    kernel_basis = polyspace.kernel_basis
 
-    def recording(mat):
-        shapes.append((mat.rows, mat.cols))
-        return transpose(mat)
+    def recording(mat_t, field):
+        shapes.append(mat_t.T.shape)
+        return kernel_basis(mat_t, field)
 
-    monkeypatch.setattr(polyspace, "transpose", recording)
+    monkeypatch.setattr(polyspace, "kernel_basis", recording)
     return shapes
 
 
@@ -726,13 +726,13 @@ RECURSION_CASES = ((1, 1, 2, 3), (1, 2, 3, 2), (3, 2, 5, 2), (4, 1, 4, 2), (2, 2
 def _check_left_kernel(coeffs, m, field):
     """The helper's rank and left kernel L of the map of coeffs: L M = 0
     exactly, and L has rows - rank rows, all independent."""
-    mat = polyspace._scatter(coeffs, m)
+    mat = polyspace.mult_map(coeffs, coeffs.shape[2] - 1, m, 1)
     r, ker = polyspace._hyperplane_rank(coeffs, m, field, True)
-    assert r == rank(DenseMatrix(*mat.shape, field, mat))
+    assert r == rank(mat, field)
     assert ker.shape == (mat.shape[0] - r, mat.shape[0])
     ker = ker.astype(np.int64)
     assert not (ker.astype(object) @ mat.astype(object) % field.p).any()
-    assert rank(DenseMatrix(*ker.shape, field, ker)) == ker.shape[0]
+    assert rank(ker, field) == ker.shape[0]
 
 
 @pytest.mark.parametrize("p", DIFF_PRIMES)

@@ -86,8 +86,8 @@ def test_surjectivity_persists_one_degree_up(fp):
     kb, cert = cached_bundle(3, 1, seed=0)
     t = cert.surjective_at_degree
     for tt in (t, t + 1):
-        m = mult_map(kb.phi, tt)
-        assert rank(m) == m.rows
+        m = mult_map(kb.phi.coeffs, kb.n, tt, 1)
+        assert rank(m, kb.phi.field) == m.shape[0]
 
 
 def test_iso_check_requires_square(fp):
