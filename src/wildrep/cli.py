@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from . import __version__
 from .exactfield import DEFAULT_PRIME, FieldSpec, SamplingError, SeededRng
@@ -325,6 +326,7 @@ def run(config: RunConfig) -> int:
     return code
 
 
+@lru_cache(maxsize=1)  # built on first use, then shared: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wildrep",

@@ -30,8 +30,17 @@ span of I_(m+1) placed in each of the a target copies,
     rank M_X = rank [M | F] - a dim I_(m+1),
 
 which is a (N_(m+1) - dim I_(m+1)) when M alone has full row rank
-a N_(m+1).  dim I_(m+1) is the rank of the span, and comparing it with
-the Koszul data checks in that degree that the forms are regular.
+a N_(m+1).  Both need f_1..f_c to be a regular sequence, and one
+certificate proves that for every degree.  Setting x_c..x_n to 0 leaves
+forms fbar_i in K[x_0..x_(c-1)].  When their products span all of degree
+D = sum (d_i - 1) + 1, the quotient by them is Artinian, so fbar is a
+system of parameters of that polynomial ring, hence regular.  Then
+x_c..x_n, f_1..f_c is regular in R, and homogeneous regular sequences
+permute, so f_1..f_c is regular (Eisenbud, Commutative Algebra, GTM 150,
+ch. 17), and dim I_k = N_k - H_X(k) in every degree k with no rank.  A
+special slice, about deg / p of the time, fails this; then, and in the
+degrees whose span is smaller than the slice's matrix, dim I_k is the
+rank of the span, compared with the Koszul data in that degree.
 
 map_rank ranks a map on P^n with a <= b by the pivot split of Faugere and
 Lachartre.  For a Phi_k of full row rank a, x_n tried first, one
@@ -229,22 +238,61 @@ def mult_map(coeffs: np.ndarray, n: int, m: int, e: int) -> np.ndarray:
     return out.reshape(a * tgt, b * src)
 
 
-def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
-    """The span of I_k in R_k, one column per product, and dim I_k, its rank.
-
-    Raises RegularityError unless R_k / I_k has the dimension that the
-    Koszul Hilbert function of the degrees predicts: the forms are then not
-    a regular sequence.
-    """
-    nk = basis_dim(x.n, k)
+def _products(n: int, degrees: tuple[int, ...], forms, k: int) -> np.ndarray:
     # I_k is spanned by u * f for each form f and each monomial u of degree
     # k - deg f: the columns of the map of f in degree k - deg f
-    span = np.hstack([np.zeros((nk, 0), dtype=np.int64)] + [
-        mult_map(coeff[None, None], x.n, k - e, e) for e, coeff in zip(x.degrees, x.forms)
+    return np.hstack([np.zeros((basis_dim(n, k), 0), dtype=np.int64)] + [
+        mult_map(coeff[None, None], n, k - e, e) for e, coeff in zip(degrees, forms)
     ])
+
+
+def _products_cells(n: int, degrees: tuple[int, ...], k: int) -> int:
+    return basis_dim(n, k) * sum(basis_dim(n, k - e) for e in degrees)
+
+
+@lru_cache(maxsize=64)
+def _slice_spans(degrees: tuple[int, ...], field: FieldSpec, cut: tuple[bytes, ...]) -> bool:
+    # the forms fbar_i in c variables, given by their coefficients, span
+    # all of degree D = sum (d_i - 1) + 1
+    c = len(degrees)
+    top = sum(degrees) - c + 1
+    forms = [np.frombuffer(coeff, dtype=np.int64) for coeff in cut]
+    return rank(_products(c - 1, degrees, forms, top).T, field) == basis_dim(c - 1, top)
+
+
+def _regular_by_slice(x: "ACMVarietyDescriptor", k: int) -> bool:
+    """True when the coordinate slice proves the forms a regular sequence.
+
+    The slice is tried only when its matrix has no more cells than the span
+    of I_k, so asking never allocates more than ranking that span would.
+    """
+    c = x.codim
+    if _products_cells(c - 1, x.degrees, sum(x.degrees) - c + 1) > _products_cells(x.n, x.degrees, k):
+        return False
+    # the x_c..x_n-free monomials of degree e lead _monomials(n, e), in
+    # _monomials(c - 1, e) order
+    cut = tuple(
+        np.asarray(coeff, dtype=np.int64)[: basis_dim(c - 1, e)].tobytes()
+        for e, coeff in zip(x.degrees, x.forms)
+    )
+    return _slice_spans(x.degrees, x.field, cut)
+
+
+def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
+    """The span of I_k in R_k, one column per product, and dim I_k.
+
+    dim I_k is N_k - H_X(k) when the coordinate slice proves the forms
+    regular.  Otherwise it is the rank of the span, and RegularityError is
+    raised unless R_k / I_k has the dimension that the Koszul Hilbert
+    function of the degrees predicts: the forms are then not a regular
+    sequence.
+    """
+    span = _products(x.n, x.degrees, x.forms, k)
+    nk, expected = basis_dim(x.n, k), hilbert_function(x.n, x.degrees, k)
+    if _regular_by_slice(x, k):
+        return span, nk - expected
     # ranked by its products, usually fewer than the monomials
     dim = rank(span.T, x.field)
-    expected = hilbert_function(x.n, x.degrees, k)
     if nk - dim != expected:
         raise RegularityError(
             f"degree {k}: quotient dimension {nk - dim} != {expected} predicted "
@@ -252,6 +300,14 @@ def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
             "are not a regular sequence"
         )
     return span, dim
+
+
+def ideal_dim(x: "ACMVarietyDescriptor", k: int) -> int:
+    """dim I_k: N_k - H_X(k) with no span built when the coordinate slice
+    proves the forms regular, else the checked rank of ideal_span."""
+    if _regular_by_slice(x, k):
+        return basis_dim(x.n, k) - hilbert_function(x.n, x.degrees, k)
+    return ideal_span(x, k)[1]
 
 
 def _hyperplane_rank(
@@ -348,10 +404,10 @@ def map_rank(
         return 0
     if x is None or not x.codim:
         return _hyperplane_rank(phi.coeffs % p, m, phi.field, False)[0]
-    span, ideal = ideal_span(x, m + 1)
     r = map_rank(phi, m)
-    if r < a * basis_dim(n, m + 1):
-        # not onto: F holds the span of I_(m+1) in each of the a target copies
-        lift = np.hstack((mult_map(phi.coeffs % p, n, m, 1), np.kron(np.eye(a, dtype=np.int64), span)))
-        r = rank(lift, phi.field)
-    return r - a * ideal
+    if r == a * basis_dim(n, m + 1):
+        return r - a * ideal_dim(x, m + 1)
+    # not onto: F holds the span of I_(m+1) in each of the a target copies
+    span, ideal = ideal_span(x, m + 1)
+    lift = np.hstack((mult_map(phi.coeffs % p, n, m, 1), np.kron(np.eye(a, dtype=np.int64), span)))
+    return rank(lift, phi.field) - a * ideal

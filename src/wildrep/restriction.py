@@ -47,7 +47,7 @@ from .polyspace import (
     ExactModeError,
     basis_dim,
     hilbert_function,
-    ideal_span,
+    ideal_dim,
     koszul_twists,
     map_rank,
 )
@@ -99,9 +99,11 @@ def make_ci_variety(
 
     Requires d = n - len(degrees) >= 2.  With an rng, each form gets
     uniform coefficients; regularity of the resulting sequence is not
-    assumed but verified against the Koszul Hilbert function in every
-    degree that an exact table reads.  Empty degrees give X = P^n, which
-    needs no forms.
+    assumed but proved when an exact table first needs it: for every
+    degree at once by the coordinate slice of polyspace.ideal_dim, or, when
+    that slice is special, against the Koszul Hilbert function in each
+    degree that the table reads.  Empty degrees give X = P^n, which needs
+    no forms.
     """
     degrees = tuple(int(e) for e in degrees)
     if n < 2:
@@ -235,8 +237,10 @@ def restricted_cohomology_table(
         raise ExactModeError("restricted table needs explicit forms")
     n, d = x.n, x.d
     t_min, t_max = default_window(d) if t_range is None else t_range
-    if x.codim:  # map_rank checks regularity in degrees 2 + t, this is 1 + t_min
-        ideal_span(x, 1 + t_min)
+    if x.codim:
+        # the slice proves regularity in every degree; when it is special,
+        # map_rank checks the degrees 2 + t and this checks 1 + t_min
+        ideal_dim(x, 1 + t_min)
     cells = {}
     prov = {}
     for t in range(t_min, t_max + 1):

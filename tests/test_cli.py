@@ -13,10 +13,12 @@ import pytest
 from wildrep import (
     SeededRng,
     StabilizerReport,
+    basis_dim,
     cli,
     exactfield,
     make_ci_variety,
     moduli,
+    polyspace,
     restriction,
     wildness_certificate,
 )
@@ -37,6 +39,7 @@ from wildrep.cli import (
 )
 from conftest import GOLDEN_DIR, cached_bundle
 from oracles import closed_form_table, cohomology_table_exact, table_from_dict
+from test_polyspace import _common_factor_variety
 
 
 def test_parser_defaults():
@@ -256,6 +259,34 @@ def test_certify_refusal_exits_failed(capsys):
     code = main(["certify", "--n", "3", "--ci-degrees", "2", "--s", "2"])
     assert code == EXIT_FAILED
     assert "certificate failed" in capsys.readouterr().err
+
+
+def test_regularity_failure_exits_failed(monkeypatch, capsys):
+    # forms with a common factor are refused by the per-degree check, and
+    # the refusal is a failed certificate on one line of stderr
+    monkeypatch.setattr(cli, "make_ci_variety", lambda n, degrees, rng, field: _common_factor_variety(field))
+    assert main(["restrict", "--n", "4", "--ci-degrees", "2", "2"]) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certificate failed: degree 3: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_octic_complete_intersection_builds_no_slice(monkeypatch, capsys):
+    # five octics in P^7: the default window reads only empty spans, so the
+    # coordinate slice, a 91390 x 179800 matrix, is never tried; a map past
+    # the cap fails here before it is allocated
+    real = polyspace.mult_map
+
+    def mult_map(coeffs, n, m, e):
+        a, b, _ = coeffs.shape
+        assert a * basis_dim(n, m + e) * b * basis_dim(n, m) <= MAX_MATRIX_CELLS
+        return real(coeffs, n, m, e)
+
+    monkeypatch.setattr(polyspace, "mult_map", mult_map)
+    argv = ["restrict", "--n", "7", "--ci-degrees", "8", "8", "8", "8", "8", "--a", "1", "--seed", "0"]
+    assert main(argv) == EXIT_OK
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == "1fcf116a6035123e2f293708d2dbb8df"
 
 
 def test_invalid_shape_exits_usage(capsys):
@@ -599,6 +630,7 @@ def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
         # ranks on X through the P^n map and the ideal span, limbs at 2^31 - 1
         ["restrict", "--n", "5", "--ci-degrees", "2", "2", "--a", "1", "--format", "json"],
         ["restrict", "--n", "3", "--ci-degrees", "2", "--a", "2", "--format", "json"],
+        ["certify", "--n", "5", "--ci-degrees", "2", "2", "--a", "1", "--s", "3"],
     ],
 )
 def test_verdict_and_table_agree_at_two_primes(argv, capsys):

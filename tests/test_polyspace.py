@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wildrep import (
     FieldSpec,
@@ -270,6 +270,88 @@ def test_quotient_piece_detects_dependent_forms():
         restricted_cohomology_table(kb, bad)
 
 
+def _common_factor_variety(field):
+    # f_i = l g_i for linear forms l, g_1, g_2 in P^4: both quadrics vanish
+    # on the hyperplane l = 0, so they are not a regular sequence
+    l, g1, g2 = np.random.default_rng(4).integers(1, field.p, size=(3, 5))
+    by_l = mult_map(l[None, None], 4, 1, 1)
+    return ACMVarietyDescriptor(4, (2, 2), tuple(by_l @ g % field.p for g in (g1, g2)), field)
+
+
+def test_common_factor_is_refused():
+    # g_2 (l g_1) - g_1 (l g_2) = 0 is a relation in degree 3, one degree
+    # before the Koszul one, so I_3 has dimension 9, not 10.  The slice keeps
+    # the common factor and proves nothing; the per-degree check refuses
+    x = _common_factor_variety(FieldSpec.prime())
+    kb, _ = cached_bundle(4, 1)
+    assert map_rank(kb.phi, 1, x) == rank(normal_form_map(kb.phi, 1, x), x.field)
+    with pytest.raises(RegularityError, match="^degree 3: "):
+        map_rank(kb.phi, 2, x)
+    with pytest.raises(RegularityError, match="^degree 3: "):
+        restricted_cohomology_table(kb, x)
+
+
+def _spy(monkeypatch, name, record):
+    real = getattr(polyspace, name)
+
+    def spy(*args):
+        out = real(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(polyspace, name, spy)
+
+
+@pytest.mark.parametrize("p", (101, 32003))
+def test_degenerate_slice_takes_the_per_degree_check(p, monkeypatch):
+    # x_3^2, x_4^2 is a regular sequence in P^4, but setting x_2..x_4 to 0
+    # makes both forms 0, so the slice proves nothing and map_rank ranks the
+    # span of I_(m+1) instead
+    f = FieldSpec.prime(p)
+    squares = tuple(
+        np.array([mono == tuple(2 * (i == k) for i in range(5)) for mono in _monomials(4, 2)], dtype=np.int64)
+        for k in (3, 4)
+    )
+    x = ACMVarietyDescriptor(4, (2, 2), squares, f)
+    slices, ranked = [], []
+    _spy(monkeypatch, "_slice_spans", lambda args, out: slices.append(out))
+    _spy(monkeypatch, "rank", lambda args, out: ranked.append(args[0].shape))
+    phi = sample_phi(4, 2, 6, SeededRng(p), f)
+    for m in range(-1, 4):
+        assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x), f)
+    assert slices and not any(slices)
+    # the span of I_k has one row per product u x_3^2 or u x_4^2
+    assert {(2 * basis_dim(4, k - 2), basis_dim(4, k)) for k in (2, 3, 4)} <= set(ranked)
+
+
+def test_slice_never_outgrows_the_span(monkeypatch):
+    # the slice of five octics in P^7 is a 91390 x 179800 matrix, and the
+    # spans of a default window are empty; the slice is tried only in a
+    # degree whose span has at least its cells, so no matrix that ideal_dim
+    # builds is larger than the span it stands in for.  Each matrix is one
+    # hstack of maps in one number of variables, the slice's fewer than the
+    # span's, so the maps are summed by that number and checked before any
+    # is allocated
+    polyspace._slice_spans.cache_clear()
+    real, built, tried = polyspace.mult_map, {}, set()
+
+    def mult_map(coeffs, n, m, e):
+        a, b, _ = coeffs.shape
+        built[n] = built.get(n, 0) + a * basis_dim(n, m + e) * b * basis_dim(n, m)
+        assert built[n] <= span
+        return real(coeffs, n, m, e)
+
+    monkeypatch.setattr(polyspace, "mult_map", mult_map)
+    _spy(monkeypatch, "_slice_spans", lambda args, out: tried.add(args[0]))
+    for n, degrees in ((7, (8,) * 5), (5, (2, 2)), (4, (3, 2))):
+        x = make_ci_variety(n, degrees, SeededRng(0), FieldSpec.prime())
+        for k in range(-1, 10):
+            built.clear()
+            span = basis_dim(n, k) * sum(basis_dim(n, k - e) for e in degrees)
+            polyspace.ideal_dim(x, k)
+    assert tried == {(2, 2), (3, 2)}
+
+
 def test_mult_map_on_X_shape_18x20():
     # the map on a quadric surface X in P^3 goes (R_X)_1^5 -> (R_X)_2^2,
     # of dimensions 5 * 4 and 2 * 9; map_rank ranks it without building it
@@ -310,18 +392,30 @@ def small_complete_intersections(draw):
     codim = draw(st.integers(min_value=0, max_value=n - 2))
     degrees = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=codim, max_size=codim)))
     seed = draw(st.integers(min_value=0, max_value=10**6))
-    return make_ci_variety(n, degrees, SeededRng(seed), FieldSpec.prime())
+    p = draw(st.sampled_from((101, 32003)))
+    return make_ci_variety(n, degrees, SeededRng(seed), FieldSpec.prime(p))
 
 
-@settings(max_examples=25, deadline=None)
-@given(small_complete_intersections(), st.integers(min_value=-1, max_value=2), st.booleans())
-def test_mult_map_matches_normal_form_oracle(x, m, copied):
+def test_mult_map_matches_normal_form_oracle(monkeypatch):
     # a copied target row keeps the P^n map short of onto, so map_rank
-    # ranks the lift [M | F] at every m
-    phi = sample_phi(x.n, 2, 3, SeededRng(m + 7), x.field)
-    if copied:
-        phi.coeffs[1] = phi.coeffs[0]
-    assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x), x.field)
+    # ranks the lift [M | F] at every m.  At p = 101 the coordinate slice is
+    # special about deg / p of the time, as at seed 12 of the example, so
+    # the sample takes both the certificate and the per-degree check
+    slices = set()
+    _spy(monkeypatch, "_slice_spans", lambda args, out: slices.add(out))
+
+    @settings(max_examples=40, deadline=None)
+    @example(make_ci_variety(4, (2, 2), SeededRng(12), FieldSpec.prime(101)), 2, True)
+    @example(make_ci_variety(4, (2, 2), SeededRng(12), FieldSpec.prime()), 2, False)
+    @given(small_complete_intersections(), st.integers(min_value=-1, max_value=2), st.booleans())
+    def check(x, m, copied):
+        phi = sample_phi(x.n, 2, 3, SeededRng(m + 7), x.field)
+        if copied:
+            phi.coeffs[1] = phi.coeffs[0]
+        assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x), x.field)
+
+    check()
+    assert slices == {True, False}
 
 
 @pytest.mark.parametrize(
