@@ -192,7 +192,9 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
 
     Counts the maps of the surjectivity search, the stabilizer system and,
     over the twist window, the P^n map in degree 1 + t, on X its lift
-    [M | F] by the ideal span, and the Serre-dual maps on P^n.  Each grows
+    [M | F] by the ideal span, and the Serre-dual maps on P^n.  The lift
+    is built only when M is short of onto and I_(2+t) is not 0, so the
+    count stays an upper bound of what is built.  Each grows
     monotonically in its degree, so the last search degree and the two
     ends of the window bound the rest.  A form of degree e is drawn as
     C(n+e, n) coefficients whatever the window, so its own degree counts

@@ -29,18 +29,19 @@ span of I_(m+1) placed in each of the a target copies,
 
     rank M_X = rank [M | F] - a dim I_(m+1),
 
-which is a (N_(m+1) - dim I_(m+1)) when M alone has full row rank
-a N_(m+1).  Both need f_1..f_c to be a regular sequence, and one
-certificate proves that for every degree.  Setting x_c..x_n to 0 leaves
-forms fbar_i in K[x_0..x_(c-1)].  When their products span all of degree
-D = sum (d_i - 1) + 1, the quotient by them is Artinian, so fbar is a
-system of parameters of that polynomial ring, hence regular.  Then
-x_c..x_n, f_1..f_c is regular in R, and homogeneous regular sequences
-permute, so f_1..f_c is regular (Eisenbud, Commutative Algebra, GTM 150,
-ch. 17), and dim I_k = N_k - H_X(k) in every degree k with no rank.  A
-special slice, about deg / p of the time, fails this; then, and in the
-degrees whose span is smaller than the slice's matrix, dim I_k is the
-rank of the span, compared with the Koszul data in that degree.
+where F is empty when I_(m+1) = 0.  The lift can add rank only when M is
+short of a N_(m+1) and F has columns, so only then is it built; otherwise
+rank [M | F] is the rank of M.  The identity needs f_1..f_c to be a
+regular sequence, and one certificate proves that for every degree.
+Setting x_c..x_n to 0 leaves forms fbar_i in K[x_0..x_(c-1)].  When their
+products span all of degree D = sum (d_i - 1) + 1, the quotient by them is
+Artinian, so fbar is a system of parameters of that polynomial ring, hence
+regular.  Then x_c..x_n, f_1..f_c is regular in R, and homogeneous regular
+sequences permute, so f_1..f_c is regular (Eisenbud, Commutative Algebra,
+GTM 150, ch. 17), and dim I_k = N_k - H_X(k) in every degree k with no
+rank.  A special slice, about deg / p of the time, fails this; then, and
+in the degrees whose span is smaller than the slice's matrix, dim I_k is
+the rank of the span, compared with the Koszul data in that degree.
 
 map_rank ranks a map on P^n with a <= b by the pivot split of Faugere and
 Lachartre.  For a Phi_k of full row rank a, x_n tried first, one
@@ -278,36 +279,27 @@ def _regular_by_slice(x: "ACMVarietyDescriptor", k: int) -> bool:
     return _slice_spans(x.degrees, x.field, cut)
 
 
-def ideal_span(x: "ACMVarietyDescriptor", k: int) -> tuple[np.ndarray, int]:
-    """The span of I_k in R_k, one column per product, and dim I_k.
+def ideal_dim(x: "ACMVarietyDescriptor", k: int) -> int:
+    """dim I_k.
 
-    dim I_k is N_k - H_X(k) when the coordinate slice proves the forms
-    regular.  Otherwise it is the rank of the span, and RegularityError is
-    raised unless R_k / I_k has the dimension that the Koszul Hilbert
-    function of the degrees predicts: the forms are then not a regular
-    sequence.
+    It is N_k - H_X(k), with no span built, when the coordinate slice
+    proves the forms regular.  Otherwise it is the rank of the span, and
+    RegularityError is raised unless R_k / I_k has the dimension that the
+    Koszul Hilbert function of the degrees predicts: the forms are then not
+    a regular sequence.
     """
-    span = _products(x.n, x.degrees, x.forms, k)
     nk, expected = basis_dim(x.n, k), hilbert_function(x.n, x.degrees, k)
     if _regular_by_slice(x, k):
-        return span, nk - expected
+        return nk - expected
     # ranked by its products, usually fewer than the monomials
-    dim = rank(span.T, x.field)
+    dim = rank(_products(x.n, x.degrees, x.forms, k).T, x.field)
     if nk - dim != expected:
         raise RegularityError(
             f"degree {k}: quotient dimension {nk - dim} != {expected} predicted "
             "by the Koszul Hilbert function of the degrees; the chosen forms "
             "are not a regular sequence"
         )
-    return span, dim
-
-
-def ideal_dim(x: "ACMVarietyDescriptor", k: int) -> int:
-    """dim I_k: N_k - H_X(k) with no span built when the coordinate slice
-    proves the forms regular, else the checked rank of ideal_span."""
-    if _regular_by_slice(x, k):
-        return basis_dim(x.n, k) - hilbert_function(x.n, x.degrees, k)
-    return ideal_span(x, k)[1]
+    return dim
 
 
 def _hyperplane_rank(
@@ -390,10 +382,11 @@ def map_rank(
     On P^n the rank is a N_m unit pivots plus rank S, and rank S is
     rank S_Q0, a map_rank of phi'' one dimension down, plus the rank of the
     chain on the left kernel of S_Q0 that the same recursion returns.  On
-    X the rank is that of the P^n map, or of its lift [M | F] when the P^n
-    map is not onto, minus a dim I_(m+1).  By the lift identity this is
-    the exact rank of the map on X, which is never built, so the cells it
-    fills are "exact-rank".
+    X the rank is rank [M | F] - a dim I_(m+1), with the lift [M | F]
+    eliminated only when the P^n map M is not onto and I_(m+1) is not 0;
+    otherwise its rank is that of M.  By the lift identity this is the
+    exact rank of the map on X, which is never built, so the cells it fills
+    are "exact-rank".
     """
     n, p, a = phi.n, phi.field.p, phi.a_tgt
     if x is not None and (n != x.n or phi.field != x.field):
@@ -405,9 +398,10 @@ def map_rank(
     if x is None or not x.codim:
         return _hyperplane_rank(phi.coeffs % p, m, phi.field, False)[0]
     r = map_rank(phi, m)
-    if r == a * basis_dim(n, m + 1):
-        return r - a * ideal_dim(x, m + 1)
-    # not onto: F holds the span of I_(m+1) in each of the a target copies
-    span, ideal = ideal_span(x, m + 1)
-    lift = np.hstack((mult_map(phi.coeffs % p, n, m, 1), np.kron(np.eye(a, dtype=np.int64), span)))
-    return rank(lift, phi.field) - a * ideal
+    if r < a * basis_dim(n, m + 1) and _products_cells(n, x.degrees, m + 1):
+        # not onto, and F, the span of I_(m+1) in each of the a target
+        # copies, has columns: rank the lift [M | F]
+        span = _products(n, x.degrees, x.forms, m + 1)
+        lift = np.hstack((mult_map(phi.coeffs % p, n, m, 1), np.kron(np.eye(a, dtype=np.int64), span)))
+        r = rank(lift, phi.field)
+    return r - a * ideal_dim(x, m + 1)

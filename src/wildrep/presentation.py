@@ -32,7 +32,7 @@ class ShapeError(ValueError):
     """Matrix shape incompatible with the requested construction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFormMatrix:
     """a_tgt x b_src matrix whose entries are linear forms on P^n.
 
@@ -64,15 +64,6 @@ class LinearFormMatrix:
         return LinearFormMatrix(
             self.n, self.b_src, self.a_tgt, self.field,
             np.ascontiguousarray(self.coeffs.transpose(1, 0, 2)),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearFormMatrix):
-            return NotImplemented
-        return (
-            (self.n, self.a_tgt, self.b_src, self.field)
-            == (other.n, other.a_tgt, other.b_src, other.field)
-            and bool(np.array_equal(self.coeffs, other.coeffs))
         )
 
 

@@ -239,7 +239,8 @@ def restricted_cohomology_table(
     t_min, t_max = default_window(d) if t_range is None else t_range
     if x.codim:
         # the slice proves regularity in every degree; when it is special,
-        # map_rank checks the degrees 2 + t and this checks 1 + t_min
+        # the ideal_dim of map_rank checks the degrees 2 + t, whether or
+        # not the lift [M | F] is built, and this checks 1 + t_min
         ideal_dim(x, 1 + t_min)
     cells = {}
     prov = {}

@@ -631,6 +631,9 @@ def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
         ["restrict", "--n", "5", "--ci-degrees", "2", "2", "--a", "1", "--format", "json"],
         ["restrict", "--n", "3", "--ci-degrees", "2", "--a", "2", "--format", "json"],
         ["certify", "--n", "5", "--ci-degrees", "2", "2", "--a", "1", "--s", "3"],
+        # a linear form: I_1 is not 0, so the lift [M | F] is ranked at m = 0
+        ["restrict", "--n", "5", "--ci-degrees", "1", "2", "--a", "1", "--format", "json"],
+        ["restrict", "--n", "6", "--ci-degrees", "2", "2", "2", "--a", "1", "--format", "json"],
     ],
 )
 def test_verdict_and_table_agree_at_two_primes(argv, capsys):

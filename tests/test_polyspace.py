@@ -23,6 +23,7 @@ from wildrep import (
     sample_phi,
 )
 from wildrep import polyspace, restricted_cohomology_table
+from wildrep.cli import main
 from wildrep.exactfield import _single_gemm_max
 from wildrep.polyspace import _monomials
 from wildrep.restriction import ACMVarietyDescriptor
@@ -259,7 +260,7 @@ def test_quotient_piece_detects_dependent_forms():
     sample = make_ci_variety(4, (2, 2), SeededRng(9), f)
     bad = ACMVarietyDescriptor(4, (2, 2), (sample.forms[0],) * 2, f)
     with pytest.raises(RegularityError, match="^degree 2: "):
-        polyspace.ideal_span(bad, 2)
+        polyspace.ideal_dim(bad, 2)
     kb, _ = cached_bundle(4, 1, seed=0)
     with pytest.raises(RegularityError, match="^degree 2: "):
         map_rank(kb.phi, 1, bad)
@@ -382,7 +383,7 @@ def test_mult_map_codimension_zero_is_the_ambient_scatter(n, m, monkeypatch):
     def no_ideal(*args):
         raise AssertionError("codimension 0 built an ideal span")
 
-    monkeypatch.setattr(polyspace, "ideal_span", no_ideal)
+    monkeypatch.setattr(polyspace, "_products", no_ideal)
     assert map_rank(phi, m, make_ci_variety(n, ())) == ambient
 
 
@@ -604,7 +605,8 @@ def test_map_rank_on_complete_intersections(p):
     # P^n as the codimension-0 complete intersection takes the Schur
     # complement; on X the P^n rank comes first, then the lift if needed
     f = FieldSpec.prime(p)
-    for n, degrees in ((2, ()), (3, ()), (3, (2,)), (4, (2, 3))):
+    # a linear form makes I_1 nonzero, so the lift [M | F] is built at m = 0
+    for n, degrees in ((2, ()), (3, ()), (3, (2,)), (4, (2, 3)), (4, (1, 2))):
         x = make_ci_variety(n, degrees, SeededRng(n), f)
         for a, b in MAP_RANK_SHAPES:
             phi = sample_phi(n, a, b, SeededRng(a + b), f)
@@ -622,11 +624,40 @@ def test_map_rank_builds_nothing_below_degree_zero(monkeypatch):
     phi = sample_phi(3, 2, 5, SeededRng(0), f)
     x = make_ci_variety(3, (2,), SeededRng(3), f)
     monkeypatch.setattr(polyspace, "mult_map", must_not_build)
-    monkeypatch.setattr(polyspace, "ideal_span", must_not_build)
+    monkeypatch.setattr(polyspace, "_products", must_not_build)
     for m in (-1, -2, -7):
         assert map_rank(phi, m) == 0
         assert map_rank(phi, m, x) == 0
         assert map_rank(phi.transpose(), m) == 0
+
+
+def test_map_rank_builds_the_lift_only_when_the_ideal_adds_columns(monkeypatch, capsys):
+    # at m = 0 the P^n map of a kernel-bundle phi is never onto, but with
+    # quadrics I_1 = 0, so F is empty and [M | F] is M, which the recursion
+    # has ranked already: its 12 x 7 matrix is never eliminated whole
+    rng, f = SeededRng(7), FieldSpec.prime()
+    x = make_ci_variety(5, (2, 2), rng, f)
+    kb, _ = build_kernel_bundle(5, 1, rng, f)
+    ranked = _ranked_shapes(monkeypatch)
+    map_rank(kb.phi, 0, x)
+    assert ranked and (12, 7) not in ranked
+    # nor does any benchmark request write phi's own P^n map
+    shapes, real = [], polyspace.mult_map
+
+    def recording(coeffs, n, m, e):
+        shapes.append(coeffs.shape)
+        return real(coeffs, n, m, e)
+
+    monkeypatch.setattr(polyspace, "mult_map", recording)
+    for argv, n, a in (
+        (["table", "--n", "4", "--a", "2", "--format", "json"], 4, 2),
+        (["restrict", "--n", "5", "--ci-degrees", "2", "2", "--a", "1", "--format", "json"], 5, 1),
+        (["certify", "--n", "3", "--ci-degrees", "2", "--a", "2", "--s", "3"], 3, 2),
+    ):
+        shapes.clear()
+        assert main(argv + ["--seed", "7"]) == 0
+        capsys.readouterr()
+        assert shapes and (2 * a, (n + 2) * a, n + 1) not in shapes
 
 
 def test_map_rank_refuses_a_variety_over_other_ambient_data():

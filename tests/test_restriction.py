@@ -3,7 +3,9 @@
 The heavy oracle here: for a hypersurface X of degree e in P^n, the short
 exact sequence 0 -> E(t-e) -> E(t) -> E|_X(t) -> 0 has a long exact
 cohomology sequence whose ambient terms are all closed-form, and enough
-of them vanish to solve for every h^i(X, E(t)) exactly.  The oracle table
+of them vanish to solve for every h^i(X, E(t)) exactly.  A complete
+intersection of several forms of degree >= 2 is solved one form at a time,
+each cut starting from the table the previous one solved.  The oracle table
 is assembled from those solved values only, with no reference to how the
 implementation ranks maps on X.
 """
@@ -39,32 +41,48 @@ from oracles import (
 )
 
 
-def _les_hypersurface_rows(n, a, e, t_range):
-    """Solve the long exact sequence for all h^i(X, E|_X(t)), X = V(f_e).
+def _les_cut(h, dim, e):
+    """h^i(W, E(t)) as a function of (i, t), for W cut from V by a form of
+    degree e >= 2, given h^i(V, E(t)) as h(i, t) on V of dimension dim >= 3
+    with only the rows 0, 1 and dim nonzero.
 
-    Writing A, B = ambient h^0 at t-e, t and D, E = ambient h^1 at t-e, t,
-    the sequence truncates at the (identically zero) ambient h^2, giving
-    h^0(X) - h^1(X) = B - A + D - E.  For e >= 2 and t <= -1 the group
-    h^0(X, E(t)) injects into the vanishing D, so it is zero, which pins
-    h^1(X); for t >= 0 the twist is not exceptional, h^1(X) = 0, which
-    pins h^0(X).  Middle rows vanish and the top row is the kernel-free
-    quotient h^n(t-e) - h^n(t).
+    Writing A, B = h^0(V) at t-e, t and C, D = h^1(V) at t-e, t, the
+    sequence truncates at the vanishing h^2(V, E(t-e)), giving
+    h^0(W) - h^1(W) = B - A + C - D.  For t <= -1 the group h^0(W, E(t))
+    injects into C, which vanishes since t - e <= -3, so it is zero, which
+    pins h^1(W); for t >= 0, h^1(W, E(t)) is a quotient of the vanishing D,
+    which pins h^0(W).  Middle rows vanish and the top row is the
+    kernel-free quotient h^dim(V) at t-e minus at t.
     """
-    assert e >= 2
-    d = n - 1
-    cf = lambda i, t: closed_form_cohomology(n, a, i, t)
-    rows = [[] for _ in range(d + 1)]
-    for t in range(t_range[0], t_range[1] + 1):
-        diff = cf(0, t) - cf(0, t - e) + cf(1, t - e) - cf(1, t)
+    assert e >= 2 and dim >= 3
+
+    def cut(i, t):
+        diff = h(0, t) - h(0, t - e) + h(1, t - e) - h(1, t)
         h0 = 0 if t <= -1 else diff
-        h1 = h0 - diff
-        assert h1 >= 0
-        rows[0].append(h0)
-        rows[1].append(h1)
-        for i in range(2, d):
-            rows[i].append(0)
-        rows[d].append(cf(n, t - e) - cf(n, t))
-    return rows
+        if i == 0:
+            return h0
+        if i == 1:
+            assert h0 - diff >= 0
+            return h0 - diff
+        if i == dim - 1:
+            return h(dim, t - e) - h(dim, t)
+        return 0
+
+    return cut
+
+
+def _les_ci_rows(n, a, degrees, t_range):
+    """Solve the long exact sequences for all h^i(X, E|_X(t)), X = V(f_1..f_c).
+
+    Starting from the closed form on P^n, each degree cuts the current
+    complete intersection V by one more form through _les_cut.  By
+    induction from P^n, every V has h^0(E(t)) = 0 for t <= -1 and
+    h^1(E(t)) = 0 outside t = -1, -2, which is all the cut needs.
+    """
+    h, dim = (lambda i, t: closed_form_cohomology(n, a, i, t)), n
+    for e in degrees:
+        h, dim = _les_cut(h, dim, e), dim - 1
+    return [[h(i, t) for t in range(t_range[0], t_range[1] + 1)] for i in range(dim + 1)]
 
 
 def test_make_ci_rejects_small_dimension():
@@ -163,14 +181,14 @@ def test_restricted_table_quadric_matches_les_oracle(fp):
     kb, _ = cached_bundle(3, 1, seed=0)
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     table = restricted_cohomology_table(kb, x, (-6, 4))
-    assert table.as_rows() == _les_hypersurface_rows(3, 1, 2, (-6, 4))
+    assert table.as_rows() == _les_ci_rows(3, 1, (2,), (-6, 4))
 
 
 def test_restricted_table_cubic_matches_les_oracle(fp):
     kb, _ = cached_bundle(3, 1, seed=0)
     x = make_ci_variety(3, (3,), SeededRng(6), fp)
     table = restricted_cohomology_table(kb, x, (-6, 4))
-    assert table.as_rows() == _les_hypersurface_rows(3, 1, 3, (-6, 4))
+    assert table.as_rows() == _les_ci_rows(3, 1, (3,), (-6, 4))
     # cubic: h^1(E(-3)) = 0 upstairs, so sections do not jump at t = 0
     assert table.cell(0, 0) == 0
 
@@ -179,7 +197,7 @@ def test_restricted_table_quadric_a2_matches_les_oracle(fp):
     kb, _ = cached_bundle(3, 2, seed=0)
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     table = restricted_cohomology_table(kb, x, (-6, 4))
-    assert table.as_rows() == _les_hypersurface_rows(3, 2, 2, (-6, 4))
+    assert table.as_rows() == _les_ci_rows(3, 2, (2,), (-6, 4))
     # sections jump by h^1(E(-2)) = 2a when crossing t = 0
     assert table.cell(0, 0) == 4
 
@@ -188,7 +206,7 @@ def test_restricted_table_quadric_threefold_audited(fp):
     kb, _ = cached_bundle(4, 1, seed=0)
     x = make_ci_variety(4, (2,), SeededRng(7), fp)
     table = restricted_cohomology_table(kb, x, (-7, 4))
-    assert table.as_rows() == _les_hypersurface_rows(4, 1, 2, (-7, 4))
+    assert table.as_rows() == _les_ci_rows(4, 1, (2,), (-7, 4))
     for t in table.twists():
         assert vanishing_squeeze(x, 1, 2, t) == 0
         assert table.cell(2, t) == 0
@@ -199,18 +217,28 @@ def test_restricted_table_quadric_threefold_audited(fp):
 @given(
     seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
     n=st.sampled_from((3, 4)),
-    e=st.sampled_from((2, 3)),
+    degrees=st.sampled_from(((2,), (3,))),
     a=st.sampled_from((1, 2)),
 )
-@example(seed=0, n=4, e=2, a=2)  # its 560 x 1092 map clears lazily into wide leaves
-def test_restricted_table_matches_les_oracle_on_random_hypersurfaces(seed, n, e, a):
-    fp = FieldSpec.prime()
-    rng = SeededRng(seed)
-    x = make_ci_variety(n, (e,), rng, fp)
-    kb, _ = build_kernel_bundle(n, a, rng, fp)
-    window = default_window(x.d)
-    table = restricted_cohomology_table(kb, x, window)
-    assert table.as_rows() == _les_hypersurface_rows(n, a, e, window)
+@example(seed=0, n=4, degrees=(2,), a=2)  # its 560 x 1092 map clears lazily into wide leaves
+# codimension 2 and 3: the oracle cuts by one form at a time
+@example(seed=7, n=4, degrees=(2, 2), a=1)
+@example(seed=7, n=4, degrees=(2, 2), a=2)
+@example(seed=7, n=5, degrees=(2, 3), a=1)
+@example(seed=7, n=5, degrees=(2, 2), a=1)
+@example(seed=7, n=5, degrees=(3, 2), a=1)
+@example(seed=7, n=6, degrees=(2, 2, 2), a=1)
+@example(seed=7, n=6, degrees=(2, 2), a=1)
+def test_restricted_table_matches_les_oracle_on_random_hypersurfaces(seed, n, degrees, a):
+    # 32003 takes single float64 gemms, 2^31 - 1 the 16-bit limbs
+    for p in (32003, (1 << 31) - 1):
+        fp = FieldSpec.prime(p)
+        rng = SeededRng(seed)
+        x = make_ci_variety(n, degrees, rng, fp)
+        kb, _ = build_kernel_bundle(n, a, rng, fp)
+        window = default_window(x.d)
+        table = restricted_cohomology_table(kb, x, window)
+        assert table.as_rows() == _les_ci_rows(n, a, degrees, window)
 
 
 def test_restricted_euler_characteristic_is_column_sum(fp):
