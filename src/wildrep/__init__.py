@@ -14,7 +14,7 @@ from .exactfield import (
     SamplingError,
     SeededRng,
     kernel_basis,
-    random_field_element,
+    random_field_elements,
     rank,
     rref,
 )

@@ -42,8 +42,11 @@ echelon form is unique for a fixed column order, so ranks and kernel bases
 are reproducible bit-for-bit whatever the split, the walk or the pivot.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
-A (seed, counter) pair determines every draw, so any sampled object can be
-reconstructed from the numbers recorded in a report.
+Draw k is a closed form in (seed, k), so a batch of draws is computed at
+once in uint64 arithmetic, which wraps mod 2^64 as SplitMix64 needs; it is
+the same stream as drawing one at a time.  A (seed, counter) pair
+determines every draw, so any sampled object can be reconstructed from the
+numbers recorded in a report.
 """
 
 from __future__ import annotations
@@ -54,10 +57,11 @@ import numpy as np
 
 DEFAULT_PRIME = 32003
 
-# SplitMix64: draw k (counting from 1) mixes seed + k * gamma.
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_MIX1 = 0xBF58476D1CE4E5B9
-_SM_MIX2 = 0x94D049BB133111EB
+# SplitMix64: draw k (counting from 1) mixes seed + k * gamma.  The
+# constants are np.uint64 so that no operand promotes the stream to float64
+_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = (1 << 64) - 1
 
 # pivot inversion uses pow(x, p - 2, p); int64 row updates form products
@@ -108,7 +112,7 @@ class FieldSpec:
 class SeededRng:
     """Deterministic 64-bit stream, SplitMix64 with an explicit counter.
 
-    Draw number k (1-based) returns mix64(seed + k * 0x9E3779B97F4A7C15)
+    Draw number k (1-based) is mix64(seed + k * 0x9E3779B97F4A7C15)
     where mix64 is the standard SplitMix64 finalizer.  The counter equals
     the number of draws made, so (seed, counter) fully describes the state.
     """
@@ -117,13 +121,6 @@ class SeededRng:
         self.seed = seed & _U64
         self.counter = counter
 
-    def next_u64(self) -> int:
-        self.counter += 1
-        z = (self.seed + self.counter * _SM_GAMMA) & _U64
-        z = ((z ^ (z >> 30)) * _SM_MIX1) & _U64
-        z = ((z ^ (z >> 27)) * _SM_MIX2) & _U64
-        return z ^ (z >> 31)
-
     def state(self) -> tuple[int, int]:
         return (self.seed, self.counter)
 
@@ -131,18 +128,29 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, counter={self.counter})"
 
 
-def random_field_element(rng: SeededRng, field: FieldSpec) -> int:
-    """Uniform element of F_p; advances the counter by exactly one draw.
+def random_field_elements(rng: SeededRng, field: FieldSpec, count: int) -> np.ndarray:
+    """count uniform elements of F_p as int64; advances the counter by count.
 
-    The value is next_u64() mod p.  The modulo bias is below p / 2**64 and
-    is irrelevant for genericity sampling.  Small primes are refused:
-    sampling-based genericity arguments need p >= 101.
+    Element i is draw counter + 1 + i mod p, all computed in one batch of
+    uint64 arithmetic.  The modulo bias is below p / 2**64 and is
+    irrelevant for genericity sampling.  Small primes are refused:
+    sampling-based genericity arguments need p >= 101.  Both refusals
+    leave the counter untouched.
     """
+    if count < 0:
+        raise ValueError(f"cannot draw {count} field elements")
     if field.p < _MIN_SAMPLING_PRIME:
         raise SamplingError(
             f"sampling needs a prime >= {_MIN_SAMPLING_PRIME}, got {field.p}"
         )
-    return rng.next_u64() % field.p
+    # array-valued even for one draw: uint64 arrays wrap silently, scalars warn
+    k = np.arange(1, count + 1, dtype=np.uint64) + np.uint64(rng.counter & _U64)
+    z = np.uint64(rng.seed) + k * _SM_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _SM_MIX1
+    z = (z ^ (z >> np.uint64(27))) * _SM_MIX2
+    z ^= z >> np.uint64(31)
+    rng.counter += count
+    return (z % np.uint64(field.p)).astype(np.int64)
 
 
 # blocks of at most this many rows are reduced one pivot at a time in int64;

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exactfield import FieldSpec, SeededRng, random_field_element
+from .exactfield import FieldSpec, SeededRng, random_field_elements
 from .polyspace import basis_dim, map_rank
 
 
@@ -55,11 +55,6 @@ class LinearFormMatrix:
                 f"({self.a_tgt}, {self.b_src}, {self.n + 1})"
             )
 
-    @staticmethod
-    def zero(n: int, a_tgt: int, b_src: int, field: FieldSpec) -> "LinearFormMatrix":
-        coeffs = np.zeros((a_tgt, b_src, n + 1), dtype=np.int64)
-        return LinearFormMatrix(n, a_tgt, b_src, field, coeffs)
-
     def transpose(self) -> "LinearFormMatrix":
         return LinearFormMatrix(
             self.n, self.b_src, self.a_tgt, self.field,
@@ -72,15 +67,14 @@ def sample_phi(
 ) -> LinearFormMatrix:
     """Uniform coefficient tensor; draw order is (i, j, k) row-major.
 
-    One 64-bit draw per coefficient, so the counter advances by exactly
-    a_tgt * b_src * (n + 1).
+    One batch of a_tgt * b_src * (n + 1) draws from the rng's (seed,
+    counter), reshaped in that order, so the counter advances by exactly
+    that many.  A refused shape draws nothing.
     """
-    phi = LinearFormMatrix.zero(n, a_tgt, b_src, field)
-    for i in range(a_tgt):
-        for j in range(b_src):
-            for k in range(n + 1):
-                phi.coeffs[i, j, k] = random_field_element(rng, field)
-    return phi
+    if n < 1 or a_tgt < 0 or b_src < 0:
+        raise ShapeError(f"no {a_tgt}x{b_src} matrix of linear forms on P^{n}")
+    coeffs = random_field_elements(rng, field, a_tgt * b_src * (n + 1))
+    return LinearFormMatrix(n, a_tgt, b_src, field, coeffs.reshape(a_tgt, b_src, n + 1))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactfield import FieldSpec, SeededRng, random_field_element
+from .exactfield import FieldSpec, SeededRng, random_field_elements
 from .cohomology import (
     PROV_CERTIFIED,
     PROV_EXACT,
@@ -97,8 +97,9 @@ def make_ci_variety(
 ) -> ACMVarietyDescriptor:
     """Complete intersection of the given degrees, generic when rng given.
 
-    Requires d = n - len(degrees) >= 2.  With an rng, each form gets
-    uniform coefficients; regularity of the resulting sequence is not
+    Requires d = n - len(degrees) >= 2.  With an rng, each form in turn
+    gets its uniform coefficients as one batch of draws, in the order of
+    the monomial basis; regularity of the resulting sequence is not
     assumed but proved when an exact table first needs it: for every
     degree at once by the coordinate slice of polyspace.ideal_dim, or, when
     that slice is special, against the Koszul Hilbert function in each
@@ -120,14 +121,8 @@ def make_ci_variety(
         return ACMVarietyDescriptor(n, degrees, None, field)
     if field is None:
         field = FieldSpec.prime()
-    forms = []
-    for e in degrees:
-        size = basis_dim(n, e)
-        coeff = np.zeros(size, dtype=np.int64)
-        for q in range(size):
-            coeff[q] = random_field_element(rng, field)
-        forms.append(coeff)
-    return ACMVarietyDescriptor(n, degrees, tuple(forms), field)
+    forms = tuple(random_field_elements(rng, field, basis_dim(n, e)) for e in degrees)
+    return ACMVarietyDescriptor(n, degrees, forms, field)
 
 
 @dataclass(frozen=True)

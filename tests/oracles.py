@@ -6,6 +6,8 @@ tables, the ambient table through the restricted loop, a direct rank of
 the degree-one sections map, the line-bundle cohomology of a complete
 intersection, the normal-form map on a complete intersection, and small
 builders and counters for matrices.
+
+The SplitMix64 stream is kept here too, drawn one value at a time.
 """
 
 import numpy as np
@@ -48,14 +50,36 @@ def from_rows(entries, field):
     return m
 
 
+def zero_phi(n, a_tgt, b_src, field):
+    """The a_tgt x b_src matrix of linear forms on P^n that are all zero."""
+    coeffs = np.zeros((a_tgt, b_src, n + 1), dtype=np.int64)
+    return LinearFormMatrix(n, a_tgt, b_src, field, coeffs)
+
+
 def from_coeffs(n, a_tgt, b_src, field, values):
     """LinearFormMatrix from a nested (a_tgt, b_src, n+1) sequence of scalars."""
-    m = LinearFormMatrix.zero(n, a_tgt, b_src, field)
+    m = zero_phi(n, a_tgt, b_src, field)
     for i in range(a_tgt):
         for j in range(b_src):
             for k in range(n + 1):
                 m.coeffs[i, j, k] = int(values[i][j][k]) % field.p
     return m
+
+
+def splitmix64_mod(seed, counter, count, p):
+    """Draws counter + 1 .. counter + count of SplitMix64 for seed, mod p.
+
+    The scalar definition, one draw at a time in Python ints masked to 64
+    bits: the stream that exactfield computes as one batch.
+    """
+    mask = (1 << 64) - 1
+    out = []
+    for k in range(counter + 1, counter + count + 1):
+        z = (seed + k * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append((z ^ (z >> 31)) % p)
+    return out
 
 
 def nullity(m, field):

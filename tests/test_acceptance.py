@@ -13,7 +13,6 @@ import pytest
 from wildrep import (
     FieldSpec,
     KernelBundlePresentation,
-    LinearFormMatrix,
     PROV_EXACT,
     SeededRng,
     acm_with_respect_to_s,
@@ -36,6 +35,7 @@ from oracles import (
     closed_form_table,
     cohomology_table_exact,
     vanishing_squeeze,
+    zero_phi,
 )
 
 GRID_CONFIGS = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
@@ -119,7 +119,7 @@ def test_criterion_03_euler_identity():
             if e is not None:
                 ok = ok and _euler_holds(e["table"], n, a)
     for n, a in [(2, 1), (3, 1)]:
-        zero = LinearFormMatrix.zero(n, 2 * a, (n + 2) * a, field)
+        zero = zero_phi(n, 2 * a, (n + 2) * a, field)
         table = cohomology_table_exact(KernelBundlePresentation(n, a, zero))
         ok = ok and _euler_holds(table, n, a)
         deficient = sample_phi(n, 2 * a, (n + 2) * a, SeededRng(99), field)
@@ -167,7 +167,7 @@ def test_criterion_05_simplicity():
                 if stabilizer_dimension(kb.phi.transpose()).stab_dimension == 1:
                     simple += 1
             ok = ok and accepted >= 9 and simple >= 9
-            zero = LinearFormMatrix.zero(n, (n + 2) * a, 2 * a, field)
+            zero = zero_phi(n, (n + 2) * a, 2 * a, field)
             expect = (n + 2) ** 2 * a * a + 4 * a * a
             ok = ok and stabilizer_dimension(zero).stab_dimension == expect
     for n in range(2, 11):

@@ -19,6 +19,7 @@ from wildrep import (
     make_ci_variety,
     moduli,
     polyspace,
+    presentation,
     restriction,
     wildness_certificate,
 )
@@ -570,7 +571,8 @@ def test_low_degree_form_exits_usage_before_sampling(argv, monkeypatch, capsys):
         raise AssertionError("a refused request reached sampling")
 
     monkeypatch.setattr(cli, "build_kernel_bundle", must_not_sample)
-    monkeypatch.setattr(restriction, "random_field_element", must_not_sample)
+    monkeypatch.setattr(restriction, "random_field_elements", must_not_sample)
+    monkeypatch.setattr(presentation, "random_field_elements", must_not_sample)
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -634,6 +636,8 @@ def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
         # a linear form: I_1 is not 0, so the lift [M | F] is ranked at m = 0
         ["restrict", "--n", "5", "--ci-degrees", "1", "2", "--a", "1", "--format", "json"],
         ["restrict", "--n", "6", "--ci-degrees", "2", "2", "2", "--a", "1", "--format", "json"],
+        ["restrict", "--n", "5", "--ci-degrees", "2", "--a", "2", "--format", "json"],
+        ["restrict", "--n", "7", "--ci-degrees", "2", "2", "--a", "1", "--format", "json"],
     ],
 )
 def test_verdict_and_table_agree_at_two_primes(argv, capsys):
@@ -651,7 +655,7 @@ def test_verdict_and_table_agree_at_two_primes(argv, capsys):
 
 
 @pytest.mark.parametrize("prime", (32003, (1 << 31) - 1))
-@pytest.mark.parametrize("n, a", ((5, 2), (6, 1)))
+@pytest.mark.parametrize("n, a", ((5, 2), (6, 1), (7, 1)))
 def test_large_ambient_table_commands_match_closed_form(n, a, prime, capsys):
     # the larger ambient rungs of the bench ladder, through the CLI, at a
     # single-gemm prime and at the limb prime

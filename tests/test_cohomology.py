@@ -6,7 +6,6 @@ import pytest
 from wildrep import (
     FieldSpec,
     KernelBundlePresentation,
-    LinearFormMatrix,
     PROV_CERTIFIED,
     PROV_EULER,
     PROV_EXACT,
@@ -26,6 +25,7 @@ from oracles import (
     closed_form_table,
     cohomology_table_exact,
     vanishing_squeeze,
+    zero_phi,
 )
 
 
@@ -174,7 +174,7 @@ def test_euler_identity_zero_map(fp):
     # phi = 0 is as degenerate as it gets: E splits, the dual-rank route
     # disagrees with the forced value at deep negative twists, so those
     # cells fall back to euler-forced provenance but the identity holds
-    phi = LinearFormMatrix.zero(2, 2, 4, fp)
+    phi = zero_phi(2, 2, 4, fp)
     kb = KernelBundlePresentation(2, 1, phi)
     table = cohomology_table_exact(kb, (-6, 4))
     for t in table.twists():

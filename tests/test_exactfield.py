@@ -11,12 +11,12 @@ from wildrep import (
     SeededRng,
     kernel_basis,
     rank,
-    random_field_element,
+    random_field_elements,
     rref,
 )
 from wildrep import exactfield
 from wildrep.exactfield import _LIMB_INNER_MAX, _reduce, _single_gemm_max, _sub_mul_mod
-from oracles import from_rows, nullity
+from oracles import from_rows, nullity, splitmix64_mod
 
 
 def _product_mod_p(a, b, p):
@@ -528,37 +528,79 @@ def test_product_limb_path_is_exact(p, fill, monkeypatch):
 
 def test_rng_frozen_first_draws(fp, vectors):
     rng = SeededRng(vectors["seed"])
-    draws = [random_field_element(rng, fp) for _ in range(3)]
-    assert draws == vectors["rng_first_draws"]
+    draws = random_field_elements(rng, fp, 3)
+    assert draws.tolist() == vectors["rng_first_draws"]
     assert rng.counter == 3
 
 
-def test_rng_determinism_across_instances():
+def test_rng_determinism_across_instances(fp):
     a = SeededRng(7)
     b = SeededRng(7)
-    assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+    assert random_field_elements(a, fp, 10).tolist() == random_field_elements(b, fp, 10).tolist()
 
 
 def test_rng_distinct_seeds_diverge():
-    assert SeededRng(0).next_u64() != SeededRng(1).next_u64()
+    f = FieldSpec.prime((1 << 31) - 1)
+    assert random_field_elements(SeededRng(0), f, 1) != random_field_elements(SeededRng(1), f, 1)
 
 
-def test_rng_state_snapshot():
+def test_rng_state_snapshot(fp):
     rng = SeededRng(3)
-    rng.next_u64()
-    rng.next_u64()
+    random_field_elements(rng, fp, 2)
     seed, counter = rng.state()
     assert (seed, counter) == (3, 2)
-    replay = SeededRng(seed)
-    for _ in range(counter):
-        replay.next_u64()
-    assert replay.next_u64() == rng.next_u64()
+    replay = SeededRng(seed, counter)
+    assert random_field_elements(replay, fp, 1) == random_field_elements(rng, fp, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1, 12345678901234567890])
+@pytest.mark.parametrize("counter", [5, 1 << 40, (1 << 64) - 3])
+@pytest.mark.parametrize("p", [101, 32003, (1 << 31) - 1])
+def test_batch_matches_scalar_stream(seed, counter, p):
+    # one batch, and the same draws one at a time, give the stream of the
+    # scalar definition; the last counter makes k wrap past 2^64
+    f = FieldSpec.prime(p)
+    want = splitmix64_mod(seed, counter, 200, p)
+    rng = SeededRng(seed, counter)
+    batch = random_field_elements(rng, f, 200)
+    assert batch.dtype == np.int64
+    assert batch.tolist() == want
+    assert rng.counter == counter + 200
+    rng = SeededRng(seed, counter)
+    assert [int(random_field_elements(rng, f, 1)[0]) for _ in range(5)] == want[:5]
+
+
+@pytest.mark.parametrize(
+    "counter, p, want",
+    [
+        (0, 32003, [9397, 273, 10259, 12525]),
+        (0, (1 << 31) - 1, [1696075537, 792097692, 584217219, 635759021]),
+        (1 << 40, 32003, [5856, 14238, 27727, 13570]),
+        (1 << 40, (1 << 31) - 1, [1275060900, 854372832, 1458511175, 1168159834]),
+    ],
+)
+def test_uint64_wrap_known_answers(counter, p, want):
+    # seed 2^64 - 1 makes seed + k * gamma and both products wrap mod 2^64;
+    # an operand promoted to float64 or a scalar overflow warning fails here
+    rng = SeededRng((1 << 64) - 1, counter)
+    assert random_field_elements(rng, FieldSpec.prime(p), 4).tolist() == want
+    assert rng.counter == counter + 4
 
 
 def test_sampling_rejects_tiny_prime():
     rng = SeededRng(0)
     with pytest.raises(SamplingError):
-        random_field_element(rng, FieldSpec.prime(97))
+        random_field_elements(rng, FieldSpec.prime(97), 3)
+    assert rng.counter == 0
+
+
+def test_negative_count_draws_nothing(fp):
+    rng = SeededRng(0)
+    with pytest.raises(ValueError):
+        random_field_elements(rng, fp, -2)
+    assert rng.counter == 0
+    assert random_field_elements(rng, fp, 0).shape == (0,)
+    assert rng.counter == 0
 
 
 def test_small_prime_field_arithmetic():

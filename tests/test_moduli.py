@@ -6,7 +6,6 @@ import pytest
 from wildrep import (
     ExactModeError,
     FieldSpec,
-    LinearFormMatrix,
     RefusalError,
     SeededRng,
     ShapeError,
@@ -23,7 +22,7 @@ from wildrep import (
     wildness_certificate,
 )
 from conftest import cached_bundle
-from oracles import from_rows, nullity
+from oracles import from_rows, nullity, zero_phi
 
 
 def test_kac_discriminant_pinned():
@@ -110,7 +109,7 @@ def test_stabilizer_system_shape(fp):
 
 
 def test_stabilizer_zero_matrix(fp):
-    za = LinearFormMatrix.zero(2, 4, 2, fp)
+    za = zero_phi(2, 4, 2, fp)
     rep = stabilizer_dimension(za)
     assert rep.stab_dimension == 20  # 16 B entries + 4 C entries, all free
     assert not rep.simple
@@ -118,9 +117,9 @@ def test_stabilizer_zero_matrix(fp):
 
 def test_stabilizer_rejects_bad_shape(fp):
     with pytest.raises(ShapeError):
-        stabilizer_dimension(LinearFormMatrix.zero(2, 5, 2, fp))
+        stabilizer_dimension(zero_phi(2, 5, 2, fp))
     with pytest.raises(ShapeError):
-        stabilizer_dimension(LinearFormMatrix.zero(2, 4, 3, fp))
+        stabilizer_dimension(zero_phi(2, 4, 3, fp))
 
 
 def test_scalar_pair_always_intertwines(fp):

@@ -28,7 +28,7 @@ from wildrep.exactfield import _single_gemm_max
 from wildrep.polyspace import _monomials
 from wildrep.restriction import ACMVarietyDescriptor
 from conftest import cached_bundle
-from oracles import from_coeffs, normal_form_map, quotient_piece
+from oracles import from_coeffs, normal_form_map, quotient_piece, zero_phi
 from test_exactfield import DIFF_PRIMES, _gauss_jordan
 
 
@@ -428,7 +428,7 @@ def test_mult_map_exact_at_largest_prime(n, degrees, m):
     # columns hold entries near p, in codimension up to 3
     f = FieldSpec.prime((1 << 31) - 1)
     x = make_ci_variety(n, degrees, SeededRng(3), f)
-    phi = LinearFormMatrix.zero(n, 2, 3, f)
+    phi = zero_phi(n, 2, 3, f)
     phi.coeffs[...] = f.p - 1
     assert map_rank(phi, m, x) == rank(normal_form_map(phi, m, x), x.field)
 
@@ -436,7 +436,7 @@ def test_mult_map_exact_at_largest_prime(n, degrees, m):
 def test_mult_map_scatter_exact_at_largest_prime():
     # on P^n every entry is one coefficient of phi; all of them p - 1
     f = FieldSpec.prime((1 << 31) - 1)
-    phi = LinearFormMatrix.zero(3, 2, 3, f)
+    phi = zero_phi(3, 2, 3, f)
     phi.coeffs[...] = f.p - 1
     mat = mult_map(phi.coeffs, 3, 2, 1)
     assert mat.dtype == np.int64
@@ -458,7 +458,7 @@ def test_mult_map_on_X_exact_either_side_of_single_gemm(p):
     assert _single_gemm_max(GEMM_EDGE_PRIMES[0]) == 6 > _single_gemm_max(GEMM_EDGE_PRIMES[1])
     f = FieldSpec.prime(p)
     x = make_ci_variety(5, (2, 2), SeededRng(11), f)
-    phi = LinearFormMatrix.zero(5, 2, 3, f)
+    phi = zero_phi(5, 2, 3, f)
     phi.coeffs[...] = f.p - 1
     assert map_rank(phi, 2, x) == rank(normal_form_map(phi, 2, x), f)
     phi = sample_phi(5, 2, 3, SeededRng(12), f)
@@ -595,7 +595,7 @@ def test_map_rank_matches_elimination(p, monkeypatch):
             values = rng.integers(0, p, size=(a, b, n + 1))
             for m in range(-1, 6):
                 _check_map_rank(from_coeffs(n, a, b, f, values), m)
-                assert _check_map_rank(LinearFormMatrix.zero(n, a, b, f), m) == 0
+                assert _check_map_rank(zero_phi(n, a, b, f), m) == 0
     # at every prime but the smallest some random Phi_k has full row rank
     assert schur or p < 101
 

@@ -16,8 +16,9 @@ from wildrep import (
     sample_phi,
     sheaf_surjectivity_certificate,
 )
+from wildrep import presentation
 from conftest import cached_bundle
-from oracles import h0_phi1_is_isomorphism
+from oracles import h0_phi1_is_isomorphism, zero_phi
 
 
 def test_sample_phi_frozen_tensor(fp, vectors):
@@ -30,6 +31,20 @@ def test_sample_phi_frozen_tensor(fp, vectors):
 def test_sample_phi_row_major_draw_order(fp, vectors):
     phi = sample_phi(2, 2, 4, SeededRng(vectors["seed"]), fp)
     assert phi.coeffs[0, 0].tolist() == vectors["rng_first_draws"]
+
+
+@pytest.mark.parametrize(
+    "shape, error",
+    [((0, 2, 4), ShapeError), ((2, -1, 4), ValueError), ((2, -1, -4), ValueError)],
+)
+def test_refused_shape_draws_nothing(shape, error, fp):
+    # (n, a_tgt, b_src): the shape is checked before the batch is drawn, so
+    # a refusal leaves the stream where it was, even when two negative
+    # sizes multiply to a positive count
+    rng = SeededRng(5)
+    with pytest.raises(error):
+        sample_phi(*shape, rng, fp)
+    assert rng.counter == 0
 
 
 def test_transpose_swaps_blocks(fp):
@@ -50,22 +65,18 @@ def test_certificate_generic_small_cases(fp):
 
 
 def test_certificate_records_resample_state(fp):
-    # burn some draws first; the recorded counter points at the accepted
-    # sample so replaying from (seed, counter) reproduces phi exactly
-    rng = SeededRng(11)
-    for _ in range(7):
-        rng.next_u64()
+    # start 7 draws into the stream; the recorded counter points at the
+    # accepted sample so replaying from (seed, counter) reproduces phi exactly
+    rng = SeededRng(11, 7)
     kb, cert = build_kernel_bundle(2, 1, rng, fp)
     assert (cert.seed, cert.counter) == (11, 7)
-    replay = SeededRng(11)
-    for _ in range(cert.counter):
-        replay.next_u64()
+    replay = SeededRng(11, cert.counter)
     phi2 = sample_phi(2, 2, 4, replay, fp)
     assert phi2.coeffs.tolist() == kb.phi.coeffs.tolist()
 
 
 def test_zero_map_has_no_certificate(fp):
-    phi = LinearFormMatrix.zero(2, 2, 4, fp)
+    phi = zero_phi(2, 2, 4, fp)
     cert = sheaf_surjectivity_certificate(phi)
     assert cert.surjective_at_degree is None
     assert not cert.h0_phi1_iso
@@ -74,7 +85,7 @@ def test_zero_map_has_no_certificate(fp):
 def test_single_variable_map_never_surjective(fp):
     # entries all multiples of x0: the image lies in x0 * sections, a
     # proper subspace in every degree
-    phi = LinearFormMatrix.zero(2, 2, 4, fp)
+    phi = zero_phi(2, 2, 4, fp)
     phi.coeffs[:, :, 0] = np.arange(1, 9).reshape(2, 4)
     cert = sheaf_surjectivity_certificate(phi)
     assert cert.surjective_at_degree is None
@@ -103,7 +114,7 @@ def test_certificate_reads_iso_off_the_search(fp):
     rng = np.random.default_rng(3)
     f3 = FieldSpec.prime(3)
     phis = [cached_bundle(n, a)[0].phi for n, a in [(2, 1), (3, 1), (3, 2)]]
-    phis.append(LinearFormMatrix.zero(2, 2, 4, fp))
+    phis.append(zero_phi(2, 2, 4, fp))
     phis += [LinearFormMatrix(2, 2, 4, f3, rng.integers(0, 3, (2, 4, 3))) for _ in range(12)]
     isos = [h0_phi1_is_isomorphism(phi) for phi in phis]
     assert True in isos[4:] and False in isos[4:]
@@ -124,16 +135,16 @@ def test_presentation_validates_phi_shape(fp):
         KernelBundlePresentation(2, 1, phi)
 
 
-class _ZeroRng(SeededRng):
-    def next_u64(self):
-        self.counter += 1
-        return 0
+def _zero_draws(rng, field, count):
+    rng.counter += count
+    return np.zeros(count, dtype=np.int64)
 
 
-def test_build_exhausts_on_degenerate_stream(fp):
+def test_build_exhausts_on_degenerate_stream(fp, monkeypatch):
     # a stream of zeros can never produce a generic sample
+    monkeypatch.setattr(presentation, "random_field_elements", _zero_draws)
     with pytest.raises(GenericityError) as exc:
-        build_kernel_bundle(2, 1, _ZeroRng(0), fp, max_resample=2)
+        build_kernel_bundle(2, 1, SeededRng(0), fp, max_resample=2)
     message = str(exc.value)
     assert "\n" not in message
     # each attempt draws 2 * 4 * 3 coefficients, so attempts start at
