@@ -56,6 +56,11 @@ complement S on R_0, with Q_0 block S_Q0 = M'[R_0, Q_0] and Q_(e+1) block
 S_Q(e+1) = -W_e M'[R_(e+1), Q_(e+1)], for W_0 = M'[R_0, P_0] and W_(e+1) =
 -W_e N_e.
 
+None of this split depends on m: the pick of k, G and phi G are made once
+per phi, one level at a time, by _split_tower, and every twist reads that
+tower.  A phi with a > b, such as the transpose of a kernel-bundle phi,
+is its dense base and takes no elimination to split.
+
 M' itself is never built: its blocks are maps on the hyperplane x_k = 0.
 The x_k-free monomials of _monomials(n, d) come in _monomials(n - 1, d)
 order, and so do those with x_k-exponent e once divided by x_k^e.  So for
@@ -302,16 +307,17 @@ def ideal_dim(x: "ACMVarietyDescriptor", k: int) -> int:
     return dim
 
 
-def _hyperplane_rank(
-    coeffs: np.ndarray, m: int, field: FieldSpec, left: bool
-) -> tuple[int, np.ndarray | None]:
-    """Rank of the map of an (a, b, n + 1) coefficient tensor in [0, p) on
-    P^n in degree m >= 0 and, with left, a basis of its left kernel: one float64
-    row with entries in [0, p) per missing rank, indexed like the map's
-    rows."""
+def _split_tower(coeffs: np.ndarray, field: FieldSpec) -> tuple:
+    """The pivot split of an (a, b, n + 1) coefficient tensor in [0, p), one
+    (tensor, k, phi_h) entry per level of the recursion onto the hyperplane.
+
+    k is None at the dense base, where a > b or no Phi_k has full row rank
+    a; phi_h is None on P^0.  The next level's tensor is phi'', the first
+    b - a copies of phi_h, and the descent stops after a level with b = a.
+    Nothing here depends on the degree, so one tower serves every twist.
+    """
     a, b, n1 = coeffs.shape
     p = field.p
-    rows = a * basis_dim(n1 - 1, m + 1)
     for k in range(n1 - 1, -1, -1) if 0 < a <= b else ():
         # [Phi_k^T | I] reduces to [[I | 0]^T | G^T] when rank Phi_k = a
         aug = np.hstack((coeffs[:, :, k].T, np.eye(b, dtype=np.int64)))
@@ -319,6 +325,33 @@ def _hyperplane_rank(
         if piv[a - 1] < a:
             break
     else:  # for a > b or with no such Phi_k
+        return ((coeffs, None, None),)
+    if n1 == 1:
+        return ((coeffs, k, None),)
+    # phi' = phi G, as -(phi (-G)), for every Phi_l at once
+    flat = np.zeros((n1 * a, b))
+    stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
+    _sub_mul_mod(flat, stacked, (-red[:, a:].T % p).astype(np.float64), p)
+    turned = flat.astype(np.int64).reshape(n1, a, b).transpose(1, 2, 0)
+    # phi_h: the Q copies first, then P, without the coefficients of x_k;
+    # its first b - a copies are phi'', whose map is S_Q0
+    hyper = np.delete(np.roll(turned, -a, axis=1), k, axis=2)
+    level = ((coeffs, k, hyper),)
+    return level + _split_tower(hyper[:, : b - a], field) if b > a else level
+
+
+def _hyperplane_rank(
+    tower: tuple, m: int, field: FieldSpec, left: bool
+) -> tuple[int, np.ndarray | None]:
+    """Rank of the map of tower[0]'s tensor on P^n in degree m >= 0 and,
+    with left, a basis of its left kernel: one float64 row with entries in
+    [0, p) per missing rank, indexed like the map's rows.  The tower is
+    _split_tower's, so the pick of k and phi G are not redone here."""
+    coeffs, k, hyper = tower[0]
+    a, b, n1 = coeffs.shape
+    p = field.p
+    rows = a * basis_dim(n1 - 1, m + 1)
+    if k is None:
         mat = mult_map(coeffs, n1 - 1, m, 1)
         if not left:
             return rank(mat, field), None
@@ -330,16 +363,8 @@ def _hyperplane_rank(
         # on P^0 the unit pivots fill every row; at b = a Phi_k is
         # invertible, so they fill every column
         return known, np.zeros((0, rows)) if left else None
-    # phi' = phi G, as -(phi (-G)), for every Phi_l at once
-    flat = np.zeros((n1 * a, b))
-    stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
-    _sub_mul_mod(flat, stacked, (-red[:, a:].T % p).astype(np.float64), p)
-    coeffs = flat.astype(np.int64).reshape(n1, a, b).transpose(1, 2, 0)
-    # phi_h: the Q copies first, then P, without the coefficients of x_k;
-    # its first b - a copies are phi'', whose map is S_Q0
-    hyper = np.delete(np.roll(coeffs, -a, axis=1), k, axis=2)
     if b > a:
-        r, l0 = _hyperplane_rank(hyper[:, : b - a], m, field, left or m > 0)
+        r, l0 = _hyperplane_rank(tower[1:], m, field, left or m > 0)
     else:  # S_Q0 has no columns, so its left kernel is the identity
         r, l0 = 0, np.eye(r0)
     delta = r0 - r
@@ -381,7 +406,9 @@ def map_rank(
 
     On P^n the rank is a N_m unit pivots plus rank S, and rank S is
     rank S_Q0, a map_rank of phi'' one dimension down, plus the rank of the
-    chain on the left kernel of S_Q0 that the same recursion returns.  On
+    chain on the left kernel of S_Q0 that the same recursion returns.  The
+    split of every level is phi.tower, made at the first rank of phi and
+    read by every later one, so no twist redoes the basis change.  On
     X the rank is rank [M | F] - a dim I_(m+1), with the lift [M | F]
     eliminated only when the P^n map M is not onto and I_(m+1) is not 0;
     otherwise its rank is that of M.  By the lift identity this is the
@@ -396,7 +423,7 @@ def map_rank(
     if m < 0:  # the source R_m is zero
         return 0
     if x is None or not x.codim:
-        return _hyperplane_rank(phi.coeffs % p, m, phi.field, False)[0]
+        return _hyperplane_rank(phi.tower, m, phi.field, False)[0]
     r = map_rank(phi, m)
     if r < a * basis_dim(n, m + 1) and _products_cells(n, x.degrees, m + 1):
         # not onto, and F, the span of I_(m+1) in each of the a target

@@ -13,11 +13,12 @@ are resampled a bounded number of times and then rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .exactfield import FieldSpec, SeededRng, random_field_elements
-from .polyspace import basis_dim, map_rank
+from .polyspace import _split_tower, basis_dim, map_rank
 
 
 # last degree the sheaf surjectivity certificate tries
@@ -54,6 +55,14 @@ class LinearFormMatrix:
                 f"coefficient tensor shape {self.coeffs.shape} != "
                 f"({self.a_tgt}, {self.b_src}, {self.n + 1})"
             )
+
+    @cached_property
+    def tower(self) -> tuple:
+        """The pivot split of polyspace._split_tower, made once per phi and
+        shared by the rank of every twist.  The coefficients become
+        read-only when it is made, so no later edit can go stale under it."""
+        self.coeffs.flags.writeable = False
+        return _split_tower(self.coeffs % self.field.p, self.field)
 
     def transpose(self) -> "LinearFormMatrix":
         return LinearFormMatrix(

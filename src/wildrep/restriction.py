@@ -237,6 +237,7 @@ def restricted_cohomology_table(
         # the ideal_dim of map_rank checks the degrees 2 + t, whether or
         # not the lift [M | F] is built, and this checks 1 + t_min
         ideal_dim(x, 1 + t_min)
+    dual_phi = None if x.codim else kb.phi.transpose()
     cells = {}
     prov = {}
     for t in range(t_min, t_max + 1):
@@ -255,8 +256,8 @@ def restricted_cohomology_table(
             forced = -forced
         cells[(d, t)] = forced
         prov[(d, t)] = PROV_EULER
-        if x.codim == 0:
-            dual = map_rank(kb.phi.transpose(), -t - n - 3)
+        if dual_phi is not None:
+            dual = map_rank(dual_phi, -t - n - 3)
             if kb.b_src * h_line(n, n, 1 + t) - dual == forced:
                 prov[(d, t)] = PROV_EXACT
     return CohomologyTable(d, t_min, t_max, cells, prov)

@@ -775,12 +775,27 @@ def _transposed_blocks(monkeypatch):
     return shapes
 
 
+def _reduced_shapes(monkeypatch):
+    """List that receives the shape of each matrix that polyspace reduces by
+    rref, which it does only to split a tower."""
+    shapes = []
+    rref = polyspace.rref
+
+    def recording(mat, field):
+        shapes.append(mat.shape)
+        return rref(mat, field)
+
+    monkeypatch.setattr(polyspace, "rref", recording)
+    return shapes
+
+
 @pytest.mark.parametrize("p", DIFF_PRIMES)
 def test_map_rank_left_kernel_of_first_block(p, monkeypatch):
     f = FieldSpec.prime(p)
     rng = np.random.default_rng(p + 6)
     products = _counted_products(monkeypatch)
     transposed = _transposed_blocks(monkeypatch)
+    reduced = _reduced_shapes(monkeypatch)
     # phi = A [x_n I | x_0 I | ... | x_(n-1) I | B] H with A invertible and
     # H = [[I, X], [0, Y]], Y invertible: the basis change undoes X, so the
     # Q_0 columns reach every target free of x_n and S_Q0 has full row
@@ -799,25 +814,38 @@ def test_map_rank_left_kernel_of_first_block(p, monkeypatch):
         h[:a, a:] = rng.integers(0, p, size=(a, b - a))
         h[a:, a:] = _invertible(rng, b - a, p)
         left = _invertible(rng, a, p)
-        mixed = [left @ wide[:, :, k] @ h % p for k in range(n + 1)]
-        phi = from_coeffs(n, a, b, f, np.stack(mixed, axis=2))
+        mixed = np.stack([left @ wide[:, :, k] @ h % p for k in range(n + 1)], axis=2)
         levels = [(((n + 1 - j) * a, b - j * a), (b - j * a, b - j * a)) for j in range(n)]
         for m in (2, 3):
+            # a fresh phi, so that its tower is split inside this map_rank
+            phi = from_coeffs(n, a, b, f, mixed)
             products.clear()
             transposed.clear()
             assert _check_map_rank(phi, m) == a * basis_dim(n, m + 1)
             assert products == levels
             assert transposed == []
+            # the second rank of the same phi reuses its tower: no phi G and
+            # no reduction of [Phi_k^T | I]
+            products.clear()
+            reduced.clear()
+            assert map_rank(phi, m) == a * basis_dim(n, m + 1)
+            assert products == []
+            assert reduced == []
     # m = 0 with Phi_n = [I | *] and b - a < a n: S = S_Q0 has fewer
     # columns than rows, so delta > 0, and there is no chain block to stack;
-    # phi'' has b - a = a, so its rank needs no product either
+    # phi'' has b - a = a, so its rank needs no product either.  The tower
+    # still forms phi'' G, once, when some block of phi'' is invertible,
+    # which at p = 2 it need not be
     for n in (2, 3):
         values = rng.integers(0, p, size=(2, 4, n + 1))
         values[:, :2, n] = np.eye(2, dtype=np.int64)
         products.clear()
         transposed.clear()
-        assert _check_map_rank(from_coeffs(n, 2, 4, f, values), 0) < 2 * (n + 1)
-        assert products == [(((n + 1) * 2, 4), (4, 4))]
+        phi = from_coeffs(n, 2, 4, f, values)
+        assert _check_map_rank(phi, 0) < 2 * (n + 1)
+        below = phi.tower[1][0]
+        split = any(rank(below[:, :, k], f) == 2 for k in range(n))
+        assert products == [(((n + 1) * 2, 4), (4, 4))] + [((n * 2, 2), (2, 2))] * split
         assert transposed == []
 
 
@@ -828,13 +856,13 @@ def _recursion_levels(monkeypatch):
     depth = [0]
     hyperplane_rank = polyspace._hyperplane_rank
 
-    def recording(coeffs, m, field, left):
+    def recording(tower, m, field, left):
         depth[0] += 1
         try:
-            r, ker = hyperplane_rank(coeffs, m, field, left)
+            r, ker = hyperplane_rank(tower, m, field, left)
         finally:
             depth[0] -= 1
-        a, b, n1 = coeffs.shape
+        a, b, n1 = tower[0][0].shape
         levels.append((depth[0], n1 - 1, a, b, a * basis_dim(n1 - 1, m + 1) - r))
         return r, ker
 
@@ -852,7 +880,7 @@ def _check_left_kernel(coeffs, m, field):
     """The helper's rank and left kernel L of the map of coeffs: L M = 0
     exactly, and L has rows - rank rows, all independent."""
     mat = polyspace.mult_map(coeffs, coeffs.shape[2] - 1, m, 1)
-    r, ker = polyspace._hyperplane_rank(coeffs, m, field, True)
+    r, ker = polyspace._hyperplane_rank(polyspace._split_tower(coeffs, field), m, field, True)
     assert r == rank(mat, field)
     assert ker.shape == (mat.shape[0] - r, mat.shape[0])
     ker = ker.astype(np.int64)

@@ -11,6 +11,7 @@ from wildrep import (
     SeededRng,
     ShapeError,
     build_kernel_bundle,
+    map_rank,
     mult_map,
     rank,
     sample_phi,
@@ -52,6 +53,18 @@ def test_transpose_swaps_blocks(fp):
     pt = phi.transpose()
     assert (pt.a_tgt, pt.b_src) == (4, 2)
     assert np.array_equal(pt.coeffs, phi.coeffs.transpose(1, 0, 2))
+
+
+def test_tower_freezes_the_coefficients(fp):
+    # the first rank splits phi once for every later rank, so an edit of
+    # the coefficients after it raises instead of reusing a stale split
+    phi = sample_phi(2, 2, 4, SeededRng(3), fp)
+    phi.coeffs[0, 0, 0] = 1
+    map_rank(phi, 1)
+    assert phi.tower is phi.tower
+    with pytest.raises(ValueError):
+        phi.coeffs[0, 0, 0] = 2
+    assert phi.coeffs[0, 0, 0] == 1
 
 
 def test_certificate_generic_small_cases(fp):

@@ -17,6 +17,8 @@ from wildrep import (
     DimensionError,
     ExactModeError,
     FieldSpec,
+    KernelBundlePresentation,
+    LinearFormMatrix,
     PROV_CERTIFIED,
     PROV_EULER,
     PROV_EXACT,
@@ -31,6 +33,7 @@ from wildrep import (
     restricted_cohomology_table,
     vanishing_certificate,
 )
+from wildrep import polyspace
 from conftest import cached_bundle
 from oracles import (
     alternating_sum,
@@ -256,6 +259,34 @@ def test_trivial_ci_delegates_to_ambient(fp):
         restricted_cohomology_table(kb, x, (-5, 3)).as_rows()
         == cohomology_table_exact(kb, (-5, 3)).as_rows()
     )
+
+
+def test_ambient_table_splits_phi_once(fp, monkeypatch):
+    # the pivot split depends on phi alone: a window of 13 twists reduces
+    # [Phi_k^T | I] as often as a window of 3, and transposes phi once.
+    # The Serre-dual phi^T has more targets than sources, so its tower is
+    # the dense base, split with no reduction at all
+    kb, _ = cached_bundle(4, 2)
+    x = make_ci_variety(4, (), None, fp)
+    reduced, transposed = [], []
+    rref, transpose = polyspace.rref, LinearFormMatrix.transpose
+    monkeypatch.setattr(polyspace, "rref", lambda mat, field: reduced.append(mat.shape) or rref(mat, field))
+    monkeypatch.setattr(LinearFormMatrix, "transpose", lambda phi: transposed.append(phi) or transpose(phi))
+    counts = []
+    for window in ((-1, 1), (-8, 4)):
+        # a fresh phi, whose tower the table splits
+        phi = LinearFormMatrix(4, 4, 12, fp, kb.phi.coeffs.copy())
+        want = restricted_cohomology_table(kb, x, window).as_rows()
+        reduced.clear()
+        transposed.clear()
+        table = restricted_cohomology_table(KernelBundlePresentation(4, 2, phi), x, window)
+        assert table.as_rows() == want
+        assert transposed == [phi]
+        counts.append(len(reduced))
+    assert counts[0] == counts[1] > 0
+    reduced.clear()
+    assert [k for _, k, _ in kb.phi.transpose().tower] == [None]
+    assert reduced == []
 
 
 def test_restricted_table_needs_exact_mode(fp):
