@@ -19,7 +19,6 @@ from .exactfield import (
     rref,
 )
 from .polyspace import (
-    ExactModeError,
     RegularityError,
     basis_dim,
     binom,

@@ -28,19 +28,14 @@ from .moduli import (
     veronese_bound,
     wildness_certificate,
 )
-from .polyspace import (
-    ExactModeError,
-    RegularityError,
-    basis_dim,
-    hilbert_function,
-)
+from .polyspace import RegularityError, basis_dim, hilbert_function
 from .presentation import (
     SURJECTIVITY_SEARCH_MAX,
     GenericityError,
     ShapeError,
     build_kernel_bundle,
 )
-from .restriction import DimensionError, make_ci_variety, restricted_cohomology_table
+from .restriction import DimensionError, ci_dimension, make_ci_variety, restricted_cohomology_table
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -311,13 +306,13 @@ def run(config: RunConfig) -> int:
         payload.update(certificate=asdict(cert), stabilizer=asdict(rep))
         code = EXIT_OK if rep.simple else EXIT_FAILED
     elif config.command == "bound":
-        x = make_ci_variety(n, degrees)
+        d = ci_dimension(n, degrees)
         payload.update(
             s=s,
             family_dim=family_dimension(n, a),
             veronese_bound=veronese_bound(n),
-            embedding_dim=embedding_dimension(x, s),
-            variety_dim=x.d,
+            embedding_dim=embedding_dimension(n, degrees, s),
+            variety_dim=d,
         )
     else:
         x = make_ci_variety(n, degrees, rng, field)
@@ -360,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(**{**vars(args), "ci_degrees": tuple(args.ci_degrees)})
     try:
         code = run(config)
-    except (GenericityError, RefusalError, ExactModeError, RegularityError) as exc:
+    except (GenericityError, RefusalError, RegularityError) as exc:
         sys.stderr.write(f"certificate failed: {exc}\n")
         code = EXIT_FAILED
     except (ShapeError, DimensionError, SamplingError, ValueError) as exc:

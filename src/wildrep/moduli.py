@@ -23,7 +23,7 @@ import numpy as np
 
 from .exactfield import SeededRng, rank
 from .cohomology import CohomologyTable
-from .polyspace import ExactModeError, binom, hilbert_function
+from .polyspace import binom, hilbert_function
 from .presentation import (
     LinearFormMatrix,
     ShapeError,
@@ -72,11 +72,12 @@ def veronese_bound(n: int) -> int:
     return binom(n + 3, 3) - 1
 
 
-def embedding_dimension(x: ACMVarietyDescriptor, s: int) -> int:
-    """h^0(O_X(s)) - 1: the target dimension of the re-embedding by s-forms."""
+def embedding_dimension(n: int, degrees: tuple[int, ...], s: int) -> int:
+    """h^0(O_X(s)) - 1 for the complete intersection X of the degrees in
+    P^n: the target dimension of the re-embedding by s-forms."""
     if s < 0:
         raise ValueError(f"degree s = {s} < 0")
-    return hilbert_function(x.n, x.degrees, s) - 1
+    return hilbert_function(n, degrees, s) - 1
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def wildness_certificate(
     Refuses s < 3: multiples of s then reach the twists -1 or -2 where
     the restricted bundle genuinely has h^1, so no certificate exists.
     The ACM check reads the exact restricted table over the default
-    window, so x needs explicit forms, checked before sampling (ExactModeError).
+    window, ranked through the forms of x.
     """
     if s < 3:
         raise RefusalError(
@@ -196,8 +197,6 @@ def wildness_certificate(
         )
     if x.d < 2:
         raise DimensionError(f"variety dimension {x.d} < 2")
-    if not x.exact_mode:
-        raise ExactModeError("wildness certificate needs a variety with explicit forms")
     n = x.n
     kb, cert = build_kernel_bundle(n, a, rng, x.field)
     stab = stabilizer_dimension(kb.phi.transpose())
@@ -224,7 +223,7 @@ def wildness_certificate(
         bundle_rank=kb.rank,
         family_dim=family_dimension(n, a),
         veronese=veronese_bound(n),
-        embedding_dim=embedding_dimension(x, s),
+        embedding_dim=embedding_dimension(n, x.degrees, s),
         certificate=cert,
         stabilizer=stab,
         traces=traces,

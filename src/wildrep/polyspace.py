@@ -223,10 +223,6 @@ class RegularityError(RuntimeError):
     """Quotient ring dimensions disagree with the Koszul data of the degrees."""
 
 
-class ExactModeError(RuntimeError):
-    """An exact rank was asked of a variety that has no explicit forms."""
-
-
 def mult_map(coeffs: np.ndarray, n: int, m: int, e: int) -> np.ndarray:
     """Matrix of R_m^b -> R_(m+e)^a on P^n induced by an (a, b, C(n+e, n))
     tensor of degree-e forms with entries in [0, p).
@@ -256,14 +252,14 @@ def _products_cells(n: int, degrees: tuple[int, ...], k: int) -> int:
     return basis_dim(n, k) * sum(basis_dim(n, k - e) for e in degrees)
 
 
-@lru_cache(maxsize=64)
-def _slice_spans(degrees: tuple[int, ...], field: FieldSpec, cut: tuple[bytes, ...]) -> bool:
-    # the forms fbar_i in c variables, given by their coefficients, span
-    # all of degree D = sum (d_i - 1) + 1
+def _slice_spans(degrees: tuple[int, ...], field: FieldSpec, forms) -> bool:
+    # the forms fbar_i in c variables span all of degree D = sum (d_i - 1) + 1;
+    # the x_c..x_n-free monomials of degree e lead _monomials(n, e), in
+    # _monomials(c - 1, e) order, so fbar_i is a prefix of f_i
     c = len(degrees)
     top = sum(degrees) - c + 1
-    forms = [np.frombuffer(coeff, dtype=np.int64) for coeff in cut]
-    return rank(_products(c - 1, degrees, forms, top).T, field) == basis_dim(c - 1, top)
+    cut = [coeff[: basis_dim(c - 1, e)] for e, coeff in zip(degrees, forms)]
+    return rank(_products(c - 1, degrees, cut, top).T, field) == basis_dim(c - 1, top)
 
 
 def _regular_by_slice(x: "ACMVarietyDescriptor", k: int) -> bool:
@@ -271,17 +267,12 @@ def _regular_by_slice(x: "ACMVarietyDescriptor", k: int) -> bool:
 
     The slice is tried only when its matrix has no more cells than the span
     of I_k, so asking never allocates more than ranking that span would.
+    The verdict is x.slice_regular, made once per variety.
     """
     c = x.codim
     if _products_cells(c - 1, x.degrees, sum(x.degrees) - c + 1) > _products_cells(x.n, x.degrees, k):
         return False
-    # the x_c..x_n-free monomials of degree e lead _monomials(n, e), in
-    # _monomials(c - 1, e) order
-    cut = tuple(
-        np.asarray(coeff, dtype=np.int64)[: basis_dim(c - 1, e)].tobytes()
-        for e, coeff in zip(x.degrees, x.forms)
-    )
-    return _slice_spans(x.degrees, x.field, cut)
+    return x.slice_regular
 
 
 def ideal_dim(x: "ACMVarietyDescriptor", k: int) -> int:
@@ -418,8 +409,6 @@ def map_rank(
     n, p, a = phi.n, phi.field.p, phi.a_tgt
     if x is not None and (n != x.n or phi.field != x.field):
         raise ValueError("phi and variety live over different ambient data")
-    if x is not None and x.codim and x.forms is None:
-        raise ExactModeError("variety has no explicit forms; exact mode unavailable")
     if m < 0:  # the source R_m is zero
         return 0
     if x is None or not x.codim:

@@ -8,7 +8,7 @@ stays exact, so h^0 and h^1 on X are again the nullity and corank of one
 multiplication map, ranked through the map on P^n and the ideal of X.
 
 restricted_cohomology_table is the one loop that fills exact tables.  P^n
-is the complete intersection of codimension 0, make_ci_variety(n, ()), so
+is the complete intersection of codimension 0, with no forms to draw, so
 the ambient table runs the same loop.  Only the top row differs: on X it
 is forced by the Euler characteristic, on P^n it is also the rank of the
 Serre-dual map, tagged "exact-rank" where the two agree.
@@ -29,6 +29,7 @@ whole point of re-embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .cohomology import (
     h_line,
 )
 from .polyspace import (
-    ExactModeError,
+    _slice_spans,
     basis_dim,
     hilbert_function,
     ideal_dim,
@@ -58,22 +59,22 @@ class DimensionError(ValueError):
     """Variety dimension too small for the restriction theory."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ACMVarietyDescriptor:
-    """A complete intersection in P^n, described by its degrees.
+    """A complete intersection in P^n, cut out by explicit forms.
 
-    Its Hilbert function and resolution twists are the Koszul data of the
-    degrees; P^n is the complete intersection of no degrees.  When sampled
-    or supplied, forms holds explicit forms as coefficient vectors over the
-    fixed monomial bases; exact tables need those.  Without them only the
-    combinatorial operations (Hilbert functions, vanishing certificates,
-    embedding dimensions) apply.
+    forms holds one coefficient vector per degree, over the fixed monomial
+    basis of that degree, in F_p for field.  Its Hilbert function and
+    resolution twists are the Koszul data of the degrees; P^n is the
+    complete intersection of no degrees and no forms.  Equality is
+    identity, since arrays have no truth value to compare by, so
+    slice_regular lives and dies with the object.
     """
 
     n: int
-    degrees: tuple[int, ...] = ()
-    forms: tuple[np.ndarray, ...] | None = None
-    field: FieldSpec | None = None
+    degrees: tuple[int, ...]
+    forms: tuple[np.ndarray, ...]
+    field: FieldSpec
 
     @property
     def codim(self) -> int:
@@ -84,29 +85,23 @@ class ACMVarietyDescriptor:
         """Dimension of the variety."""
         return self.n - self.codim
 
-    @property
-    def exact_mode(self) -> bool:
-        return self.forms is not None
+    @cached_property
+    def slice_regular(self) -> bool:
+        """True when the coordinate slice of polyspace._slice_spans proves
+        the forms a regular sequence, for every degree at once.  Decided
+        once per variety; the forms become read-only when it is, so no
+        later edit can go stale under it."""
+        for coeff in self.forms:
+            coeff.flags.writeable = False
+        return _slice_spans(self.degrees, self.field, self.forms)
 
 
-def make_ci_variety(
-    n: int,
-    degrees: tuple[int, ...] | list[int],
-    rng: SeededRng | None = None,
-    field: FieldSpec | None = None,
-) -> ACMVarietyDescriptor:
-    """Complete intersection of the given degrees, generic when rng given.
+def ci_dimension(n: int, degrees: tuple[int, ...]) -> int:
+    """Dimension d = n - len(degrees) of a complete intersection in P^n.
 
-    Requires d = n - len(degrees) >= 2.  With an rng, each form in turn
-    gets its uniform coefficients as one batch of draws, in the order of
-    the monomial basis; regularity of the resulting sequence is not
-    assumed but proved when an exact table first needs it: for every
-    degree at once by the coordinate slice of polyspace.ideal_dim, or, when
-    that slice is special, against the Koszul Hilbert function in each
-    degree that the table reads.  Empty degrees give X = P^n, which needs
-    no forms.
+    Refuses n < 2, then d < 2, then a degree < 1, with DimensionError or
+    ValueError; it builds no variety and draws nothing.
     """
-    degrees = tuple(int(e) for e in degrees)
     if n < 2:
         raise DimensionError(f"ambient dimension n = {n} < 2")
     d = n - len(degrees)
@@ -114,13 +109,25 @@ def make_ci_variety(
         raise DimensionError(
             f"codimension {len(degrees)} leaves dimension {d} < 2 in P^{n}"
         )
-    koszul_twists(degrees)  # refuses a degree < 1 before any form is drawn
-    if not degrees:
-        return ACMVarietyDescriptor(n, (), (), field or FieldSpec.prime())
-    if rng is None:
-        return ACMVarietyDescriptor(n, degrees, None, field)
-    if field is None:
-        field = FieldSpec.prime()
+    koszul_twists(degrees)
+    return d
+
+
+def make_ci_variety(
+    n: int, degrees: tuple[int, ...] | list[int], rng: SeededRng, field: FieldSpec
+) -> ACMVarietyDescriptor:
+    """Generic complete intersection of the given degrees.
+
+    Requires what ci_dimension does, checked before any form is drawn.
+    Each form in turn gets its uniform coefficients as one batch of draws,
+    in the order of the monomial basis, so P^n draws nothing.  Regularity
+    of the resulting sequence is not assumed but proved when an exact table
+    first needs it: for every degree at once by slice_regular, or, when
+    that slice is special, against the Koszul Hilbert function in each
+    degree that the table reads (polyspace.ideal_dim).
+    """
+    degrees = tuple(int(e) for e in degrees)
+    ci_dimension(n, degrees)
     forms = tuple(random_field_elements(rng, field, basis_dim(n, e)) for e in degrees)
     return ACMVarietyDescriptor(n, degrees, forms, field)
 
@@ -184,8 +191,8 @@ def vanishing_certificate(
     vanishes off twists {-1, -2}.  With c = 0 the chain degenerates to
     the single ambient cell.
 
-    Purely combinatorial in the Koszul twists of the degrees, so it needs
-    no explicit forms.  Each trace is spot-verified against the closed
+    Purely combinatorial in the Koszul twists of the degrees: the forms
+    of x are never read.  Each trace is spot-verified against the closed
     forms; an unverified trace signals a bug, and is returned with its
     failures for diagnosis rather than raised.
     """
@@ -223,13 +230,11 @@ def restricted_cohomology_table(
     transpose of phi in complementary degrees, and the cell is tagged
     "exact-rank" where the two agree; they disagree only for a phi that is
     not sheaf-surjective, and the cell then stays "euler-forced", keeping
-    the alternating-sum identity true for arbitrary input.  Needs explicit
-    forms.
+    the alternating-sum identity true for arbitrary input.  On X the ranks
+    read the forms of x.
     """
     if kb.n != x.n:
         raise ValueError(f"bundle on P^{kb.n} but variety in P^{x.n}")
-    if not x.exact_mode:
-        raise ExactModeError("restricted table needs explicit forms")
     n, d = x.n, x.d
     t_min, t_max = default_window(d) if t_range is None else t_range
     if x.codim:

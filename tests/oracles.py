@@ -17,6 +17,7 @@ from wildrep import (
     LinearFormMatrix,
     PROV_CERTIFIED,
     PROV_EULER,
+    SeededRng,
     ShapeError,
     basis_dim,
     closed_form_cohomology,
@@ -108,9 +109,9 @@ def cohomology_table_exact(kb, t_range=None):
     """Exact cohomology table of E(t) on P^n over a twist window.
 
     P^n is the complete intersection of codimension 0, so this is the
-    restricted table on make_ci_variety(n, ()).
+    restricted table on make_ci_variety(n, (), ...), which has no forms.
     """
-    x = make_ci_variety(kb.n, (), field=kb.phi.field)
+    x = make_ci_variety(kb.n, (), SeededRng(0), kb.phi.field)
     return restricted_cohomology_table(kb, x, t_range)
 
 
@@ -175,7 +176,8 @@ def structure_table(x, t_range=None):
     """Cohomology table of O_X itself from the Koszul data of its degrees.
 
     h^0 is the Hilbert function, middle rows vanish (ACM), and the top
-    row is forced by the Hilbert polynomial.  Needs no explicit forms.
+    row is forced by the Hilbert polynomial.  Reads the degrees, never the
+    forms.
     """
     d = x.d
     t_min, t_max = default_window(d) if t_range is None else t_range

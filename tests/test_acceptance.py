@@ -237,7 +237,7 @@ def test_criterion_08_closed_form_constants():
         and family_dimension(3, 1) == 12
         and veronese_bound(2) == 9
         and veronese_bound(3) == 19
-        and embedding_dimension(quadric, 3) == 15
+        and embedding_dimension(quadric.n, quadric.degrees, 3) == 15
     )
     _report(8, "family dimensions, Veronese bounds, embedding dimension", ok)
 

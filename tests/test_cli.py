@@ -212,6 +212,7 @@ def test_bound_command(capsys):
         (["--n", "3", "--a", "0"], "no kernel-bundle shape for n = 3, a = 0"),
         (["--n", "3", "--a", "-2"], "no kernel-bundle shape for n = 3, a = -2"),
         (["--n", "1"], "ambient dimension n = 1 < 2"),
+        (["--n", "3", "--ci-degrees", "2", "2"], "codimension 2 leaves dimension 1 < 2 in P^3"),
     ],
 )
 def test_bound_refuses_invalid_shape(argv, message, capsys):
@@ -220,6 +221,22 @@ def test_bound_refuses_invalid_shape(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid input: {message}\n"
+
+
+def test_bound_draws_no_form(monkeypatch, capsys):
+    # bound reads n and the degrees alone: a form of degree 40 in P^6 would
+    # draw C(46, 6) coefficients, and bound answers without one
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("bound drew a form")
+
+    monkeypatch.setattr(restriction, "random_field_elements", must_not_draw)
+    assert main(["bound", "--n", "6", "--ci-degrees", "40"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "a": 1, "embedding_dim": 83, "family_dim": 45, "n": 6, "prime": 32003, "s": 3,
+        "seed": 0, "tool_version": "0.1.0", "variety_dim": 5, "veronese_bound": 83,
+    }
 
 
 def _not_simple(a_mat):
@@ -513,6 +530,7 @@ def test_ignored_flags_exit_usage_before_sampling(argv, unused, monkeypatch, cap
 
     monkeypatch.setattr(cli, "build_kernel_bundle", must_not_sample)
     monkeypatch.setattr(cli, "make_ci_variety", must_not_sample)
+    monkeypatch.setattr(cli, "ci_dimension", must_not_sample)
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -546,7 +564,7 @@ def test_form_count_boundary_for_bound(monkeypatch, capsys):
     def must_not_enumerate(*args, **kwargs):
         raise AssertionError("a refused request reached the Koszul data")
 
-    monkeypatch.setattr(cli, "make_ci_variety", must_not_enumerate)
+    monkeypatch.setattr(cli, "ci_dimension", must_not_enumerate)
     monkeypatch.setattr(cli, "hilbert_function", must_not_enumerate)
     assert main(["bound", "--n", "19", "--ci-degrees", *["2"] * 17]) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -602,6 +620,8 @@ def test_used_flags_reach_sampling(argv, monkeypatch):
 
     monkeypatch.setattr(cli, "build_kernel_bundle", sampled)
     monkeypatch.setattr(cli, "make_ci_variety", sampled)
+    # bound samples nothing: its first use of the request is ci_dimension
+    monkeypatch.setattr(cli, "ci_dimension", sampled)
     with pytest.raises(_Sampled):
         main(argv + ["--seed", "7"])
 

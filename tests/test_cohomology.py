@@ -200,7 +200,7 @@ def test_euler_identity_rank_deficient_map(fp):
 def test_audit_flag_accepts_generic_table(fp):
     kb, _ = cached_bundle(3, 1, seed=0)
     table = cohomology_table_exact(kb, (-5, 2))
-    pn = make_ci_variety(3, (), None, fp)
+    pn = make_ci_variety(3, (), SeededRng(0), fp)
     assert all(vanishing_squeeze(pn, 1, 2, t) == 0 for t in table.twists())
     assert table.cell(2, 0) == 0
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wildrep import (
-    ExactModeError,
     FieldSpec,
     RefusalError,
     SeededRng,
@@ -69,17 +68,16 @@ def test_veronese_bound_pinned():
 
 def test_veronese_bound_is_cubic_embedding_of_ambient(fp):
     for n in (2, 3, 4):
-        pn = make_ci_variety(n, (), None, fp)
-        assert veronese_bound(n) == embedding_dimension(pn, 3)
+        pn = make_ci_variety(n, (), SeededRng(0), fp)
+        assert veronese_bound(n) == embedding_dimension(pn.n, pn.degrees, 3)
         assert veronese_bound(n) == binom(n + 3, 3) - 1
 
 
 def test_embedding_dimension_values(fp):
     quadric = make_ci_variety(3, (2,), SeededRng(5), fp)
-    assert embedding_dimension(quadric, 3) == 15
-    assert embedding_dimension(quadric, 2) == 8
-    cubic = make_ci_variety(3, (3,))
-    assert embedding_dimension(cubic, 3) == hilbert_function(cubic.n, cubic.degrees, 3) - 1 == 18
+    assert embedding_dimension(quadric.n, quadric.degrees, 3) == 15
+    assert embedding_dimension(quadric.n, quadric.degrees, 2) == 8
+    assert embedding_dimension(3, (3,), 3) == hilbert_function(3, (3,), 3) - 1 == 18
 
 
 def test_family_exceeds_veronese_bound_eventually():
@@ -219,15 +217,6 @@ def test_wildness_certificate_refuses_small_s(fp):
     for s in (1, 2):
         with pytest.raises(RefusalError):
             wildness_certificate(x, s, 1, SeededRng(0))
-
-
-def test_wildness_certificate_without_forms_fails_before_sampling():
-    # a variety without forms has no exact table; the refusal comes before
-    # phi is sampled, so the stream is untouched
-    rng = SeededRng(0)
-    with pytest.raises(ExactModeError):
-        wildness_certificate(make_ci_variety(4, (2,)), 3, 2, rng)
-    assert rng.counter == 0
 
 
 def test_wildness_certificate_records_rng_state(fp):

@@ -22,7 +22,7 @@ from wildrep import (
     rank,
     sample_phi,
 )
-from wildrep import polyspace, restricted_cohomology_table
+from wildrep import polyspace, restricted_cohomology_table, restriction
 from wildrep.cli import main
 from wildrep.exactfield import _single_gemm_max
 from wildrep.polyspace import _monomials
@@ -292,15 +292,15 @@ def test_common_factor_is_refused():
         restricted_cohomology_table(kb, x)
 
 
-def _spy(monkeypatch, name, record):
-    real = getattr(polyspace, name)
+def _spy(monkeypatch, name, record, module=polyspace):
+    real = getattr(module, name)
 
     def spy(*args):
         out = real(*args)
         record(args, out)
         return out
 
-    monkeypatch.setattr(polyspace, name, spy)
+    monkeypatch.setattr(module, name, spy)
 
 
 @pytest.mark.parametrize("p", (101, 32003))
@@ -315,7 +315,8 @@ def test_degenerate_slice_takes_the_per_degree_check(p, monkeypatch):
     )
     x = ACMVarietyDescriptor(4, (2, 2), squares, f)
     slices, ranked = [], []
-    _spy(monkeypatch, "_slice_spans", lambda args, out: slices.append(out))
+    # slice_regular looks _slice_spans up in restriction
+    _spy(monkeypatch, "_slice_spans", lambda args, out: slices.append(out), restriction)
     _spy(monkeypatch, "rank", lambda args, out: ranked.append(args[0].shape))
     phi = sample_phi(4, 2, 6, SeededRng(p), f)
     for m in range(-1, 4):
@@ -333,7 +334,6 @@ def test_slice_never_outgrows_the_span(monkeypatch):
     # hstack of maps in one number of variables, the slice's fewer than the
     # span's, so the maps are summed by that number and checked before any
     # is allocated
-    polyspace._slice_spans.cache_clear()
     real, built, tried = polyspace.mult_map, {}, set()
 
     def mult_map(coeffs, n, m, e):
@@ -343,7 +343,7 @@ def test_slice_never_outgrows_the_span(monkeypatch):
         return real(coeffs, n, m, e)
 
     monkeypatch.setattr(polyspace, "mult_map", mult_map)
-    _spy(monkeypatch, "_slice_spans", lambda args, out: tried.add(args[0]))
+    _spy(monkeypatch, "_slice_spans", lambda args, out: tried.add(args[0]), restriction)
     for n, degrees in ((7, (8,) * 5), (5, (2, 2)), (4, (3, 2))):
         x = make_ci_variety(n, degrees, SeededRng(0), FieldSpec.prime())
         for k in range(-1, 10):
@@ -369,14 +369,14 @@ def test_mult_map_on_X_trivial_ci_matches_ambient():
     # on the complete intersection with no forms the reference map on X is
     # the P^n scatter itself, and so is its rank
     phi = sample_phi(3, 2, 5, SeededRng(0), FieldSpec.prime())
-    x = make_ci_variety(3, ())
+    x = make_ci_variety(3, (), SeededRng(0), FieldSpec.prime())
     assert np.array_equal(normal_form_map(phi, 1, x), mult_map(phi.coeffs, 3, 1, 1))
     assert map_rank(phi, 1, x) == map_rank(phi, 1)
 
 
 @pytest.mark.parametrize("n, m", [(2, -1), (2, 0), (3, 2), (4, 3)])
 def test_mult_map_codimension_zero_is_the_ambient_scatter(n, m, monkeypatch):
-    # P^n as make_ci_variety(n, ()) is ranked as the P^n scatter: no ideal span
+    # P^n, the complete intersection of no forms, is ranked as the P^n scatter: no ideal span
     phi = sample_phi(n, 2, n + 2, SeededRng(n + m), FieldSpec.prime())
     ambient = map_rank(phi, m)
 
@@ -384,7 +384,7 @@ def test_mult_map_codimension_zero_is_the_ambient_scatter(n, m, monkeypatch):
         raise AssertionError("codimension 0 built an ideal span")
 
     monkeypatch.setattr(polyspace, "_products", no_ideal)
-    assert map_rank(phi, m, make_ci_variety(n, ())) == ambient
+    assert map_rank(phi, m, make_ci_variety(n, (), SeededRng(0), FieldSpec.prime())) == ambient
 
 
 @st.composite
@@ -403,7 +403,7 @@ def test_mult_map_matches_normal_form_oracle(monkeypatch):
     # special about deg / p of the time, as at seed 12 of the example, so
     # the sample takes both the certificate and the per-degree check
     slices = set()
-    _spy(monkeypatch, "_slice_spans", lambda args, out: slices.add(out))
+    _spy(monkeypatch, "_slice_spans", lambda args, out: slices.add(out), restriction)
 
     @settings(max_examples=40, deadline=None)
     @example(make_ci_variety(4, (2, 2), SeededRng(12), FieldSpec.prime(101)), 2, True)
@@ -664,10 +664,10 @@ def test_map_rank_refuses_a_variety_over_other_ambient_data():
     # the check runs before the codimension branch, so a P^m or an F_101
     # descriptor is refused like a complete intersection of the wrong P^m
     kb, _ = cached_bundle(3, 1)
-    other_n = make_ci_variety(5, (), field=kb.phi.field)
-    other_field = make_ci_variety(3, (), field=FieldSpec.prime(101))
+    other_n = make_ci_variety(5, (), SeededRng(0), kb.phi.field)
+    other_field = make_ci_variety(3, (), SeededRng(0), FieldSpec.prime(101))
     other_field_ci = make_ci_variety(3, (2,), SeededRng(0), FieldSpec.prime(101))
-    for x in (other_n, other_field, other_field_ci, make_ci_variety(5, (2,), SeededRng(0))):
+    for x in (other_n, other_field, other_field_ci, make_ci_variety(5, (2,), SeededRng(0), kb.phi.field)):
         with pytest.raises(ValueError, match="different ambient data"):
             map_rank(kb.phi, 2, x)
     with pytest.raises(ValueError, match="P\\^5"):

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from wildrep import (
     DimensionError,
-    ExactModeError,
     FieldSpec,
     KernelBundlePresentation,
     LinearFormMatrix,
@@ -34,6 +33,7 @@ from wildrep import (
     vanishing_certificate,
 )
 from wildrep import polyspace
+from wildrep.restriction import ci_dimension
 from conftest import cached_bundle
 from oracles import (
     alternating_sum,
@@ -88,22 +88,48 @@ def _les_ci_rows(n, a, degrees, t_range):
     return [[h(i, t) for t in range(t_range[0], t_range[1] + 1)] for i in range(dim + 1)]
 
 
-def test_make_ci_rejects_small_dimension():
+def test_make_ci_rejects_small_dimension(fp):
     with pytest.raises(DimensionError):
-        make_ci_variety(1, ())
+        make_ci_variety(1, (), SeededRng(0), fp)
     with pytest.raises(DimensionError):
-        make_ci_variety(3, (2, 2))
+        make_ci_variety(3, (2, 2), SeededRng(0), fp)
     with pytest.raises(DimensionError):
-        make_ci_variety(4, (2, 2, 2))
+        make_ci_variety(4, (2, 2, 2), SeededRng(0), fp)
+
+
+@pytest.mark.parametrize(
+    "n, degrees, message",
+    [
+        # n is checked first, then the dimension, then the degrees
+        (1, (0, 0), "ambient dimension n = 1 < 2"),
+        (3, (2, 0), "codimension 2 leaves dimension 1 < 2 in P^3"),
+        (3, (0,), "complete intersection degree 0 < 1"),
+    ],
+)
+def test_ci_dimension_refuses_before_drawing(n, degrees, message, fp):
+    rng = SeededRng(0)
+    for check in (lambda: ci_dimension(n, degrees), lambda: make_ci_variety(n, degrees, rng, fp)):
+        with pytest.raises(ValueError) as refused:
+            check()
+        assert str(refused.value) == message
+    assert rng.counter == 0
+    assert ci_dimension(5, (2, 3)) == make_ci_variety(5, (2, 3), rng, fp).d == 3
 
 
 def test_variety_descriptor_modes(fp):
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
-    assert x.exact_mode and x.d == 2 and x.codim == 1
-    bare = make_ci_variety(3, (2,))
-    assert not bare.exact_mode
-    triv = make_ci_variety(3, (), None, fp)
-    assert triv.exact_mode and triv.codim == 0
+    assert x.d == 2 and x.codim == 1
+    rng = SeededRng(0)
+    triv = make_ci_variety(3, (), rng, fp)
+    assert triv.codim == 0 and triv.forms == () and rng.counter == 0
+
+
+def test_variety_equality_is_identity(fp):
+    # equal forms used to make == raise on the truth value of an array
+    x, y = (make_ci_variety(3, (2,), SeededRng(5), fp) for _ in range(2))
+    assert (x.forms[0] == y.forms[0]).all()
+    assert x == x and x != y and not x == y
+    assert len({x, y, x}) == 2
 
 
 def test_chase_trace_quadric_surface(fp):
@@ -122,7 +148,7 @@ def test_chase_trace_quadric_surface(fp):
 
 
 def test_chase_trace_trivial_ci(fp):
-    x = make_ci_variety(3, (), None, fp)
+    x = make_ci_variety(3, (), SeededRng(0), fp)
     traces = vanishing_certificate(x, 1)
     assert [tr.target_index for tr in traces] == [1, 2]
     for tr in traces:
@@ -131,8 +157,8 @@ def test_chase_trace_trivial_ci(fp):
     assert traces[1].excluded_twists == ()
 
 
-def test_chase_trace_codim2():
-    x = make_ci_variety(4, (2, 2))
+def test_chase_trace_codim2(fp):
+    x = make_ci_variety(4, (2, 2), SeededRng(0), fp)
     traces = vanishing_certificate(x, 1)
     assert len(traces) == 1
     tr = traces[0]
@@ -146,7 +172,7 @@ def test_line_cohomology_vanishes_on_ci(fp):
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     for k in range(-8, 6):
         assert line_cohomology_on_ci(x, 1, k) == 0
-    y = make_ci_variety(4, (2,))
+    y = make_ci_variety(4, (2,), SeededRng(0), fp)
     for i in (1, 2):
         for k in range(-8, 6):
             assert line_cohomology_on_ci(y, i, k) == 0
@@ -254,7 +280,7 @@ def test_restricted_euler_characteristic_is_column_sum(fp):
 
 def test_trivial_ci_delegates_to_ambient(fp):
     kb, _ = cached_bundle(3, 1, seed=0)
-    x = make_ci_variety(3, (), None, fp)
+    x = make_ci_variety(3, (), SeededRng(0), fp)
     assert (
         restricted_cohomology_table(kb, x, (-5, 3)).as_rows()
         == cohomology_table_exact(kb, (-5, 3)).as_rows()
@@ -267,7 +293,7 @@ def test_ambient_table_splits_phi_once(fp, monkeypatch):
     # The Serre-dual phi^T has more targets than sources, so its tower is
     # the dense base, split with no reduction at all
     kb, _ = cached_bundle(4, 2)
-    x = make_ci_variety(4, (), None, fp)
+    x = make_ci_variety(4, (), SeededRng(0), fp)
     reduced, transposed = [], []
     rref, transpose = polyspace.rref, LinearFormMatrix.transpose
     monkeypatch.setattr(polyspace, "rref", lambda mat, field: reduced.append(mat.shape) or rref(mat, field))
@@ -287,12 +313,6 @@ def test_ambient_table_splits_phi_once(fp, monkeypatch):
     reduced.clear()
     assert [k for _, k, _ in kb.phi.transpose().tower] == [None]
     assert reduced == []
-
-
-def test_restricted_table_needs_exact_mode(fp):
-    kb, _ = cached_bundle(3, 1, seed=0)
-    with pytest.raises(ExactModeError):
-        restricted_cohomology_table(kb, make_ci_variety(3, (2,)), (-2, 2))
 
 
 def test_restricted_table_ambient_mismatch(fp):

@@ -79,3 +79,32 @@ def test_every_definition_has_a_caller_in_the_package():
         if counts.get(node.name, 0) == _references(node).count(node.name)
     ]
     assert unused == []
+
+
+
+def _dataclass_flags(decorator):
+    """The constant keywords of a @dataclass(...) decorator, else None."""
+    if isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "dataclass":
+        return {kw.arg: getattr(kw.value, "value", None) for kw in decorator.keywords}
+    return None
+
+
+def test_frozen_dataclasses_holding_arrays_compare_by_identity():
+    # the generated __eq__ compares the fields as tuples, so an array field
+    # makes == raise on the truth value of an array, and hash raise too;
+    # such a dataclass must be declared eq=False
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert "presentation.py" in [path.name for path in paths]
+    found = [
+        f"{path.name}:{cls.lineno} {cls.name}"
+        for path in paths
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for flags in map(_dataclass_flags, cls.decorator_list)
+        if flags and flags.get("frozen") is True and flags.get("eq") is not False
+        and any(
+            isinstance(item, ast.AnnAssign) and "ndarray" in _references(item.annotation)
+            for item in cls.body
+        )
+    ]
+    assert found == []
