@@ -65,7 +65,6 @@ from .moduli import (
     WildnessReport,
     embedding_dimension,
     family_dimension,
-    intertwiner_system,
     kac_discriminant,
     stabilizer_dimension,
     veronese_bound,

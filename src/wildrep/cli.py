@@ -185,17 +185,19 @@ def _window(config: RunConfig, dim: int) -> tuple[int, int]:
 def largest_matrix(config: RunConfig) -> tuple[int, int]:
     """Shape of the largest matrix a request builds, from closed forms.
 
-    Counts the maps of the surjectivity search, the stabilizer system and,
-    over the twist window, the P^n map in degree 1 + t, on X its lift
-    [M | F] by the ideal span, and the Serre-dual maps on P^n.  The lift
-    is built only when M is short of onto and I_(2+t) is not 0, so the
-    count stays an upper bound of what is built.  Each grows
-    monotonically in its degree, so the last search degree and the two
-    ends of the window bound the rest.  A form of degree e is drawn as
-    C(n+e, n) coefficients whatever the window, so its own degree counts
-    too, as the degree-e ideal span with at least H_X(e) rows: a form too
-    large to draw is refused before it is drawn.  Parts that a later check
-    refuses to build count as empty.
+    Counts the maps of the surjectivity search, the stabilizer's system in
+    C and, over the twist window, the P^n map in degree 1 + t, on X its
+    lift [M | F] by the ideal span, and the Serre-dual maps on P^n.  The
+    right kernel of A_all has at most a_tgt (n+1) columns whatever the
+    sample, so a_tgt b_src (n+1) x a_tgt^2 bounds the stabilizer's system
+    and the product that forms it.  The lift is built only when M is short
+    of onto and I_(2+t) is not 0, so the count stays an upper bound of
+    what is built.  Each grows monotonically in its degree, so the last
+    search degree and the two ends of the window bound the rest.  A form
+    of degree e is drawn as C(n+e, n) coefficients whatever the window, so
+    its own degree counts too, as the degree-e ideal span with at least
+    H_X(e) rows: a form too large to draw is refused before it is drawn.
+    Parts that a later check refuses to build count as empty.
     """
     n, a = config.n, config.a
     if config.command == "bound" or n < 2 or a < 1:
@@ -204,7 +206,7 @@ def largest_matrix(config: RunConfig) -> tuple[int, int]:
     m = SURJECTIVITY_SEARCH_MAX
     shapes = [(a_tgt * basis_dim(n, m + 1), b_src * basis_dim(n, m))]
     if config.command in ("simplicity", "certify"):
-        shapes.append((a_tgt * b_src * (n + 1), a_tgt * a_tgt + b_src * b_src))
+        shapes.append((a_tgt * b_src * (n + 1), a_tgt * a_tgt))
     degrees = config.ci_degrees
     d = n - len(degrees)
     if config.command in ("table", "restrict", "certify") and d >= 2:

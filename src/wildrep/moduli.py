@@ -3,10 +3,9 @@
 The dual of the bundle presentation is a module over the Kronecker-style
 path algebra with n + 1 arrows; a pair of constant matrices (B, C)
 intertwines the presentation matrix A when AC = BA, an identity of
-linear forms.  Comparing coefficients variable by variable gives one
-homogeneous linear system whose kernel is the endomorphism algebra of
-the pair; the bundle is simple exactly when that kernel is the scalars,
-i.e. has dimension 1.
+linear forms.  The pairs form the endomorphism algebra; the bundle is
+simple exactly when it is the scalars, i.e. has dimension 1.  B is
+eliminated exactly, so the dimension is one rank of a system in C alone.
 
 The family of presentations modulo the group action has dimension
 a^2 (n^2 + 2n - 4) + 1, which grows without bound in a, while the
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactfield import SeededRng, rank
+from .exactfield import SeededRng, _sub_mul_mod, kernel_basis, rank
 from .cohomology import CohomologyTable
 from .polyspace import binom, hilbert_function
 from .presentation import (
@@ -84,11 +83,13 @@ def embedding_dimension(n: int, degrees: tuple[int, ...], s: int) -> int:
 class StabilizerReport:
     """Endomorphism dimension of a presentation matrix A of linear forms.
 
-    system_rows x system_cols is the coefficient-comparison system; the
-    stabilizer of the group action on presentations has dimension
-    stab_dimension - 1 on top of the scalars, so simple means
-    stab_dimension == 1.  kac_value is recorded as context only: the
-    simplicity verdict is the instance computation, never the sign.
+    stab_dimension is the nullity of the coefficient comparison of AC = BA
+    in (B, C), whose closed-form size is system_rows x system_cols; B is
+    eliminated, so that system is never built.  The stabilizer of the
+    group action on presentations has dimension stab_dimension - 1 on top
+    of the scalars, so simple means stab_dimension == 1.  kac_value is
+    recorded as context only: the simplicity verdict is the instance
+    computation, never the sign.
     """
 
     n: int
@@ -100,30 +101,16 @@ class StabilizerReport:
     system_cols: int
 
 
-def intertwiner_system(a_mat: LinearFormMatrix) -> np.ndarray:
-    """Coefficient matrix of AC = BA in the unknown entries of (B, C).
-
-    Unknowns are vec(B) then vec(C), row-major.  Equations are indexed by
-    (entry row r, entry column s, variable k): the x_k-coefficient of
-    (AC - BA)[r, s] must vanish.  That equation holds -A[i, s, k] at B[r, i]
-    and A[r, j, k] at C[j, s]; these positions never coincide, so both sets
-    are written once, through diagonal views of the system.
-    """
-    rows_a, cols_a, nvars = a_mat.a_tgt, a_mat.b_src, a_mat.n + 1
-    nb, nc = rows_a * rows_a, cols_a * cols_a
-    system = np.zeros((rows_a, cols_a, nvars, nb + nc), dtype=np.int64)
-    b_part = system[..., :nb].reshape(rows_a, cols_a, nvars, rows_a, rows_a)
-    c_part = system[..., nb:].reshape(rows_a, cols_a, nvars, cols_a, cols_a)
-    np.einsum("rskri->rski", b_part)[...] = -a_mat.coeffs.transpose(1, 2, 0) % a_mat.field.p
-    np.einsum("rskjs->rskj", c_part)[...] = a_mat.coeffs.transpose(0, 2, 1)[:, None]
-    return system.reshape(rows_a * cols_a * nvars, nb + nc)
-
-
 def stabilizer_dimension(a_mat: LinearFormMatrix) -> StabilizerReport:
-    """Solve AC = BA for constant matrices; dimension 1 means simple.
+    """Dimension of the constant pairs (B, C) with AC = BA; 1 means simple.
 
-    A must have the presentation shape (n+2)a x 2a.  The scalar pairs
-    (lambda I, lambda I) always solve, so the dimension is at least 1.
+    A must have the presentation shape R x 2a, R = (n+2)a.  With A_all =
+    [A_0 | ... | A_n] and N a basis of its right kernel, the pairs (B, 0)
+    are the B with B A_all = 0, R (R - rank A_all) dimensions, and C
+    extends to a pair exactly when A_all (I kron C) N = 0.  The coefficient
+    of C[i, j] in entry (r, c) of that condition is sum_k A_k[r, i]
+    N_k[j, c], one product over k.  The scalar pairs (lambda I, lambda I)
+    always solve, so the dimension is at least 1.
     """
     n = a_mat.n
     if a_mat.b_src % 2 != 0:
@@ -134,16 +121,25 @@ def stabilizer_dimension(a_mat: LinearFormMatrix) -> StabilizerReport:
             f"presentation matrix is {a_mat.a_tgt}x{a_mat.b_src}; expected "
             f"((n+2)a)x(2a) for n = {n}"
         )
-    system = intertwiner_system(a_mat)
-    dim = system.shape[1] - rank(system, a_mat.field)
+    rows, cols, p = a_mat.a_tgt, a_mat.b_src, a_mat.field.p
+    coeffs = a_mat.coeffs % p
+    kernel = kernel_basis(coeffs.transpose(0, 2, 1).reshape(rows, -1), a_mat.field)
+    nu = kernel.shape[1]
+    rank_all = cols * (n + 1) - nu
+    # -S, which has the rank of S, indexed (r, i) x (j, c), then (r, c) x (i, j)
+    s = np.zeros((rows * cols, cols * nu))
+    left, right = coeffs.reshape(-1, n + 1), kernel.reshape(n + 1, -1)
+    _sub_mul_mod(s, left.astype(np.float64), right.astype(np.float64), p)
+    s = s.reshape(rows, cols, cols, nu).transpose(0, 3, 1, 2).astype(np.int64, order="C")
+    dim = rows * (rows - rank_all) + cols * cols - rank(s.reshape(rows * nu, -1), a_mat.field)
     return StabilizerReport(
         n=n,
         a=a,
         stab_dimension=dim,
         simple=(dim == 1),
         kac_value=kac_discriminant(n, a),
-        system_rows=system.shape[0],
-        system_cols=system.shape[1],
+        system_rows=rows * cols * (n + 1),
+        system_cols=rows * rows + cols * cols,
     )
 
 

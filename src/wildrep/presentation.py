@@ -24,6 +24,9 @@ from .polyspace import _split_tower, basis_dim, map_rank
 # last degree the sheaf surjectivity certificate tries
 SURJECTIVITY_SEARCH_MAX = 3
 
+# samples build_kernel_bundle draws after a failed first one
+MAX_RESAMPLE = 8
+
 
 class GenericityError(RuntimeError):
     """Sampling failed to produce a matrix passing the genericity certificates."""
@@ -169,11 +172,10 @@ def build_kernel_bundle(
     a: int,
     rng: SeededRng,
     field: FieldSpec,
-    max_resample: int = 8,
 ) -> tuple[KernelBundlePresentation, SurjectivityCertificate]:
     """Sample phi until both genericity certificates pass.
 
-    Makes at most 1 + max_resample attempts, all drawn from the one rng
+    Makes at most 1 + MAX_RESAMPLE attempts, all drawn from the one rng
     stream; the returned certificate records the (seed, counter) state
     from which the accepted phi was drawn.  Raises GenericityError when
     every attempt fails, which over a field of size >= 101 signals a bug
@@ -183,7 +185,7 @@ def build_kernel_bundle(
     a_tgt, b_src = 2 * a, (n + 2) * a
     if n < 2 or a < 1:
         raise ShapeError(f"no kernel-bundle shape for n = {n}, a = {a}")
-    attempts = 1 + max_resample
+    attempts = 1 + MAX_RESAMPLE
     failed = []
     for _ in range(attempts):
         seed, counter = rng.state()

@@ -4,8 +4,9 @@ None of these runs in the certificate pipeline, so they live beside the
 tests rather than in the package they check: closed-form and structure
 tables, the ambient table through the restricted loop, a direct rank of
 the degree-one sections map, the line-bundle cohomology of a complete
-intersection, the normal-form map on a complete intersection, and small
-builders and counters for matrices.
+intersection, the normal-form map on a complete intersection, the full
+intertwiner system AC = BA in the unknowns of B and C, and small builders
+and counters for matrices.
 
 The SplitMix64 stream is kept here too, drawn one value at a time.
 """
@@ -85,6 +86,28 @@ def splitmix64_mod(seed, counter, count, p):
 
 def nullity(m, field):
     return m.shape[1] - rank(m, field)
+
+
+def intertwiner_system(a_mat):
+    """Coefficient matrix of AC = BA in the unknown entries of (B, C),
+    entry by entry.
+
+    Unknowns are vec(B) then vec(C), row-major.  Equation (r, s, k) is the
+    x_k-coefficient of (AC - BA)[r, s]: A[r, j, k] at C[j, s] and
+    -A[i, s, k] at B[r, i].  Its nullity is the dimension that
+    stabilizer_dimension computes with B eliminated.
+    """
+    ra, ca, nv = a_mat.a_tgt, a_mat.b_src, a_mat.n + 1
+    system = np.zeros((ra * ca * nv, ra * ra + ca * ca), dtype=np.int64)
+    for r in range(ra):
+        for s in range(ca):
+            for k in range(nv):
+                eq = (r * ca + s) * nv + k
+                for j in range(ca):
+                    system[eq, ra * ra + j * ca + s] += int(a_mat.coeffs[r, j, k])
+                for i in range(ra):
+                    system[eq, r * ra + i] -= int(a_mat.coeffs[i, s, k])
+    return system % a_mat.field.p
 
 
 def alternating_sum(table, t):

@@ -28,6 +28,7 @@ from wildrep import (
     stabilizer_dimension,
     veronese_bound,
 )
+from wildrep import presentation
 from wildrep.cli import main as cli_main
 from conftest import GOLDEN_DIR
 from oracles import (
@@ -44,6 +45,13 @@ SEEDS = range(10)
 _grid_cache = None
 
 
+def _single_draw(n, a, seed, field):
+    """build_kernel_bundle with no resampling: the seed's first draw only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presentation, "MAX_RESAMPLE", 0)
+        return build_kernel_bundle(n, a, SeededRng(seed), field)
+
+
 def _grid():
     """One sample per seed (no resampling), full table vs closed forms."""
     global _grid_cache
@@ -57,9 +65,7 @@ def _grid():
             entries = []
             for seed in SEEDS:
                 try:
-                    kb, cert = build_kernel_bundle(
-                        n, a, SeededRng(seed), field, max_resample=0
-                    )
+                    kb, cert = _single_draw(n, a, seed, field)
                 except GenericityError:
                     entries.append(None)
                     continue
@@ -158,9 +164,7 @@ def test_criterion_05_simplicity():
             accepted = 0
             for seed in SEEDS:
                 try:
-                    kb, _ = build_kernel_bundle(
-                        n, a, SeededRng(seed), field, max_resample=0
-                    )
+                    kb, _ = _single_draw(n, a, seed, field)
                 except GenericityError:
                     continue
                 accepted += 1

@@ -469,6 +469,10 @@ def test_largest_matrix_refuses_oversized_requests(config, shape):
         (RunConfig("restrict", n=5, a=2, ci_degrees=(2, 2)), (1848, 4536)),
         (RunConfig("table", n=6, a=1), (1848, 3696)),
         (RunConfig("restrict", n=6, a=1, ci_degrees=(2,)), (1848, 4116)),
+        # the stabilizer's system in C at a = 16: (2a)(5a)(n+1) x (2a)^2
+        (RunConfig("simplicity", n=3, a=16), (10240, 1024)),
+        # where the top table map with its lift columns is the largest
+        (RunConfig("certify", n=3, a=16, ci_degrees=(2,)), (2688, 5600)),
     ],
 )
 def test_largest_matrix_admits_benchmarked_requests(config, shape):
@@ -658,6 +662,8 @@ def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
         ["restrict", "--n", "6", "--ci-degrees", "2", "2", "2", "--a", "1", "--format", "json"],
         ["restrict", "--n", "5", "--ci-degrees", "2", "--a", "2", "--format", "json"],
         ["restrict", "--n", "7", "--ci-degrees", "2", "2", "--a", "1", "--format", "json"],
+        # a = 8: certify in the large-a regime of the family
+        ["certify", "--n", "3", "--ci-degrees", "2", "--a", "8", "--s", "3"],
     ],
 )
 def test_verdict_and_table_agree_at_two_primes(argv, capsys):

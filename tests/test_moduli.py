@@ -5,15 +5,17 @@ import pytest
 
 from wildrep import (
     FieldSpec,
+    LinearFormMatrix,
     RefusalError,
     SeededRng,
     ShapeError,
     binom,
+    build_kernel_bundle,
     embedding_dimension,
     family_dimension,
     hilbert_function,
-    intertwiner_system,
     kac_discriminant,
+    kernel_basis,
     make_ci_variety,
     sample_phi,
     stabilizer_dimension,
@@ -21,7 +23,7 @@ from wildrep import (
     wildness_certificate,
 )
 from conftest import cached_bundle
-from oracles import from_rows, nullity, zero_phi
+from oracles import from_rows, intertwiner_system, nullity, zero_phi
 
 
 def test_kac_discriminant_pinned():
@@ -99,8 +101,8 @@ def test_stabilizer_generic_cases(fp):
 
 def test_stabilizer_system_shape(fp):
     kb, _ = cached_bundle(2, 1, seed=0)
-    sys_mat = intertwiner_system(kb.phi.transpose())
-    assert sys_mat.shape == (24, 20)
+    rep = stabilizer_dimension(kb.phi.transpose())
+    assert (rep.system_rows, rep.system_cols) == (24, 20)
     kb32, _ = cached_bundle(3, 2, seed=0)
     rep = stabilizer_dimension(kb32.phi.transpose())
     assert (rep.system_rows, rep.system_cols) == (160, 116)
@@ -121,7 +123,7 @@ def test_stabilizer_rejects_bad_shape(fp):
 
 
 def test_scalar_pair_always_intertwines(fp):
-    # (B, C) = (I, I) satisfies AC = BA whatever A is, so the cooked-up
+    # (B, C) = (I, I) satisfies AC = BA whatever A is, so the reference
     # system must annihilate its vec
     for n, a in [(2, 1), (3, 2)]:
         rows_a, cols_a = (n + 2) * a, 2 * a
@@ -136,11 +138,11 @@ def test_scalar_pair_always_intertwines(fp):
         assert not image.any()
 
 
-def _naive_intertwiner_nullity(a_mat, fp):
+def _naive_intertwiner_system(a_mat, fp):
     """Assemble AC = BA equations from scratch, C unknowns first.
 
     Different variable order and different loop structure from the
-    implementation; nullity is invariant under column permutation.
+    reference; nullity is invariant under column permutation.
     """
     ra, ca = a_mat.a_tgt, a_mat.b_src
     nv = a_mat.n + 1
@@ -156,34 +158,21 @@ def _naive_intertwiner_nullity(a_mat, fp):
                     col = ca * ca + r * ra + i
                     row[col] = (row[col] - int(a_mat.coeffs[i, s, k])) % fp.p
                 rows.append(row)
-    return nullity(from_rows(rows, fp), fp)
+    return from_rows(rows, fp)
 
 
 def test_intertwiner_system_matches_naive_assembly(fp):
     for n, a, seed in [(2, 1, 0), (2, 1, 3), (3, 1, 1), (2, 2, 4)]:
         a_mat = sample_phi(n, (n + 2) * a, 2 * a, SeededRng(seed), fp)
-        assert nullity(intertwiner_system(a_mat), fp) == _naive_intertwiner_nullity(
-            a_mat, fp
-        )
-
-
-def _loop_intertwiner_system(a_mat, fp):
-    """The system entry by entry, in the implementation's row and column order."""
-    ra, ca, nv = a_mat.a_tgt, a_mat.b_src, a_mat.n + 1
-    system = np.zeros((ra * ca * nv, ra * ra + ca * ca), dtype=np.int64)
-    for r in range(ra):
-        for s in range(ca):
-            for k in range(nv):
-                eq = (r * ca + s) * nv + k
-                for j in range(ca):
-                    system[eq, ra * ra + j * ca + s] += int(a_mat.coeffs[r, j, k])
-                for i in range(ra):
-                    system[eq, r * ra + i] -= int(a_mat.coeffs[i, s, k])
-    return system % fp.p
+        naive = nullity(_naive_intertwiner_system(a_mat, fp), fp)
+        assert nullity(intertwiner_system(a_mat), fp) == naive
+        assert stabilizer_dimension(a_mat).stab_dimension == naive
 
 
 @pytest.mark.parametrize("p", (101, 32003, (1 << 31) - 1))
 def test_intertwiner_system_matches_loop_assembly_entrywise(p):
+    # the reference, row by row, is the from-scratch assembly with its C
+    # and B column blocks swapped back
     fp = FieldSpec.prime(p)
     for n, a, seed in [(3, 2, 0), (2, 1, 3), (4, 1, 1), (2, 2, 4)]:
         rows_a, cols_a = (n + 2) * a, 2 * a
@@ -192,8 +181,49 @@ def test_intertwiner_system_matches_loop_assembly_entrywise(p):
             sample_phi(n, cols_a, rows_a, SeededRng(seed), fp).transpose(),
         ):
             system = intertwiner_system(a_mat)
+            naive = _naive_intertwiner_system(a_mat, fp)
             assert system.dtype == np.int64
-            assert np.array_equal(system, _loop_intertwiner_system(a_mat, fp))
+            assert np.array_equal(
+                system, np.hstack((naive[:, cols_a * cols_a :], naive[:, : cols_a * cols_a]))
+            )
+
+
+def _direct_sum(first, second):
+    """The presentation of E_1 + E_2: phi_1 and phi_2 as diagonal blocks."""
+    (a1, b1), (a2, b2) = (first.a_tgt, first.b_src), (second.a_tgt, second.b_src)
+    coeffs = np.zeros((a1 + a2, b1 + b2, first.n + 1), dtype=np.int64)
+    coeffs[:a1, :b1], coeffs[a1:, b1:] = first.coeffs, second.coeffs
+    return LinearFormMatrix(first.n, a1 + a2, b1 + b2, first.field, coeffs)
+
+
+@pytest.mark.parametrize("p", (101, 32003, (1 << 31) - 1))
+def test_stabilizer_dimension_matches_reference_nullity(p):
+    # B is eliminated through the kernel N of A_all = [A_0 | ... | A_n];
+    # the full system in (B, C) must have the same nullity
+    fp = FieldSpec.prime(p)
+    accepted = {}
+    for n, a in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)]:
+        a_mat = build_kernel_bundle(n, a, SeededRng(0), fp)[0].phi.transpose()
+        # h^0(E(-1)) = 0: A_all has full row rank, so N has na columns
+        a_all = a_mat.coeffs.transpose(0, 2, 1).reshape(a_mat.a_tgt, -1)
+        assert kernel_basis(a_all, fp).shape[1] == n * a
+        accepted[n, a] = a_mat
+    cases = [(a_mat, 1) for a_mat in accepted.values()]
+    phi_1 = build_kernel_bundle(3, 1, SeededRng(1), fp)[0].phi
+    phi_2 = build_kernel_bundle(3, 1, SeededRng(2), fp)[0].phi
+    # End(E_1 + E_1) is 2 x 2 matrices; End(E_1 + E_2) is two scalars
+    cases.append((_direct_sum(phi_1, phi_1).transpose(), 4))
+    cases.append((_direct_sum(phi_1, phi_2).transpose(), 2))
+    cases.append((zero_phi(3, 10, 4, fp), 10 * 10 + 4 * 4))
+    # a zero row leaves A_all short of full row rank while S is not 0, so
+    # both the B that pair with C = 0 and rank S count
+    coeffs = accepted[3, 2].coeffs.copy()
+    coeffs[0] = 0
+    cases.append((LinearFormMatrix(3, 10, 4, fp, coeffs), None))
+    for a_mat, expect in cases:
+        dim = stabilizer_dimension(a_mat).stab_dimension
+        assert dim == nullity(intertwiner_system(a_mat), fp)
+        assert expect is None or dim == expect
 
 
 def test_wildness_certificate_quadric(fp):

@@ -156,8 +156,9 @@ def _zero_draws(rng, field, count):
 def test_build_exhausts_on_degenerate_stream(fp, monkeypatch):
     # a stream of zeros can never produce a generic sample
     monkeypatch.setattr(presentation, "random_field_elements", _zero_draws)
+    monkeypatch.setattr(presentation, "MAX_RESAMPLE", 2)
     with pytest.raises(GenericityError) as exc:
-        build_kernel_bundle(2, 1, SeededRng(0), fp, max_resample=2)
+        build_kernel_bundle(2, 1, SeededRng(0), fp)
     message = str(exc.value)
     assert "\n" not in message
     # each attempt draws 2 * 4 * 3 coefficients, so attempts start at
