@@ -3,21 +3,22 @@
 Everything downstream (multiplication-map matrices, cohomology tables,
 stabilizer systems) reduces to ranks and kernels computed here, so this
 module is deliberately small and deterministic.  A matrix is a plain 2-D
-int64 numpy array, passed with the FieldSpec of its prime as in
-FFLAS-FFPACK; results have entries in [0, p), and an input is reduced into
-[0, p) on entry and never modified.
+numpy array of int64 or of integer-valued float64, passed with the
+FieldSpec of its prime as in FFLAS-FFPACK; results are int64 with entries
+in [0, p), and an input is reduced into [0, p) on entry and never
+modified.
 
 All row reduction is one recursive routine that brings a matrix to
 reduced row echelon form in place.  A block of at most 32 rows (a leaf) is
-reduced left-looking in int64.  It reduces its rows and walks, left to
-right, only its live columns (row operations keep a zero column zero),
-forming each as it stands now, T a[:, c] mod p, from the leaf's row
-operations T.  A pivot changes only T, so it costs O(rows^2) however wide
-the leaf.  When a column has no entry at or below the next pivot row, one
-product of T's remaining rows with the columns after it finds the next
-pivot column, and the walk drops the columns that are zero there.  A last
-product writes T a into the leaf.  The matvec runs whole in int64 when
-rows (p-1)^2 < 2^63, otherwise against 16-bit limbs of the column.
+reduced left-looking in int64.  It walks, left to right, only its live
+columns (row operations keep a zero column zero), forming each as it
+stands now, T a[:, c] mod p, from the leaf's row operations T.  A pivot
+changes only T, so it costs O(rows^2) however wide the leaf.  When a
+column has no entry at or below the next pivot row, one product of T's
+remaining rows with the columns after it finds the next pivot column, and
+the walk drops the columns that are zero there.  A last product writes
+T a into the leaf.  The matvec runs whole in int64 when rows (p-1)^2 <
+2^63, otherwise against 16-bit limbs of the column.
 
 A taller block is split in half; the top half is reduced, its pivot
 columns are cleared from the bottom half by one matrix product, the bottom
@@ -32,14 +33,13 @@ The products run through float64 BLAS, with float64 only as a carrier for
 exact integers: a bound checked at every product keeps each partial sum
 below 2^53.  When k (p-1)^2 + p <= 2^53 for inner dimension k one gemm is
 exact; otherwise both factors are split into 16-bit limbs and four gemms
-are combined, which covers every prime below 2^31.  Sums are reduced with
-floor(z * (1/p)) and one correction by p, and, as in FFLAS-FFPACK, only
-where a right factor needs it: a block of at most _single_gemm_max(p) rows
-leaves its cleared bottom unreduced, within p + rows (p-1)^2 <= 2^53, and
-the reader reduces the gathered pivot columns and each leaf on entry.
-rank counts the pivots and rref sorts the rows by pivot.  The reduced
-echelon form is unique for a fixed column order, so ranks and kernel bases
-are reproducible bit-for-bit whatever the split, the walk or the pivot.
+are combined, which covers every prime below 2^31.  Each product reduces
+its sums with floor(z * (1/p)) and one correction by p, so every block the
+elimination reads holds integers in [0, p): the carrier is reduced once on
+entry, and every product that writes a block leaves it reduced.  rank
+counts the pivots and rref sorts the rows by pivot.  The reduced echelon
+form is unique for a fixed column order, so ranks and kernel bases are
+reproducible bit-for-bit whatever the split, the walk or the pivot.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
 Draw k is a closed form in (seed, k), so a batch of draws is computed at
@@ -222,21 +222,20 @@ def _sub_mul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
 def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
     """Bring a to row echelon form in place; return its pivots.
 
-    a is a float64 array of integers z with |z| + p <= 2^53: in [0, p),
-    or as a lazy clearing left them.  On return its first r rows are the
-    nonzero rows of an echelon form, reduced into [0, p), row i with its
-    pivot in the i-th returned column; they are not sorted by pivot, and
-    the rows below them hold leftovers.  With reduced, the default, each
-    pivot column is zero outside its pivot row, so the rows are the
-    reduced echelon form; without it, only rank's count of pivots is
-    meaningful.  A block of at most _LEAF_ROWS rows is the left-looking
-    int64 base case; a taller one recurses on its halves as the module
-    docstring describes, then moves the bottom's nonzero rows up under the
-    top's.
+    a is a float64 array of integers in [0, p), and so is every block the
+    recursion passes on: _carrier reduces the input once and _sub_mul_mod
+    keeps each cleared block in [0, p).  On return its first r rows are
+    the nonzero rows of an echelon form, row i with its pivot in the i-th
+    returned column; they are not sorted by pivot, and the rows below them
+    hold leftovers.  With reduced, the default, each pivot column is zero
+    outside its pivot row, so the rows are the reduced echelon form;
+    without it, only rank's count of pivots is meaningful.  A block of at
+    most _LEAF_ROWS rows is the left-looking int64 base case; a taller one
+    recurses on its halves as the module docstring describes, then moves
+    the bottom's nonzero rows up under the top's.
     """
     rows = a.shape[0]
     if rows <= _LEAF_ROWS:
-        _reduce(a, p)
         live = np.flatnonzero(a.any(axis=0))
         sub = a[:, live]
         col_of = sub.T.astype(np.int64)
@@ -283,13 +282,7 @@ def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
     if r1:
         # the top's reduced rows are zero before their first pivot
         c0 = min(top_piv)
-        f = bottom[:, top_piv]
-        _reduce(f, p)
-        if rows <= _single_gemm_max(p):
-            # left unreduced: the reading side reduces what it reads
-            bottom[:, c0:] -= f @ top[:r1, c0:]
-        else:
-            _sub_mul_mod(bottom[:, c0:], f, top[:r1, c0:], p)
+        _sub_mul_mod(bottom[:, c0:], bottom[:, top_piv], top[:r1, c0:], p)
     bottom_piv = _echelon_mod(bottom, p, reduced)
     r2 = len(bottom_piv)
     if reduced and r1 and r2:

@@ -130,7 +130,7 @@ def stabilizer_dimension(a_mat: LinearFormMatrix) -> StabilizerReport:
     s = np.zeros((rows * cols, cols * nu))
     left, right = coeffs.reshape(-1, n + 1), kernel.reshape(n + 1, -1)
     _sub_mul_mod(s, left.astype(np.float64), right.astype(np.float64), p)
-    s = s.reshape(rows, cols, cols, nu).transpose(0, 3, 1, 2).astype(np.int64, order="C")
+    s = s.reshape(rows, cols, cols, nu).transpose(0, 3, 1, 2)
     dim = rows * (rows - rank_all) + cols * cols - rank(s.reshape(rows * nu, -1), a_mat.field)
     return StabilizerReport(
         n=n,
@@ -199,7 +199,7 @@ def wildness_certificate(
     traces = vanishing_certificate(x, a)
     traces_ok = all(tr.verified for tr in traces)
     table = restricted_cohomology_table(kb, x)
-    acm = acm_with_respect_to_s(table, s, x.d)
+    acm = acm_with_respect_to_s(table, s)
     checks = {
         "genericity": cert.surjective_at_degree is not None,
         "h0_iso": cert.h0_phi1_iso,

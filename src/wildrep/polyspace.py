@@ -373,7 +373,7 @@ def _hyperplane_rank(
         q = (b - a) * basis_dim(n1 - 2, m - e - 1)
         parts.append(w[:, :q])
         chain.append(w[:, q:])
-    s = np.hstack([np.zeros((delta, 0))] + parts).astype(np.int64)
+    s = np.hstack([np.zeros((delta, 0))] + parts)
     if not left:
         return known + r + rank(s, field), None
     # leftker S = u L_0 for u a basis of leftker(L_0 S_rest), and leftker M

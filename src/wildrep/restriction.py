@@ -287,8 +287,8 @@ class AcmVerdict:
     missing_twists: tuple[int, ...]
 
 
-def acm_with_respect_to_s(table: CohomologyTable, s: int, d: int) -> AcmVerdict:
-    """Decide vanishing of rows 1..d-1 at all multiples of s.
+def acm_with_respect_to_s(table: CohomologyTable, s: int) -> AcmVerdict:
+    """Decide vanishing of rows 1..d-1 at all multiples of s, d = table.dim.
 
     Multiples inside the window are read off the table.  Outside the
     window the symbolic certificate covers every cell except row 1 at
@@ -298,8 +298,7 @@ def acm_with_respect_to_s(table: CohomologyTable, s: int, d: int) -> AcmVerdict:
     """
     if s < 1:
         raise ValueError(f"re-embedding degree s = {s} < 1")
-    if d != table.dim:
-        raise ValueError(f"table has dimension {table.dim}, expected {d}")
+    d = table.dim
     checked = [t for t in table.twists() if t % s == 0]
     witnesses = []
     for t in checked:

@@ -223,11 +223,11 @@ def test_criterion_07_acm_with_respect_to_s():
     ok = True
     for n, degree, a, x, table in _restriction_cases():
         for s in (3, 4):
-            ok = ok and acm_with_respect_to_s(table, s, x.d).is_acm is True
+            ok = ok and acm_with_respect_to_s(table, s).is_acm is True
     results, _ = _grid()
     ambient = next(e for e in results[(2, 1)] if e is not None)["table"]
-    v1 = acm_with_respect_to_s(ambient, 1, 2)
-    v2 = acm_with_respect_to_s(ambient, 2, 2)
+    v1 = acm_with_respect_to_s(ambient, 1)
+    v2 = acm_with_respect_to_s(ambient, 2)
     ok = ok and v1.is_acm is False and (1, -1) in v1.witnesses
     ok = ok and v2.is_acm is False and (1, -2) in v2.witnesses
     _report(7, "ACM for s = 3, 4; witnesses at (1,-1) and (1,-2) for s = 1, 2", ok)

@@ -340,8 +340,9 @@ def _panel_cases(rng, p):
     for coeffs in rng.integers(0, p, size=(20, 12)).tolist():
         rows.append([sum(k * row[c] for k, row in zip(coeffs, rows)) % p for c in range(300)])
     yield rows, 300
-    # taller blocks: the recursion's top halves are themselves split, so
-    # rank's unreduced bottom halves sit below reduced top halves
+    # taller blocks: the recursion's top halves are themselves split, and
+    # rank leaves its bottom halves in echelon form below top halves in
+    # reduced echelon form
     yield _random_rows(rng, p, 130, 200, 0.15), 200
     yield _random_rows(rng, p, 70, 161, 0.4), 161
 
@@ -355,10 +356,10 @@ def test_panel_leaf_matches_gauss_jordan(p):
 
 # a leaf's matvec runs whole in int64 while rows * (p-1)^2 < 2^63: at
 # P_SPLIT a 31-row leaf does and a 32-row leaf takes the 16-bit limbs, at
-# 2^31 - 1 both take the limbs.  Blocks of at most _single_gemm_max(p) rows
-# leave their bottom half unreduced: at P_LAZY that is 70 rows, so a 70-row
-# block clears lazily at every level and a 71-row one eagerly at the top.
-# (Near 2^26 the bound is 2 rows, below any block that is split.)
+# 2^31 - 1 both take the limbs.  At P_LAZY _single_gemm_max(p) is 70, so
+# blocks of 70 and 71 rows sit either side of the single-gemm bound counted
+# in rows; every block clears its bottom half by the same reduced product,
+# whose inner dimension, the top half's pivot count, is at most 35 here.
 P_SPLIT, P_LAZY = 536870923, 11343469
 LEAF_PRIMES = DIFF_PRIMES + (P_SPLIT, P_LAZY)
 
@@ -442,13 +443,40 @@ def test_unreduced_entries_match_their_reduced_copy(p):
     reduced = rng.integers(0, p, size=(70, 161))
     reduced[40:] = reduced[:30] * 3 % p
     far = rng.integers(-(1 << 31), 1 << 31, size=reduced.shape) * p
-    for data in (-reduced, reduced - p, reduced + p * (reduced % 2), reduced + far):
+    # integer-valued float64, as the pipeline passes its products, too
+    floats = (reduced.astype(np.float64), -reduced.astype(np.float64))
+    for data in (-reduced, reduced - p, reduced + p * (reduced % 2), reduced + far, *floats):
         canon = data % p
         m = data.copy()
         assert rank(m, f) == rank(canon, f) == 40
         (red, piv), (canon_red, canon_piv) = rref(m, f), rref(canon, f)
         assert piv == canon_piv and np.array_equal(red, canon_red)
+        assert red.dtype == np.int64
+        assert np.array_equal(kernel_basis(m, f), kernel_basis(canon, f))
         assert np.array_equal(m, data)  # the input is left untouched
+
+
+@pytest.mark.parametrize("p", [101, 32003, P_LAZY, (1 << 31) - 1])
+def test_every_block_the_elimination_reads_is_reduced(p, monkeypatch):
+    # the recursion calls _echelon_mod through the module global, so the
+    # wrapper sees every half and every leaf as well as the whole matrix
+    echelon, heights = exactfield._echelon_mod, []
+
+    def checked(a, q, reduced=True):
+        heights.append(a.shape[0])
+        assert a.dtype == np.float64 and q == p
+        assert np.array_equal(a, np.floor(a)), a.shape
+        assert 0 <= a.min(initial=0) and a.max(initial=0) < p, a.shape
+        return echelon(a, q, reduced)
+
+    monkeypatch.setattr(exactfield, "_echelon_mod", checked)
+    rng = np.random.default_rng(p + 8)
+    f = FieldSpec.prime(p)
+    cases = [rng.integers(0, p, size=shape) for shape in ((130, 200), (71, 110), (70, 161))]
+    cases.append(np.full((71, 110), p - 1))
+    for m in cases:
+        rank(m, f), rref(m, f), kernel_basis(m, f)
+    assert min(heights) <= exactfield._LEAF_ROWS < 130 == max(heights)
 
 
 @pytest.mark.parametrize("p", [32003, (1 << 31) - 1])

@@ -330,15 +330,15 @@ def _quadric_table(fp):
 
 def test_acm_verdicts_on_quadric(fp):
     table = _quadric_table(fp)
-    v3 = acm_with_respect_to_s(table, 3, 2)
+    v3 = acm_with_respect_to_s(table, 3)
     assert v3.is_acm is True
     assert v3.checked_twists == (-6, -3, 0, 3)
     assert v3.witnesses == () and v3.missing_twists == ()
-    assert acm_with_respect_to_s(table, 4, 2).is_acm is True
-    v1 = acm_with_respect_to_s(table, 1, 2)
+    assert acm_with_respect_to_s(table, 4).is_acm is True
+    v1 = acm_with_respect_to_s(table, 1)
     assert v1.is_acm is False
     assert v1.witnesses == ((1, -2), (1, -1))
-    v2 = acm_with_respect_to_s(table, 2, 2)
+    v2 = acm_with_respect_to_s(table, 2)
     assert v2.is_acm is False
     assert v2.witnesses == ((1, -2),)
 
@@ -347,22 +347,20 @@ def test_acm_inconclusive_when_window_misses_exceptions(fp):
     kb, _ = cached_bundle(3, 1, seed=0)
     x = make_ci_variety(3, (2,), SeededRng(5), fp)
     narrow = restricted_cohomology_table(kb, x, (0, 4))
-    v1 = acm_with_respect_to_s(narrow, 1, 2)
+    v1 = acm_with_respect_to_s(narrow, 1)
     assert v1.is_acm is None
     assert set(v1.missing_twists) == {-1, -2}
-    v2 = acm_with_respect_to_s(narrow, 2, 2)
+    v2 = acm_with_respect_to_s(narrow, 2)
     assert v2.is_acm is None and v2.missing_twists == (-2,)
     # s = 3 never reaches the exceptional twists, so the narrow window
     # still certifies
-    assert acm_with_respect_to_s(narrow, 3, 2).is_acm is True
+    assert acm_with_respect_to_s(narrow, 3).is_acm is True
 
 
 def test_acm_rejects_bad_arguments(fp):
     table = _quadric_table(fp)
     with pytest.raises(ValueError):
-        acm_with_respect_to_s(table, 0, 2)
-    with pytest.raises(ValueError):
-        acm_with_respect_to_s(table, 3, 3)
+        acm_with_respect_to_s(table, 0)
 
 
 def test_hilbert_function_agrees_with_quotient_dims(fp):
