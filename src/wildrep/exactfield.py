@@ -64,7 +64,7 @@ _SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = (1 << 64) - 1
 
-# pivot inversion uses pow(x, p - 2, p); int64 row updates form products
+# pivot inversion uses pow(x, -1, p); int64 row updates form products
 # < p**2, and float64 products split entries into two 16-bit limbs
 _MAX_PRIME = 1 << 31
 
@@ -263,7 +263,7 @@ def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
                 t[r], t[i] = t[i], t[r].copy()
                 col[r], col[i] = col[i], col[r]
             # row r becomes inv * t[r], every other row i drops col[i] * that
-            inv = pow(int(col[r]), p - 2, p)
+            inv = pow(int(col[r]), -1, p)
             col = col * inv % p
             col[r] = 1 - inv
             t -= col[:, None] * t[r]

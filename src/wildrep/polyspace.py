@@ -92,7 +92,8 @@ left kernel of the map is spanned by the rows
 
     u [L_0 | -L_0 W_0 | ... | -L_0 W_m]
 
-on R_0, R_1, ..., R_(m+1), put back in the map's own row order.  The
+on R_0, R_1, ..., R_(m+1), put back in the map's own row order.  When u
+has no rows the left kernel is empty, and the level ends with no lift.  The
 recursion stops at P^0, where R_0 is empty; at b = a, where S_Q0 has no
 columns and L_0 = I; and at a > b or with no such Phi_k, where the map
 itself is eliminated, and its left kernel, when asked for, is kernel_basis
@@ -170,6 +171,14 @@ def _product_table(n: int, d: int, e: int) -> np.ndarray:
          for u in _monomials(n, d)],
         dtype=np.intp,
     ).reshape(len(_monomials(n, d)), basis_dim(n, e))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _exponents(n: int, d: int) -> np.ndarray:
+    """The exponent vectors of _monomials(n, d), one row per monomial."""
+    table = np.array(_monomials(n, d), dtype=np.intp).reshape(-1, n + 1)
     table.flags.writeable = False
     return table
 
@@ -380,10 +389,12 @@ def _hyperplane_rank(
     # = u [L_0 | -L_0 W_0 | ... | -L_0 W_m] on R_0, R_1, ..., R_(m+1), with
     # R_(e+1) listed as x_k P_e; as -(u [-L_0 | L_0 W_0 | ... | L_0 W_m])
     u = kernel_basis(s.T, field).T.astype(np.float64)
+    if not u.shape[0]:
+        return rows, np.zeros((0, rows))
     lifted = np.zeros((u.shape[0], rows))
     _sub_mul_mod(lifted, u, np.hstack([-l0 % p] + chain), p)
     # R_e lists the target rows whose monomial has x_k-exponent e, in order
-    exponent = np.array(_monomials(n1 - 1, m + 1))[:, k]
+    exponent = _exponents(n1 - 1, m + 1)[:, k]
     ker = np.empty_like(lifted)
     ker[:, np.argsort(np.tile(exponent, a), kind="stable")] = lifted
     return rows - u.shape[0], ker
@@ -399,7 +410,8 @@ def map_rank(
     rank S_Q0, a map_rank of phi'' one dimension down, plus the rank of the
     chain on the left kernel of S_Q0 that the same recursion returns.  The
     split of every level is phi.tower, made at the first rank of phi and
-    read by every later one, so no twist redoes the basis change.  On
+    read by every later one, so no twist redoes the basis change, and each
+    P^n rank is kept in phi.ranks, so a degree ranked once is read back.  On
     X the rank is rank [M | F] - a dim I_(m+1), with the lift [M | F]
     eliminated only when the P^n map M is not onto and I_(m+1) is not 0;
     otherwise its rank is that of M.  By the lift identity this is the
@@ -412,7 +424,10 @@ def map_rank(
     if m < 0:  # the source R_m is zero
         return 0
     if x is None or not x.codim:
-        return _hyperplane_rank(phi.tower, m, phi.field, False)[0]
+        ranks = phi.ranks
+        if m not in ranks:
+            ranks[m] = _hyperplane_rank(phi.tower, m, phi.field, False)[0]
+        return ranks[m]
     r = map_rank(phi, m)
     if r < a * basis_dim(n, m + 1) and _products_cells(n, x.degrees, m + 1):
         # not onto, and F, the span of I_(m+1) in each of the a target

@@ -67,6 +67,14 @@ class LinearFormMatrix:
         self.coeffs.flags.writeable = False
         return _split_tower(self.coeffs % self.field.p, self.field)
 
+    @cached_property
+    def ranks(self) -> dict[int, int]:
+        """The rank of phi's map on P^n in each degree m that polyspace.map_rank
+        has ranked, keyed by m, so that no degree is ranked twice.  Like
+        tower it lives and dies with phi; map_rank fills it from the tower,
+        so the coefficients are read-only before it holds a rank."""
+        return {}
+
     def transpose(self) -> "LinearFormMatrix":
         return LinearFormMatrix(
             self.n, self.b_src, self.a_tgt, self.field,

@@ -911,3 +911,67 @@ def test_map_rank_recursion_onto_the_hyperplane(p, monkeypatch):
             }
             seen.update(name for name, hit in found.items() if hit)
     assert seen == {"depth 2", "delta at two levels", "P^0", "b = a"}
+
+
+# (n, a, b, m) whose left kernel, asked for at every level, is empty at a
+# level with delta > 0: level 1 of the ambient-table shape (4, 4, 12) and
+# the first level of the others
+EMPTY_LEFT_KERNEL_CASES = ((4, 4, 12, 3), (4, 4, 12, 2), (3, 2, 5, 2), (5, 2, 7, 2))
+
+
+@pytest.mark.parametrize("p", (101, 32003, (1 << 31) - 1))
+def test_an_empty_left_kernel_ends_its_level(p, monkeypatch):
+    # when u, the left kernel of L_0 S_rest, has no rows, the level's left
+    # kernel is empty and nothing is lifted: no product takes u as its
+    # left factor
+    f = FieldSpec.prime(p)
+    rng = np.random.default_rng(p + 10)
+    products = _counted_products(monkeypatch)
+    empty = []
+    kernel_basis = polyspace.kernel_basis
+
+    def recording(mat_t, field):
+        ker = kernel_basis(mat_t, field)
+        if mat_t.shape[0] and not ker.shape[1]:
+            empty.append(mat_t.T.shape)
+        return ker
+
+    monkeypatch.setattr(polyspace, "kernel_basis", recording)
+    for n, a, b, m in EMPTY_LEFT_KERNEL_CASES:
+        values = rng.integers(0, p, size=(a, b, n + 1))
+        products.clear()
+        empty.clear()
+        _check_left_kernel(values, m, f)
+        assert empty
+        assert all(left[0] for left, _ in products)
+
+
+def test_map_rank_reads_back_the_ranks_of_phi(monkeypatch):
+    # phi keeps its P^n rank of each degree, read back by every later
+    # map_rank of that degree on P^n and inside the rank on X; the ranks on
+    # X are not kept, and a fresh phi with equal coefficients ranks again
+    f = FieldSpec.prime()
+    phi = sample_phi(3, 2, 5, SeededRng(0), f)
+    x = make_ci_variety(3, (2,), SeededRng(3), f)
+    ranked = []
+    hyperplane_rank = polyspace._hyperplane_rank
+
+    def recording(tower, m, field, left):
+        ranked.append((tower, m))
+        return hyperplane_rank(tower, m, field, left)
+
+    monkeypatch.setattr(polyspace, "_hyperplane_rank", recording)
+    assert phi.ranks == {}
+    assert phi.coeffs.flags.writeable
+    r = map_rank(phi, 1)
+    assert phi.ranks == {1: r}
+    assert not phi.coeffs.flags.writeable
+    assert r == rank(mult_map(phi.coeffs, 3, 1, 1), f)
+    on_x = map_rank(phi, 1, x)
+    assert map_rank(phi, 1) == r and map_rank(phi, 1, x) == on_x
+    map_rank(phi, 2, x)
+    assert phi.ranks == {1: r, 2: rank(mult_map(phi.coeffs, 3, 2, 1), f)}
+    assert [m for tower, m in ranked if tower is phi.tower] == [1, 2]
+    twin = LinearFormMatrix(3, 2, 5, f, phi.coeffs.copy())
+    assert map_rank(twin, 1) == r
+    assert [m for tower, m in ranked if tower is twin.tower] == [1]

@@ -30,6 +30,7 @@ from wildrep import (
     hilbert_function,
     make_ci_variety,
     restricted_cohomology_table,
+    sheaf_surjectivity_certificate,
     vanishing_certificate,
 )
 from wildrep import polyspace
@@ -313,6 +314,35 @@ def test_ambient_table_splits_phi_once(fp, monkeypatch):
     reduced.clear()
     assert [k for _, k, _ in kb.phi.transpose().tower] == [None]
     assert reduced == []
+
+
+@pytest.mark.parametrize("n, a, degrees, window", ((4, 2, (), (-8, 4)), (5, 1, (2, 2), None)))
+def test_certificate_and_table_rank_each_degree_of_phi_once(n, a, degrees, window, fp, monkeypatch):
+    # the certificate ranks phi in degree 1, and the table's t = 0 column
+    # needs the same P^n rank, on X inside the lift identity: phi keeps it,
+    # so each top-level map, phi or its Serre dual, is ranked once per degree
+    kb, _ = cached_bundle(n, a)
+    x = make_ci_variety(n, degrees, SeededRng(0), fp)
+    want = restricted_cohomology_table(kb, x, window).as_rows()
+    # a fresh phi, which has ranked nothing yet
+    phi = LinearFormMatrix(n, 2 * a, (n + 2) * a, fp, kb.phi.coeffs.copy())
+    ranked = []
+    hyperplane_rank = polyspace._hyperplane_rank
+
+    def recording(tower, m, field, left):
+        ranked.append((tower, m))
+        return hyperplane_rank(tower, m, field, left)
+
+    monkeypatch.setattr(polyspace, "_hyperplane_rank", recording)
+    assert sheaf_surjectivity_certificate(phi).surjective_at_degree == 1
+    table = restricted_cohomology_table(KernelBundlePresentation(n, a, phi), x, window)
+    assert table.as_rows() == want
+    # the recursion's levels live on the hyperplane, in n variables
+    top = [(tower[0][0].shape[:2], m) for tower, m in ranked if tower[0][0].shape[2] == n + 1]
+    assert len(top) == len(set(top))
+    assert ((2 * a, (n + 2) * a), 1) in top
+    if not degrees:  # the Serre dual, in degree -t - n - 3 = 1 at t = -8
+        assert (((n + 2) * a, 2 * a), 1) in top
 
 
 def test_restricted_table_ambient_mismatch(fp):
