@@ -34,12 +34,13 @@ exact integers: a bound checked at every product keeps each partial sum
 below 2^53.  When k (p-1)^2 + p <= 2^53 for inner dimension k one gemm is
 exact; otherwise both factors are split into 16-bit limbs and four gemms
 are combined, which covers every prime below 2^31.  Each product reduces
-its sums with floor(z * (1/p)) and one correction by p, so every block the
-elimination reads holds integers in [0, p): the carrier is reduced once on
-entry, and every product that writes a block leaves it reduced.  rank
-counts the pivots and rref sorts the rows by pivot.  The reduced echelon
-form is unique for a fixed column order, so ranks and kernel bases are
-reproducible bit-for-bit whatever the split, the walk or the pivot.
+its sums as z - p floor(z / p) by one correctly rounded division, which
+needs no correction, so every block the elimination reads holds integers
+in [0, p): the carrier is reduced once on entry, and every product that
+writes a block leaves it reduced.  rank counts the pivots and rref sorts
+the rows by pivot.  The reduced echelon form is unique for a fixed column
+order, so ranks and kernel bases are reproducible bit-for-bit whatever the
+split, the walk or the pivot.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
 Draw k is a closed form in (seed, k), so a batch of draws is computed at
@@ -170,15 +171,18 @@ _LIMB_INNER_MAX = (_EXACT - (1 << 49)) >> 32
 def _reduce(z: np.ndarray, p: int) -> None:
     """Reduce float64 integers with |z| + p <= 2^53 into [0, p), in place.
 
-    The float quotient z * (1/p) is within 2/p of z / p, so its floor is off
-    by at most one, which one correction by p repairs.
+    The correctly rounded quotient fl(z / p) has floor n = floor(z / p).
+    Rounding moves z / p by at most 2^-53 |z / p| < 1 / p, as |z| < 2^53.
+    The floats n and n + 1 lie within 2^53, so rounding, which is
+    monotone, keeps fl(z / p) in [n, n + 1].  It reaches n + 1 only if z / p
+    lies within 1 / p of it, and a non-integer z / p lies at least 1 / p
+    from every integer; an integer z / p is exact.  So n p and z - n p,
+    integers of size below 2^53, are exact, and z - n p is in [0, p).
     """
-    q = z * (1.0 / p)
+    q = z / p
     np.floor(q, out=q)
     q *= p
     z -= q
-    np.add(z, p, out=z, where=z < 0)
-    np.subtract(z, p, out=z, where=z >= p)
 
 
 def _single_gemm_max(p: int) -> int:

@@ -79,10 +79,12 @@ L_0 turns S into [[A, *], [0, L_0 S_Q(>=1)]] with A of full row rank
 
     rank S = |R_0| - delta + rank L_0 [S_Q1 | ... | S_Qm],
 
-and the chain carries the delta rows L_0 W_e instead of W_e: L_0 W_0 and
-[L_0 S_Q(e+1) | L_0 W_(e+1)] = -L_0 W_e M'[R_(e+1), Q_(e+1) P_(e+1)].  At
-most twists of the ambient tables delta = 0, and then nothing is
-multiplied after phi G at any level.
+and the chain carries the delta rows -L_0 W_e instead of W_e: -L_0 W_0
+and -[L_0 S_Q(e+1) | L_0 W_(e+1)] = L_0 W_e M'[R_(e+1), Q_(e+1) P_(e+1)],
+so it ranks -L_0 S_Q(>=1), which has the rank and left kernel of L_0
+S_Q(>=1), and L_0 itself is the first product's left factor.  At most
+twists of the ambient tables delta = 0, and then nothing is multiplied
+after phi G at any level.
 
 The left kernel that the level above needs comes from the same chain.  A
 row y = [y_0 | y_(>=1)] has y M' = 0 exactly when y_0 S = 0 and y_(>=1) =
@@ -92,12 +94,13 @@ left kernel of the map is spanned by the rows
 
     u [L_0 | -L_0 W_0 | ... | -L_0 W_m]
 
-on R_0, R_1, ..., R_(m+1), put back in the map's own row order.  When u
-has no rows the left kernel is empty, and the level ends with no lift.  The
-recursion stops at P^0, where R_0 is empty; at b = a, where S_Q0 has no
-columns and L_0 = I; and at a > b or with no such Phi_k, where the map
-itself is eliminated, and its left kernel, when asked for, is kernel_basis
-of its transpose.
+on R_0, R_1, ..., R_(m+1), put back in the map's own row order.  One
+product of u with [L_0 | the chain] gives their negatives, which span the
+same kernel.  When u has no rows the left kernel is empty, and the level
+ends with no lift.  The recursion stops at P^0, where R_0 is empty; at
+b = a, where S_Q0 has no columns and L_0 = I; and at a > b or with no
+such Phi_k, where the map itself is eliminated, and its left kernel, when
+asked for, is kernel_basis of its transpose.
 """
 
 from __future__ import annotations
@@ -370,10 +373,10 @@ def _hyperplane_rank(
     delta = r0 - r
     if not delta or not (left or (m and b > a)):
         return known + r, np.zeros((0, rows)) if left else None
-    # the chain on the delta rows of L_0: L_0 W_0, then
-    # [L_0 S_Q(e+1) | L_0 W_(e+1)] = -L_0 W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
+    # the chain on the delta rows of L_0, negated: -L_0 W_0, then
+    # -[L_0 S_Q(e+1) | L_0 W_(e+1)] = L_0 W_e M'[R_(e+1), Q_(e+1) P_(e+1)]
     w = np.zeros((delta, a * basis_dim(n1 - 2, m)))
-    _sub_mul_mod(w, -l0 % p, mult_map(hyper[:, b - a :], n1 - 2, m, 1).astype(np.float64), p)
+    _sub_mul_mod(w, l0, mult_map(hyper[:, b - a :], n1 - 2, m, 1).astype(np.float64), p)
     chain, parts = [w], []
     for e in range(m):
         nxt = mult_map(hyper, n1 - 2, m - e - 1, 1)
@@ -385,14 +388,14 @@ def _hyperplane_rank(
     s = np.hstack([np.zeros((delta, 0))] + parts)
     if not left:
         return known + r + rank(s, field), None
-    # leftker S = u L_0 for u a basis of leftker(L_0 S_rest), and leftker M
-    # = u [L_0 | -L_0 W_0 | ... | -L_0 W_m] on R_0, R_1, ..., R_(m+1), with
-    # R_(e+1) listed as x_k P_e; as -(u [-L_0 | L_0 W_0 | ... | L_0 W_m])
+    # leftker S = u L_0 for u a basis of leftker(L_0 S_rest), which s, its
+    # negative, shares; leftker M is spanned by -u [L_0 | -L_0 W_0 | ... |
+    # -L_0 W_m] on R_0, R_1, ..., R_(m+1), with R_(e+1) listed as x_k P_e
     u = kernel_basis(s.T, field).T.astype(np.float64)
     if not u.shape[0]:
         return rows, np.zeros((0, rows))
     lifted = np.zeros((u.shape[0], rows))
-    _sub_mul_mod(lifted, u, np.hstack([-l0 % p] + chain), p)
+    _sub_mul_mod(lifted, u, np.hstack([l0] + chain), p)
     # R_e lists the target rows whose monomial has x_k-exponent e, in order
     exponent = _exponents(n1 - 1, m + 1)[:, k]
     ker = np.empty_like(lifted)

@@ -533,6 +533,25 @@ def test_reduce_repairs_off_by_one_quotients(p, z):
     assert x.tolist() == [z % p]
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, P_LAZY, P_SPLIT, (1 << 31) - 1])
+def test_reduce_floors_the_rounded_quotient_exactly(p):
+    # for |z| + p <= 2^53 the floor of the correctly rounded z / p is
+    # floor(z / p): at kp - 1, kp and kp + 1 for the largest k the bound
+    # allows, at their negatives, and at |z| + p = 2^53 itself
+    exact = 1 << 53
+    zs = [exact - p]
+    for j in (-1, 0, 1):
+        k = (exact - p - j) // p
+        zs += [k * p + j, p + j]
+    zs += [-z for z in zs]
+    assert all(abs(z) + p <= exact for z in zs)
+    x = np.array(zs, dtype=np.float64)
+    assert x.astype(np.int64).tolist() == zs
+    assert np.floor(x / p).astype(np.int64).tolist() == [z // p for z in zs]
+    _reduce(x, p)
+    assert x.tolist() == [z % p for z in zs]
+
+
 @pytest.mark.parametrize("p", [P_FLOAT, (1 << 31) - 1])
 @pytest.mark.parametrize("fill", [None, "p-1"])
 def test_product_limb_path_is_exact(p, fill, monkeypatch):

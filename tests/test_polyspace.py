@@ -913,6 +913,32 @@ def test_map_rank_recursion_onto_the_hyperplane(p, monkeypatch):
     assert seen == {"depth 2", "delta at two levels", "P^0", "b = a"}
 
 
+@pytest.mark.parametrize("p", (101, 32003, (1 << 31) - 1))
+def test_every_product_of_the_recursion_is_reduced(p, monkeypatch):
+    # the chain and the lift take L_0 itself, not its negative, as their
+    # left factor; every factor and accumulator a product reads, and every
+    # result it leaves, holds integers in [0, p)
+    f = FieldSpec.prime(p)
+    rng = np.random.default_rng(p + 12)
+    sub_mul_mod, seen = polyspace._sub_mul_mod, []
+
+    def reduced(x):
+        whole = x.dtype == np.float64 and np.array_equal(x, np.floor(x))
+        return whole and 0 <= x.min(initial=0) and x.max(initial=0) < p
+
+    def checked(c, a, b, q):
+        assert q == p and reduced(c) and reduced(a) and reduced(b), (c.shape, a.shape, b.shape)
+        sub_mul_mod(c, a, b, q)
+        assert reduced(c)
+        seen.append(a.shape)
+
+    monkeypatch.setattr(polyspace, "_sub_mul_mod", checked)
+    for n, a, b, m in RECURSION_CASES:
+        for _ in range(3):
+            _check_left_kernel(rng.integers(0, p, size=(a, b, n + 1)), m, f)
+    assert seen
+
+
 # (n, a, b, m) whose left kernel, asked for at every level, is empty at a
 # level with delta > 0: level 1 of the ambient-table shape (4, 4, 12) and
 # the first level of the others
