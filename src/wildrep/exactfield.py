@@ -16,9 +16,14 @@ stands now, T a[:, c] mod p, from the leaf's row operations T.  A pivot
 changes only T, so it costs O(rows^2) however wide the leaf.  When a
 column has no entry at or below the next pivot row, one product of T's
 remaining rows with the columns after it finds the next pivot column, and
-the walk drops the columns that are zero there.  A last product writes
-T a into the leaf.  The matvec runs whole in int64 when rows (p-1)^2 <
-2^63, otherwise against 16-bit limbs of the column.
+the walk drops the columns that are zero there.  The leaf returns T, and
+a last product writes T a into the block.  The matvec runs whole in int64
+when rows (p-1)^2 < 2^63, otherwise against 16-bit limbs of the column.
+T is invertible and its rows below the rank annihilate a, so they are a
+basis of the left kernel: left_kernel reads them off one leaf, with no
+reduced form and no final product, for a of at most 32 rows, and takes
+kernel_basis of the transpose of a taller a (the transformation-matrix
+nullspace of Jeannerod, Pernet and Storjohann, J. Symb. Comput. 56, 2013).
 
 A taller block is split in half; the top half is reduced, its pivot
 columns are cleared from the bottom half by one matrix product, the bottom
@@ -39,8 +44,10 @@ needs no correction, so every block the elimination reads holds integers
 in [0, p): the carrier is reduced once on entry, and every product that
 writes a block leaves it reduced.  rank counts the pivots and rref sorts
 the rows by pivot.  The reduced echelon form is unique for a fixed column
-order, so ranks and kernel bases are reproducible bit-for-bit whatever the
-split, the walk or the pivot.
+order, so ranks, rref and kernel_basis are reproducible bit-for-bit
+whatever the split, the walk or the pivot.  A left kernel from a leaf
+depends on its first-nonzero pivoting as well; it is just as
+deterministic, and the pipeline uses only its span.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
 Draw k is a closed form in (seed, k), so a batch of draws is computed at
@@ -223,6 +230,55 @@ def _sub_mul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
         _reduce(c, p)
 
 
+def _leaf(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Pivots of a, a float64 array of integers in [0, p) left unmodified,
+    and the int64 row transform t in [0, p) with t a mod p in reduced
+    echelon form, row i with its pivot in column pivots[i].
+
+    The walk goes left to right, so the pivots increase.  Rows at or below
+    the next pivot row are only ever combined among themselves, and the
+    look-ahead product drops only columns that are zero there.  So at exit
+    t[len(pivots):] a = 0 mod p, and t, made of row swaps, unit scalings
+    and row additions, is invertible mod p.
+    """
+    rows = a.shape[0]
+    live = np.flatnonzero(a.any(axis=0))
+    sub = a[:, live]
+    col_of = sub.T.astype(np.int64)
+    split = rows * (p - 1) ** 2 >= 1 << 63
+    if split:
+        hi, lo = np.divmod(col_of, _LIMB)
+    t = np.eye(rows, dtype=np.int64)
+    pivots: list[int] = []
+    walk, k = range(live.size), 0
+    while len(pivots) < rows and k < len(walk):
+        j, r = walk[k], len(pivots)
+        if split:
+            col = ((t @ hi[j]) % p * _LIMB + t @ lo[j]) % p
+        else:
+            col = t @ col_of[j] % p
+        nz = col[r:].nonzero()[0]
+        if not nz.size:
+            # the walk goes on over the columns still nonzero below row r
+            ahead = np.zeros((rows - r, live.size - j - 1))
+            _sub_mul_mod(ahead, (-t[r:] % p).astype(np.float64), sub[:, j + 1 :], p)
+            walk, k = (j + 1 + np.flatnonzero(ahead.any(axis=0))).tolist(), 0
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            t[r], t[i] = t[i], t[r].copy()
+            col[r], col[i] = col[i], col[r]
+        # row r becomes inv * t[r], every other row i drops col[i] * that
+        inv = pow(int(col[r]), -1, p)
+        col = col * inv % p
+        col[r] = 1 - inv
+        t -= col[:, None] * t[r]
+        t %= p
+        pivots.append(int(live[j]))
+        k += 1
+    return pivots, t
+
+
 def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
     """Bring a to row echelon form in place; return its pivots.
 
@@ -234,46 +290,13 @@ def _echelon_mod(a: np.ndarray, p: int, reduced: bool = True) -> list[int]:
     hold leftovers.  With reduced, the default, each pivot column is zero
     outside its pivot row, so the rows are the reduced echelon form;
     without it, only rank's count of pivots is meaningful.  A block of at
-    most _LEAF_ROWS rows is the left-looking int64 base case; a taller one
+    most _LEAF_ROWS rows is the left-looking int64 _leaf; a taller one
     recurses on its halves as the module docstring describes, then moves
     the bottom's nonzero rows up under the top's.
     """
     rows = a.shape[0]
     if rows <= _LEAF_ROWS:
-        live = np.flatnonzero(a.any(axis=0))
-        sub = a[:, live]
-        col_of = sub.T.astype(np.int64)
-        split = rows * (p - 1) ** 2 >= 1 << 63
-        if split:
-            hi, lo = np.divmod(col_of, _LIMB)
-        t = np.eye(rows, dtype=np.int64)
-        pivots: list[int] = []
-        walk, k = range(live.size), 0
-        while len(pivots) < rows and k < len(walk):
-            j, r = walk[k], len(pivots)
-            if split:
-                col = ((t @ hi[j]) % p * _LIMB + t @ lo[j]) % p
-            else:
-                col = t @ col_of[j] % p
-            nz = col[r:].nonzero()[0]
-            if not nz.size:
-                # the walk goes on over the columns still nonzero below row r
-                ahead = np.zeros((rows - r, live.size - j - 1))
-                _sub_mul_mod(ahead, (-t[r:] % p).astype(np.float64), sub[:, j + 1 :], p)
-                walk, k = (j + 1 + np.flatnonzero(ahead.any(axis=0))).tolist(), 0
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                t[r], t[i] = t[i], t[r].copy()
-                col[r], col[i] = col[i], col[r]
-            # row r becomes inv * t[r], every other row i drops col[i] * that
-            inv = pow(int(col[r]), -1, p)
-            col = col * inv % p
-            col[r] = 1 - inv
-            t -= col[:, None] * t[r]
-            t %= p
-            pivots.append(int(live[j]))
-            k += 1
+        pivots, t = _leaf(a, p)
         if pivots and reduced:
             # T a in place, as a - (I - T) a: rows terms are one chunk, read before written
             _sub_mul_mod(a, ((np.eye(rows, dtype=np.int64) - t) % p).astype(np.float64), a, p)
@@ -342,3 +365,13 @@ def kernel_basis(a: np.ndarray, field: FieldSpec) -> np.ndarray:
     k[free, np.arange(free.size)] = 1
     k[piv, :] = -red[: len(piv), free] % field.p
     return k
+
+
+def left_kernel(a: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Basis of {y : y a = 0 mod p}, one float64 row in [0, p) per missing
+    rank.  Up to _LEAF_ROWS rows it is the rows of _leaf's transform below
+    the rank; a taller a takes kernel_basis of its transpose."""
+    if a.shape[0] <= _LEAF_ROWS:
+        pivots, t = _leaf(_carrier(a, field.p), field.p)
+        return t[len(pivots) :].astype(np.float64)
+    return kernel_basis(a.T, field).T.astype(np.float64)

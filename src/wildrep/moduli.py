@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactfield import SeededRng, _sub_mul_mod, kernel_basis, rank
+from .exactfield import SeededRng, _sub_mul_mod, left_kernel, rank
 from .cohomology import CohomologyTable
 from .polyspace import binom, hilbert_function
 from .presentation import (
@@ -123,13 +123,13 @@ def stabilizer_dimension(a_mat: LinearFormMatrix) -> StabilizerReport:
         )
     rows, cols, p = a_mat.a_tgt, a_mat.b_src, a_mat.field.p
     coeffs = a_mat.coeffs % p
-    kernel = kernel_basis(coeffs.transpose(0, 2, 1).reshape(rows, -1), a_mat.field)
+    kernel = left_kernel(coeffs.transpose(0, 2, 1).reshape(rows, -1).T, a_mat.field).T
     nu = kernel.shape[1]
     rank_all = cols * (n + 1) - nu
     # -S, which has the rank of S, indexed (r, i) x (j, c), then (r, c) x (i, j)
     s = np.zeros((rows * cols, cols * nu))
     left, right = coeffs.reshape(-1, n + 1), kernel.reshape(n + 1, -1)
-    _sub_mul_mod(s, left.astype(np.float64), right.astype(np.float64), p)
+    _sub_mul_mod(s, left.astype(np.float64), right, p)
     s = s.reshape(rows, cols, cols, nu).transpose(0, 3, 1, 2)
     dim = rows * (rows - rank_all) + cols * cols - rank(s.reshape(rows * nu, -1), a_mat.field)
     return StabilizerReport(

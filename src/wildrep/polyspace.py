@@ -44,14 +44,15 @@ in the degrees whose span is smaller than the slice's matrix, dim I_k is
 the rank of the span, compared with the Koszul data in that degree.
 
 map_rank ranks a map on P^n with a <= b by the pivot split of Faugere and
-Lachartre.  For a Phi_k of full row rank a, x_n tried first, one
-elimination takes [Phi_k^T | I] to [E Phi_k^T | E] with E Phi_k^T = [I | 0]^T,
-and the source basis change G = E^T keeps the rank and gives
-Phi'_k = [I | 0] in phi' = phi G.  Graded by the exponent e of x_k,
-the targets of M' = mult_map(phi', m) split into R_0..R_(m+1), the sources
-of the first a copies into P_e and the others into Q_e.  x_k maps P_e onto
-R_(e+1), so B = M'[R_(>=1), P] is I plus the blocks N_e = M'[R_(e+1),
-P_(e+1)]: a N_m pivots with no search.  The rest is the rank of the Schur
+Lachartre.  For a Phi_k of full row rank a, x_n tried first, the
+elimination leaf of Phi_k^T, b x a, takes a pivots and returns its row
+transform T with T Phi_k^T = [I | 0]^T, and the source basis change
+G = T^T keeps the rank and gives Phi'_k = [I | 0] in phi' = phi G.
+Graded by the exponent e of x_k, the targets of M' = mult_map(phi', m)
+split into R_0..R_(m+1), the sources of the first a copies into P_e and
+the others into Q_e.  x_k maps P_e onto R_(e+1), so B = M'[R_(>=1), P] is
+I plus the blocks N_e = M'[R_(e+1), P_(e+1)]: a N_m pivots with no
+search.  The rest is the rank of the Schur
 complement S on R_0, with Q_0 block S_Q0 = M'[R_0, Q_0] and Q_(e+1) block
 S_Q(e+1) = -W_e M'[R_(e+1), Q_(e+1)], for W_0 = M'[R_0, P_0] and W_(e+1) =
 -W_e N_e.
@@ -99,8 +100,10 @@ product of u with [L_0 | the chain] gives their negatives, which span the
 same kernel.  When u has no rows the left kernel is empty, and the level
 ends with no lift.  The recursion stops at P^0, where R_0 is empty; at
 b = a, where S_Q0 has no columns and L_0 = I; and at a > b or with no
-such Phi_k, where the map itself is eliminated, and its left kernel, when
-asked for, is kernel_basis of its transpose.
+such Phi_k, where the map itself is eliminated.  Every left kernel, u
+and the dense base's when asked for, is exactfield.left_kernel: the rows
+of a leaf's transform below the rank, or the kernel of the transpose of
+a matrix taller than a leaf.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exactfield import FieldSpec, _sub_mul_mod, kernel_basis, rank, rref
+from .exactfield import FieldSpec, _leaf, _sub_mul_mod, left_kernel, rank
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .presentation import LinearFormMatrix
@@ -315,17 +318,18 @@ def _split_tower(coeffs: np.ndarray, field: FieldSpec) -> tuple:
     (tensor, k, phi_h) entry per level of the recursion onto the hyperplane.
 
     k is None at the dense base, where a > b or no Phi_k has full row rank
-    a; phi_h is None on P^0.  The next level's tensor is phi'', the first
-    b - a copies of phi_h, and the descent stops after a level with b = a.
-    Nothing here depends on the degree, so one tower serves every twist.
+    a; phi_h is None on P^0.  Each tried k costs one elimination leaf of
+    Phi_k^T, whose transform T gives G = T^T when it takes a pivots.  The
+    next level's tensor is phi'', the first b - a copies of phi_h, and the
+    descent stops after a level with b = a.  Nothing here depends on the
+    degree, so one tower serves every twist.
     """
     a, b, n1 = coeffs.shape
     p = field.p
     for k in range(n1 - 1, -1, -1) if 0 < a <= b else ():
-        # [Phi_k^T | I] reduces to [[I | 0]^T | G^T] when rank Phi_k = a
-        aug = np.hstack((coeffs[:, :, k].T, np.eye(b, dtype=np.int64)))
-        red, piv = rref(aug, field)
-        if piv[a - 1] < a:
+        # the leaf's pivots increase, so with a of them T Phi_k^T = [I | 0]^T
+        piv, t = _leaf(coeffs[:, :, k].T.astype(np.float64), p)
+        if len(piv) == a:
             break
     else:  # for a > b or with no such Phi_k
         return ((coeffs, None, None),)
@@ -334,7 +338,7 @@ def _split_tower(coeffs: np.ndarray, field: FieldSpec) -> tuple:
     # phi' = phi G, as -(phi (-G)), for every Phi_l at once
     flat = np.zeros((n1 * a, b))
     stacked = coeffs.transpose(2, 0, 1).reshape(-1, b).astype(np.float64)
-    _sub_mul_mod(flat, stacked, (-red[:, a:].T % p).astype(np.float64), p)
+    _sub_mul_mod(flat, stacked, (-t.T % p).astype(np.float64), p)
     turned = flat.astype(np.int64).reshape(n1, a, b).transpose(1, 2, 0)
     # phi_h: the Q copies first, then P, without the coefficients of x_k;
     # its first b - a copies are phi'', whose map is S_Q0
@@ -358,7 +362,7 @@ def _hyperplane_rank(
         mat = mult_map(coeffs, n1 - 1, m, 1)
         if not left:
             return rank(mat, field), None
-        ker = kernel_basis(mat.T, field).T.astype(np.float64)
+        ker = left_kernel(mat, field)
         return rows - ker.shape[0], ker
     known = a * basis_dim(n1 - 1, m)  # the unit pivots
     r0 = a * basis_dim(n1 - 2, m + 1)  # |R_0|, which is empty on P^0
@@ -391,7 +395,7 @@ def _hyperplane_rank(
     # leftker S = u L_0 for u a basis of leftker(L_0 S_rest), which s, its
     # negative, shares; leftker M is spanned by -u [L_0 | -L_0 W_0 | ... |
     # -L_0 W_m] on R_0, R_1, ..., R_(m+1), with R_(e+1) listed as x_k P_e
-    u = kernel_basis(s.T, field).T.astype(np.float64)
+    u = left_kernel(s, field)
     if not u.shape[0]:
         return rows, np.zeros((0, rows))
     lifted = np.zeros((u.shape[0], rows))

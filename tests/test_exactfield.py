@@ -15,7 +15,7 @@ from wildrep import (
     rref,
 )
 from wildrep import exactfield
-from wildrep.exactfield import _LIMB_INNER_MAX, _reduce, _single_gemm_max, _sub_mul_mod
+from wildrep.exactfield import _LIMB_INNER_MAX, _reduce, _single_gemm_max, _sub_mul_mod, left_kernel
 from oracles import from_rows, nullity, splitmix64_mod
 
 
@@ -494,6 +494,47 @@ def test_transposed_view_matches_its_contiguous_copy(p):
     assert piv == copy_piv and np.array_equal(red, copy_red)
     assert np.array_equal(kernel_basis(view, f), kernel_basis(copy, f))
     assert np.array_equal(a, before)  # the input is left untouched
+
+
+# a left kernel is read off the leaf's transform up to _LEAF_ROWS rows and
+# taken from the kernel of the transpose above; at P_SPLIT a 31-row leaf
+# runs its matvec whole in int64 and a 32-row leaf against the limbs
+LEFT_KERNEL_PRIMES = (2, 3, 101, 32003, P_SPLIT, P_LAZY, (1 << 31) - 1)
+
+
+def _left_kernel_cases(rng, p):
+    def product(x, y):
+        return (x.astype(object) @ y.astype(object) % p).astype(np.int64)
+
+    for rows in (0, 1, 31, 32, 33, 56):
+        for cols in (0, 1, 20, 140):
+            yield rng.integers(0, p, size=(rows, cols))
+            yield np.zeros((rows, cols), dtype=np.int64)
+        # duplicated rows, and a product of rank at most 7, also as the
+        # float64 carrier the pipeline passes
+        dup = rng.integers(0, p, size=(rows, 140))
+        dup[rows // 2 :] = dup[: rows - rows // 2]
+        yield dup
+        low = product(rng.integers(0, p, size=(rows, 7)), rng.integers(0, p, size=(7, 140)))
+        yield low
+        yield low.astype(np.float64)
+
+
+@pytest.mark.parametrize("p", LEFT_KERNEL_PRIMES)
+def test_left_kernel_is_a_basis_of_the_left_kernel(p):
+    f = FieldSpec.prime(p)
+    rng = np.random.default_rng(p + 9)
+    for a in _left_kernel_cases(rng, p):
+        before = a.copy()
+        y = left_kernel(a, f)
+        r = rank(a, f)
+        assert y.dtype == np.float64 and y.shape == (a.shape[0] - r, a.shape[0])
+        assert np.array_equal(y, np.floor(y))
+        assert 0 <= y.min(initial=0) and y.max(initial=0) < p
+        ints = y.astype(np.int64)
+        assert not (ints.astype(object) @ a.astype(np.int64).astype(object) % p).any()
+        assert rank(ints, f) == y.shape[0]
+        assert np.array_equal(a, before)  # the input is left untouched
 
 
 def _sub_mul_reference(c, a, b, p):

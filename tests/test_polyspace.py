@@ -24,7 +24,7 @@ from wildrep import (
 )
 from wildrep import polyspace, restricted_cohomology_table, restriction
 from wildrep.cli import main
-from wildrep.exactfield import _single_gemm_max
+from wildrep.exactfield import _LEAF_ROWS, _single_gemm_max
 from wildrep.polyspace import _monomials
 from wildrep.restriction import ACMVarietyDescriptor
 from conftest import cached_bundle
@@ -564,20 +564,18 @@ def _chosen_blocks(monkeypatch):
     """List that receives each Phi_k that map_rank turns into [I | 0], that
     is each map ranked by the Schur complement: the top-level pick first,
     then one per level of the recursion onto the hyperplane.  Each level
-    reduces [Phi_k^T | I] for every k it tries and takes the first Phi_k
-    whose transpose has a pivot in each of its a columns."""
+    hands Phi_k^T to the elimination leaf for every k it tries and takes
+    the first Phi_k whose transpose has a pivot in each of its a columns."""
     chosen = []
-    rref = polyspace.rref
+    leaf = polyspace._leaf
 
-    def recording(m, field):
-        red, piv = rref(m, field)
-        b = m.shape[0]
-        a = m.shape[1] - b
-        if np.array_equal(m[:, a:], np.eye(b)) and piv[a - 1] < a:
-            chosen.append(m[:, :a].T)
-        return red, piv
+    def recording(m, p):
+        piv, t = leaf(m, p)
+        if len(piv) == m.shape[1]:
+            chosen.append(m.T.astype(np.int64))
+        return piv, t
 
-    monkeypatch.setattr(polyspace, "rref", recording)
+    monkeypatch.setattr(polyspace, "_leaf", recording)
     return chosen
 
 
@@ -762,30 +760,30 @@ def _counted_products(monkeypatch):
 
 def _transposed_blocks(monkeypatch):
     """List that receives the shape of each matrix whose left kernel
-    map_rank takes as the kernel of its transpose, which it does only for
-    a dense left kernel at the base of the recursion."""
+    map_rank takes, which it does only for a dense left kernel at the base
+    of the recursion and for the chain s of a level with delta > 0."""
     shapes = []
-    kernel_basis = polyspace.kernel_basis
+    left_kernel = polyspace.left_kernel
 
-    def recording(mat_t, field):
-        shapes.append(mat_t.T.shape)
-        return kernel_basis(mat_t, field)
+    def recording(mat, field):
+        shapes.append(mat.shape)
+        return left_kernel(mat, field)
 
-    monkeypatch.setattr(polyspace, "kernel_basis", recording)
+    monkeypatch.setattr(polyspace, "left_kernel", recording)
     return shapes
 
 
 def _reduced_shapes(monkeypatch):
-    """List that receives the shape of each matrix that polyspace reduces by
-    rref, which it does only to split a tower."""
+    """List that receives the shape of each Phi_k^T that polyspace hands to
+    the elimination leaf, which it does only to split a tower."""
     shapes = []
-    rref = polyspace.rref
+    leaf = polyspace._leaf
 
-    def recording(mat, field):
+    def recording(mat, p):
         shapes.append(mat.shape)
-        return rref(mat, field)
+        return leaf(mat, p)
 
-    monkeypatch.setattr(polyspace, "rref", recording)
+    monkeypatch.setattr(polyspace, "_leaf", recording)
     return shapes
 
 
@@ -825,7 +823,7 @@ def test_map_rank_left_kernel_of_first_block(p, monkeypatch):
             assert products == levels
             assert transposed == []
             # the second rank of the same phi reuses its tower: no phi G and
-            # no reduction of [Phi_k^T | I]
+            # no leaf of Phi_k^T
             products.clear()
             reduced.clear()
             assert map_rank(phi, m) == a * basis_dim(n, m + 1)
@@ -872,8 +870,12 @@ def _recursion_levels(monkeypatch):
 
 # (n, a, b, m): n = 1 recurses to P^0; (3, 2, 5) is short at two levels, so
 # delta > 0 there; (4, 1, 4) is three levels deep; (2, 2, 4) reaches b = a
-# one level down, where L_0 = I, and (2, 3, 4) a > b
-RECURSION_CASES = ((1, 1, 2, 3), (1, 2, 3, 2), (3, 2, 5, 2), (4, 1, 4, 2), (2, 2, 4, 3), (2, 3, 4, 2))
+# one level down, where L_0 = I, and (2, 3, 4) a > b; the kernel-bundle
+# shape (5, 2, 7) at m = 4 takes the left kernel of a 42-row chain, taller
+# than an elimination leaf
+RECURSION_CASES = (
+    (1, 1, 2, 3), (1, 2, 3, 2), (3, 2, 5, 2), (4, 1, 4, 2), (2, 2, 4, 3), (2, 3, 4, 2), (5, 2, 7, 4)
+)
 
 
 def _check_left_kernel(coeffs, m, field):
@@ -893,6 +895,7 @@ def test_map_rank_recursion_onto_the_hyperplane(p, monkeypatch):
     f = FieldSpec.prime(p)
     rng = np.random.default_rng(p + 8)
     levels = _recursion_levels(monkeypatch)
+    kernels = _transposed_blocks(monkeypatch)
     seen = set()
     for n, a, b, m in RECURSION_CASES:
         for _ in range(3):
@@ -911,6 +914,9 @@ def test_map_rank_recursion_onto_the_hyperplane(p, monkeypatch):
             }
             seen.update(name for name, hit in found.items() if hit)
     assert seen == {"depth 2", "delta at two levels", "P^0", "b = a"}
+    # some chain is taller than a leaf, so its left kernel comes from the
+    # kernel of its transpose
+    assert max(rows for rows, _ in kernels) > _LEAF_ROWS
 
 
 @pytest.mark.parametrize("p", (101, 32003, (1 << 31) - 1))
@@ -954,15 +960,15 @@ def test_an_empty_left_kernel_ends_its_level(p, monkeypatch):
     rng = np.random.default_rng(p + 10)
     products = _counted_products(monkeypatch)
     empty = []
-    kernel_basis = polyspace.kernel_basis
+    left_kernel = polyspace.left_kernel
 
-    def recording(mat_t, field):
-        ker = kernel_basis(mat_t, field)
-        if mat_t.shape[0] and not ker.shape[1]:
-            empty.append(mat_t.T.shape)
+    def recording(mat, field):
+        ker = left_kernel(mat, field)
+        if mat.shape[1] and not ker.shape[0]:
+            empty.append(mat.shape)
         return ker
 
-    monkeypatch.setattr(polyspace, "kernel_basis", recording)
+    monkeypatch.setattr(polyspace, "left_kernel", recording)
     for n, a, b, m in EMPTY_LEFT_KERNEL_CASES:
         values = rng.integers(0, p, size=(a, b, n + 1))
         products.clear()

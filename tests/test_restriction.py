@@ -289,15 +289,15 @@ def test_trivial_ci_delegates_to_ambient(fp):
 
 
 def test_ambient_table_splits_phi_once(fp, monkeypatch):
-    # the pivot split depends on phi alone: a window of 13 twists reduces
-    # [Phi_k^T | I] as often as a window of 3, and transposes phi once.
-    # The Serre-dual phi^T has more targets than sources, so its tower is
-    # the dense base, split with no reduction at all
+    # the pivot split depends on phi alone: a window of 13 twists hands
+    # Phi_k^T to the elimination leaf as often as a window of 3, and
+    # transposes phi once.  The Serre-dual phi^T has more targets than
+    # sources, so its tower is the dense base, split with no leaf at all
     kb, _ = cached_bundle(4, 2)
     x = make_ci_variety(4, (), SeededRng(0), fp)
     reduced, transposed = [], []
-    rref, transpose = polyspace.rref, LinearFormMatrix.transpose
-    monkeypatch.setattr(polyspace, "rref", lambda mat, field: reduced.append(mat.shape) or rref(mat, field))
+    leaf, transpose = polyspace._leaf, LinearFormMatrix.transpose
+    monkeypatch.setattr(polyspace, "_leaf", lambda mat, p: reduced.append(mat.shape) or leaf(mat, p))
     monkeypatch.setattr(LinearFormMatrix, "transpose", lambda phi: transposed.append(phi) or transpose(phi))
     counts = []
     for window in ((-1, 1), (-8, 4)):
