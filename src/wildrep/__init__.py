@@ -13,10 +13,8 @@ from .exactfield import (
     FieldSpec,
     SamplingError,
     SeededRng,
-    kernel_basis,
     random_field_elements,
     rank,
-    rref,
 )
 from .polyspace import (
     RegularityError,

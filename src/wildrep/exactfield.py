@@ -4,9 +4,10 @@ Everything downstream (multiplication-map matrices, cohomology tables,
 stabilizer systems) reduces to ranks and kernels computed here, so this
 module is deliberately small and deterministic.  A matrix is a plain 2-D
 numpy array of int64 or of integer-valued float64, passed with the
-FieldSpec of its prime as in FFLAS-FFPACK; results are int64 with entries
-in [0, p), and an input is reduced into [0, p) on entry and never
-modified.
+FieldSpec of its prime as in FFLAS-FFPACK.  There are two operations:
+rank, an int, and left_kernel, a float64 array of integers in [0, p) with
+one row per basis vector.  An input is reduced into [0, p) on entry and
+never modified.
 
 All row reduction is one recursive routine that brings a matrix to
 reduced row echelon form in place.  A block of at most 32 rows (a leaf) is
@@ -21,9 +22,12 @@ a last product writes T a into the block.  The matvec runs whole in int64
 when rows (p-1)^2 < 2^63, otherwise against 16-bit limbs of the column.
 T is invertible and its rows below the rank annihilate a, so they are a
 basis of the left kernel: left_kernel reads them off one leaf, with no
-reduced form and no final product, for a of at most 32 rows, and takes
-kernel_basis of the transpose of a taller a (the transformation-matrix
-nullspace of Jeannerod, Pernet and Storjohann, J. Symb. Comput. 56, 2013).
+reduced form and no final product, for a of at most 32 rows.  A taller a
+has its transpose brought to reduced echelon form, and the kernel is read
+off those rows where they stand, unsorted: the vector for a free column f
+is 1 at f and, at the pivot column of each reduced row, minus that row's
+entry at f (the transformation-matrix nullspace of Jeannerod, Pernet and
+Storjohann, J. Symb. Comput. 56, 2013).
 
 A taller block is split in half; the top half is reduced, its pivot
 columns are cleared from the bottom half by one matrix product, the bottom
@@ -42,12 +46,12 @@ are combined, which covers every prime below 2^31.  Each product reduces
 its sums as z - p floor(z / p) by one correctly rounded division, which
 needs no correction, so every block the elimination reads holds integers
 in [0, p): the carrier is reduced once on entry, and every product that
-writes a block leaves it reduced.  rank counts the pivots and rref sorts
-the rows by pivot.  The reduced echelon form is unique for a fixed column
-order, so ranks, rref and kernel_basis are reproducible bit-for-bit
-whatever the split, the walk or the pivot.  A left kernel from a leaf
-depends on its first-nonzero pivoting as well; it is just as
-deterministic, and the pipeline uses only its span.
+writes a block leaves it reduced.  rank counts the pivots.  The reduced
+echelon form is unique for a fixed column order, so ranks and the left
+kernel of a tall a, whose rows come in increasing free column, are
+reproducible bit-for-bit whatever the split, the walk or the pivot.  A
+left kernel from a leaf depends on its first-nonzero pivoting as well; it
+is just as deterministic, and the pipeline uses only its span.
 
 The random stream is SplitMix64, fixed here by its three 64-bit constants.
 Draw k is a closed form in (seed, k), so a batch of draws is computed at
@@ -336,42 +340,21 @@ def rank(a: np.ndarray, field: FieldSpec) -> int:
     return len(_echelon_mod(_carrier(a, field.p), field.p, reduced=False))
 
 
-def rref(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form of a 2-D int64 array, and its pivot columns.
-
-    The result is canonical: it depends only on the row space and the
-    column order, never on pivot search details.
-    """
-    work = _carrier(a, field.p)
-    piv = _echelon_mod(work, field.p)
-    red = np.zeros(a.shape, dtype=np.int64)
-    red[: len(piv)] = work[np.argsort(piv)]
-    return red, tuple(sorted(piv))
-
-
-def kernel_basis(a: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Canonical basis of the right kernel, one column per free column.
-
-    Basis vector for free column f has a 1 in position f and -RREF[r, f]
-    in the position of the r-th pivot column.  Returned as a cols x nullity
-    array whose columns are ordered by increasing free column index.
-    """
-    red, piv = rref(a, field)
-    piv = list(piv)
-    is_free = np.ones(a.shape[1], dtype=bool)
-    is_free[piv] = False
-    free = np.flatnonzero(is_free)
-    k = np.zeros((a.shape[1], free.size), dtype=np.int64)
-    k[free, np.arange(free.size)] = 1
-    k[piv, :] = -red[: len(piv), free] % field.p
-    return k
-
-
 def left_kernel(a: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Basis of {y : y a = 0 mod p}, one float64 row in [0, p) per missing
-    rank.  Up to _LEAF_ROWS rows it is the rows of _leaf's transform below
-    the rank; a taller a takes kernel_basis of its transpose."""
+    rank: up to _LEAF_ROWS rows, the rows of _leaf's transform below the
+    rank; above, the canonical kernel of a^T, one row per free column."""
+    p = field.p
     if a.shape[0] <= _LEAF_ROWS:
-        pivots, t = _leaf(_carrier(a, field.p), field.p)
+        pivots, t = _leaf(_carrier(a, p), p)
         return t[len(pivots) :].astype(np.float64)
-    return kernel_basis(a.T, field).T.astype(np.float64)
+    work = _carrier(a.T, p)
+    pivots = _echelon_mod(work, p)
+    # row i of work has its pivot in column pivots[i], so nothing is sorted
+    free = np.ones(a.shape[0], dtype=bool)
+    free[pivots] = False
+    ker = np.zeros((a.shape[0] - len(pivots), a.shape[0]))
+    ker[:, free] = np.eye(ker.shape[0])
+    x = work[: len(pivots)][:, free].T
+    ker[:, pivots] = np.where(x, p - x, 0)
+    return ker

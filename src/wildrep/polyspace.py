@@ -102,8 +102,8 @@ ends with no lift.  The recursion stops at P^0, where R_0 is empty; at
 b = a, where S_Q0 has no columns and L_0 = I; and at a > b or with no
 such Phi_k, where the map itself is eliminated.  Every left kernel, u
 and the dense base's when asked for, is exactfield.left_kernel: the rows
-of a leaf's transform below the rank, or the kernel of the transpose of
-a matrix taller than a leaf.
+of a leaf's transform below the rank, or, for a matrix taller than a
+leaf, the kernel read off the reduced echelon rows of its transpose.
 """
 
 from __future__ import annotations

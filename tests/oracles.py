@@ -8,6 +8,11 @@ intersection, the normal-form map on a complete intersection, the full
 intertwiner system AC = BA in the unknowns of B and C, and small builders
 and counters for matrices.
 
+rref and kernel_basis, the canonical reduced echelon form and right
+kernel, are kept here as well.  They sort the rows that the package's one
+elimination routine, exactfield._echelon_mod, leaves reduced in place, so
+comparing them against Gauss-Jordan tests that routine's reduced form.
+
 The SplitMix64 stream is kept here too, drawn one value at a time.
 """
 
@@ -26,7 +31,6 @@ from wildrep import (
     h_line,
     hilbert_function,
     hilbert_polynomial,
-    kernel_basis,
     koszul_twists,
     make_ci_variety,
     map_rank,
@@ -34,6 +38,7 @@ from wildrep import (
     rank,
     restricted_cohomology_table,
 )
+from wildrep.exactfield import _carrier, _echelon_mod
 from wildrep.polyspace import _product_table
 
 PROV_CLOSED = "closed-form"
@@ -82,6 +87,37 @@ def splitmix64_mod(seed, counter, count, p):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append((z ^ (z >> 31)) % p)
     return out
+
+
+def rref(a, field):
+    """Reduced row echelon form of a 2-D int64 array, and its pivot columns.
+
+    The result is canonical: it depends only on the row space and the
+    column order, never on pivot search details.
+    """
+    work = _carrier(a, field.p)
+    piv = _echelon_mod(work, field.p)
+    red = np.zeros(a.shape, dtype=np.int64)
+    red[: len(piv)] = work[np.argsort(piv)]
+    return red, tuple(sorted(piv))
+
+
+def kernel_basis(a, field):
+    """Canonical basis of the right kernel, one column per free column.
+
+    Basis vector for free column f has a 1 in position f and -RREF[r, f]
+    in the position of the r-th pivot column.  Returned as a cols x nullity
+    array whose columns are ordered by increasing free column index.
+    """
+    red, piv = rref(a, field)
+    piv = list(piv)
+    is_free = np.ones(a.shape[1], dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    k = np.zeros((a.shape[1], free.size), dtype=np.int64)
+    k[free, np.arange(free.size)] = 1
+    k[piv, :] = -red[: len(piv), free] % field.p
+    return k
 
 
 def nullity(m, field):

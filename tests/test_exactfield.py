@@ -9,14 +9,12 @@ from wildrep import (
     FieldSpec,
     SamplingError,
     SeededRng,
-    kernel_basis,
     rank,
     random_field_elements,
-    rref,
 )
 from wildrep import exactfield
 from wildrep.exactfield import _LIMB_INNER_MAX, _reduce, _single_gemm_max, _sub_mul_mod, left_kernel
-from oracles import from_rows, nullity, splitmix64_mod
+from oracles import from_rows, kernel_basis, nullity, rref, splitmix64_mod
 
 
 def _product_mod_p(a, b, p):
@@ -481,8 +479,9 @@ def test_every_block_the_elimination_reads_is_reduced(p, monkeypatch):
 
 @pytest.mark.parametrize("p", [32003, (1 << 31) - 1])
 def test_transposed_view_matches_its_contiguous_copy(p):
-    # a left kernel is the kernel of a .T view, an F-ordered array; with 90
-    # rows the view recurses, and it must reduce like a C-ordered copy
+    # a .T view is an F-ordered array: stabilizer_dimension passes one to
+    # left_kernel, and a tall left kernel reduces its input's transpose.
+    # With 90 rows the view recurses, and it must reduce like a C-ordered copy
     rng = np.random.default_rng(p + 7)
     f = FieldSpec.prime(p)
     a = np.array(_random_rows(rng, p, 60, 90, 0.5), dtype=np.int64)
@@ -497,8 +496,10 @@ def test_transposed_view_matches_its_contiguous_copy(p):
 
 
 # a left kernel is read off the leaf's transform up to _LEAF_ROWS rows and
-# taken from the kernel of the transpose above; at P_SPLIT a 31-row leaf
-# runs its matvec whole in int64 and a 32-row leaf against the limbs
+# off the reduced echelon rows of the transpose above, where it must be the
+# canonical kernel_basis of the transpose entry by entry; at P_SPLIT a
+# 31-row leaf runs its matvec whole in int64 and a 32-row leaf against the
+# limbs
 LEFT_KERNEL_PRIMES = (2, 3, 101, 32003, P_SPLIT, P_LAZY, (1 << 31) - 1)
 
 
@@ -518,6 +519,9 @@ def _left_kernel_cases(rng, p):
         low = product(rng.integers(0, p, size=(rows, 7)), rng.integers(0, p, size=(7, 140)))
         yield low
         yield low.astype(np.float64)
+    # a non-contiguous .T view taller than a leaf, as stabilizer_dimension
+    # passes
+    yield rng.integers(0, p, size=(20, 40)).T
 
 
 @pytest.mark.parametrize("p", LEFT_KERNEL_PRIMES)
@@ -534,6 +538,8 @@ def test_left_kernel_is_a_basis_of_the_left_kernel(p):
         ints = y.astype(np.int64)
         assert not (ints.astype(object) @ a.astype(np.int64).astype(object) % p).any()
         assert rank(ints, f) == y.shape[0]
+        if a.shape[0] > exactfield._LEAF_ROWS:
+            assert np.array_equal(y, kernel_basis(a.T, f).T)
         assert np.array_equal(a, before)  # the input is left untouched
 
 

@@ -15,7 +15,6 @@ from wildrep import (
     family_dimension,
     hilbert_function,
     kac_discriminant,
-    kernel_basis,
     make_ci_variety,
     sample_phi,
     stabilizer_dimension,
@@ -23,7 +22,7 @@ from wildrep import (
     wildness_certificate,
 )
 from conftest import cached_bundle
-from oracles import from_rows, intertwiner_system, nullity, zero_phi
+from oracles import from_rows, intertwiner_system, kernel_basis, nullity, zero_phi
 
 
 def test_kac_discriminant_pinned():
@@ -202,7 +201,7 @@ def test_stabilizer_dimension_matches_reference_nullity(p):
     # the full system in (B, C) must have the same nullity
     fp = FieldSpec.prime(p)
     accepted = {}
-    for n, a in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)]:
+    for n, a in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 5), (4, 1), (4, 2), (5, 1)]:
         a_mat = build_kernel_bundle(n, a, SeededRng(0), fp)[0].phi.transpose()
         # h^0(E(-1)) = 0: A_all has full row rank, so N has na columns
         a_all = a_mat.coeffs.transpose(0, 2, 1).reshape(a_mat.a_tgt, -1)
