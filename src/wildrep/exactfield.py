@@ -41,8 +41,10 @@ always fully reduced.
 The products run through float64 BLAS, with float64 only as a carrier for
 exact integers: a bound checked at every product keeps each partial sum
 below 2^53.  When k (p-1)^2 + p <= 2^53 for inner dimension k one gemm is
-exact; otherwise both factors are split into 16-bit limbs and four gemms
-are combined, which covers every prime below 2^31.  Each product reduces
+exact; otherwise the left factor is split into as few limbs as keep a
+chunk of min(k, 512) terms exact, one gemm each, combined Horner-style:
+two limbs at 11343469, three at 2^31 - 1 (the error-free slicing of Ozaki,
+Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  Each product reduces
 its sums as z - p floor(z / p) by one correctly rounded division, which
 needs no correction, so every block the elimination reads holds integers
 in [0, p): the carrier is reduced once on entry, and every product that
@@ -77,7 +79,7 @@ _SM_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = (1 << 64) - 1
 
 # pivot inversion uses pow(x, -1, p); int64 row updates form products
-# < p**2, and float64 products split entries into two 16-bit limbs
+# < p**2, and the leaf's int64 matvec splits a column into two 16-bit limbs
 _MAX_PRIME = 1 << 31
 
 # uniform sampling below this modulus is rejected: genericity arguments need
@@ -172,11 +174,9 @@ _LEAF_ROWS = 32
 # float64 holds every integer of absolute value up to 2^53 exactly
 _EXACT = 1 << 53
 
-# the limb path splits entries below 2^31 into 16-bit halves and sums at
-# most k = _LIMB_INNER_MAX products of halves in one gemm, so that k * 2^32
-# plus a term in [-p, 2p) shifted by 2^16, plus p, stays within 2^53
+# the leaf's matvec splits a column below 2^31 into 16-bit halves once
+# rows (p-1)^2 reaches 2^63, so that each int64 sum stays below 2^63
 _LIMB = 1 << 16
-_LIMB_INNER_MAX = (_EXACT - (1 << 49)) >> 32
 
 
 def _reduce(z: np.ndarray, p: int) -> None:
@@ -201,35 +201,52 @@ def _single_gemm_max(p: int) -> int:
     return (_EXACT - p) // (p - 1) ** 2
 
 
+def _limb_plan(p: int, k: int) -> tuple[int, int, int]:
+    """(limbs, w, chunk): the fewest limbs of the left factor, their width
+    in bits and the most terms one chunk may sum, for inner dimension k.
+
+    One limb is the factor itself, with chunk _single_gemm_max(p).  With
+    L >= 2 limbs of w = ceil(bits(p-1) / L) bits, a limb is below 2^w, so
+    a Horner step that shifts a reduced t and adds a chunk of limb products
+    gives 0 <= t <= (p-1) 2^w + chunk (2^w - 1)(p-1).  _reduce then sees t,
+    and c - t for c in [0, p), of size at most max(t, p-1); it needs
+    |z| + p <= 2^53, which holds for
+    chunk <= (2^53 - p - (p-1) 2^w) / ((2^w - 1)(p-1)).  L grows until a
+    chunk holds min(k, 512) terms, which three limbs do below 2^31.
+    """
+    bits = (p - 1).bit_length()
+    limbs, w, chunk = 1, bits, _single_gemm_max(p)
+    while chunk < min(k, 512):
+        limbs += 1
+        w = -(-bits // limbs)
+        chunk = (_EXACT - p - (p - 1 << w)) // (((1 << w) - 1) * (p - 1))
+    return limbs, w, chunk
+
+
 def _sub_mul_mod(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> None:
     """c <- (c - a @ b) mod p in place, exactly; all hold integers in [0, p).
 
-    Up to _single_gemm_max(p) terms every partial sum and c - a @ b stay
-    within 2^53, so one float64 gemm is exact.  Beyond it both factors are
-    split into 16-bit limbs, a = a1 * 2^16 + a0, and the four limb
-    products are combined Horner-style.  Between steps t - p floor(t / p)
-    only brings t into [-p, 2p); the last reduction repairs the rest.
+    Up to _single_gemm_max(p) terms, k = 0 included, one float64 gemm is
+    exact.  Beyond it each chunk of _limb_plan's is t = a_(L-1) b, then
+    t <- (t mod p) 2^w + a_i b down to i = 0, and c <- (c - t) mod p, for
+    the limbs a_i = h_i - 2^w h_(i+1) of the heads h_i = floor(a / 2^(w i)).
+    Every limb gemm of a chunk runs before c is written, so b may alias c
+    within one chunk.
     """
     k = a.shape[1]
     if k <= _single_gemm_max(p):
         c -= a @ b
         _reduce(c, p)
         return
-    for s in range(0, k, _LIMB_INNER_MAX):
-        a0, b0 = a[:, s : s + _LIMB_INNER_MAX], b[s : s + _LIMB_INNER_MAX]
-        a1, b1 = np.floor(a0 * (1.0 / _LIMB)), np.floor(b0 * (1.0 / _LIMB))
-        a0, b0 = a0 - a1 * _LIMB, b0 - b1 * _LIMB
-        t = a1 @ b1
-        q = np.empty_like(t)
-        for terms in (((a1, b0), (a0, b1)), ((a0, b0),)):
-            np.multiply(t, 1.0 / p, out=q)
-            np.floor(q, out=q)
-            q *= p
-            t -= q
-            t *= _LIMB
-            for x, y in terms:
-                np.matmul(x, y, out=q)
-                t += q
+    limbs, w, chunk = _limb_plan(p, k)
+    for s in range(0, k, chunk):
+        part, rows = a[:, s : s + chunk], b[s : s + chunk]
+        heads = [np.floor(part * 2.0 ** (-w * i)) for i in range(limbs - 1, -1, -1)]
+        t = heads[0] @ rows
+        for upper, head in zip(heads, heads[1:]):
+            _reduce(t, p)
+            t *= 1 << w
+            t += (head - upper * (1 << w)) @ rows
         c -= t
         _reduce(c, p)
 

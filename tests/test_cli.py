@@ -376,9 +376,10 @@ def test_outputs_match_digest_golden(capsys):
 def test_outputs_match_ladder_digest_golden(capsys):
     # sha256 of the canonical JSON of the larger ambient rungs, n = 5, a = 2
     # and n = 6, a = 1, and of the complete intersection of three quadrics
-    # in P^6, seed 7, at primes 101 and 2^31 - 1
+    # in P^6, seed 7, at primes 101 and 2^31 - 1; the ambient rungs also at
+    # 11343469, where products past 70 terms take two limbs
     golden = json.loads((GOLDEN_DIR / "ladder_digests.json").read_text())
-    assert len(golden) == 6
+    assert len(golden) == 8
     for entry in golden:
         assert main(entry["argv"]) == EXIT_OK
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -667,7 +668,7 @@ def test_high_degree_form_exits_usage_before_sampling(monkeypatch, capsys):
     ],
 )
 def test_verdict_and_table_agree_at_two_primes(argv, capsys):
-    # 32003 takes single float64 gemms, 2^31 - 1 the 16-bit limbs; the
+    # 32003 takes single float64 gemms, 2^31 - 1 up to three limbs; the
     # sampled phi differs, the cohomology and the verdict must not
     reports = []
     for prime in ("32003", str((1 << 31) - 1)):

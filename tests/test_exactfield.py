@@ -13,7 +13,7 @@ from wildrep import (
     random_field_elements,
 )
 from wildrep import exactfield
-from wildrep.exactfield import _LIMB_INNER_MAX, _reduce, _single_gemm_max, _sub_mul_mod, left_kernel
+from wildrep.exactfield import _limb_plan, _reduce, _single_gemm_max, _sub_mul_mod, left_kernel
 from oracles import from_rows, kernel_basis, nullity, rref, splitmix64_mod
 
 
@@ -246,7 +246,7 @@ def test_elimination_matches_gauss_jordan_reference(case):
 
 # the top half of a full-rank 96-row matrix has 48 pivots, so the first
 # product of the recursion has inner dimension 48; below P_FLOAT it is one
-# float64 gemm, from P_LIMBS on it goes through 16-bit limbs
+# float64 gemm, from P_LIMBS on its left factor is split into two limbs
 INNER = 48
 P_FLOAT, P_LIMBS = 13698533, 13698577
 DIFF_PRIMES = (2, 3, 101, 32003, 65537, P_FLOAT, P_LIMBS, (1 << 31) - 1)
@@ -353,11 +353,12 @@ def test_panel_leaf_matches_gauss_jordan(p):
 
 
 # a leaf's matvec runs whole in int64 while rows * (p-1)^2 < 2^63: at
-# P_SPLIT a 31-row leaf does and a 32-row leaf takes the 16-bit limbs, at
-# 2^31 - 1 both take the limbs.  At P_LAZY _single_gemm_max(p) is 70, so
-# blocks of 70 and 71 rows sit either side of the single-gemm bound counted
-# in rows; every block clears its bottom half by the same reduced product,
-# whose inner dimension, the top half's pivot count, is at most 35 here.
+# P_SPLIT a 31-row leaf does and a 32-row leaf splits the column into
+# 16-bit limbs, at 2^31 - 1 both split it.  At P_LAZY _single_gemm_max(p)
+# is 70, so blocks of 70 and 71 rows sit either side of the single-gemm
+# bound counted in rows; every block clears its bottom half by the same
+# reduced product, whose inner dimension, the top half's pivot count, is at
+# most 35 here.
 P_SPLIT, P_LAZY = 536870923, 11343469
 LEAF_PRIMES = DIFF_PRIMES + (P_SPLIT, P_LAZY)
 
@@ -553,7 +554,7 @@ def _sub_mul_reference(c, a, b, p):
 
 def test_product_exact_at_single_gemm_bound():
     # all entries p - 1 at the largest inner dimension one float64 gemm may
-    # take, and one past it, where the limbs take over; at P_FLOAT a single
+    # take, and one past it, where two limbs take over; at P_FLOAT a single
     # gemm one term past the bound rounds, so a looser bound fails here
     p = P_FLOAT
     k_max = _single_gemm_max(p)
@@ -602,10 +603,12 @@ def test_reduce_floors_the_rounded_quotient_exactly(p):
 @pytest.mark.parametrize("p", [P_FLOAT, (1 << 31) - 1])
 @pytest.mark.parametrize("fill", [None, "p-1"])
 def test_product_limb_path_is_exact(p, fill, monkeypatch):
-    # 100 terms take the limb path at both primes; capped at 7 terms per
-    # limb gemm, the inner dimension is also split into chunks
+    # 100 terms take two limbs at P_FLOAT and three at 2^31 - 1; with the
+    # plan capped at 7 terms per chunk, the inner dimension is also split
+    # into chunks
     k = 100
     assert k > _single_gemm_max(p)
+    assert _limb_plan(p, k)[0] == (2 if p == P_FLOAT else 3)
     rng = np.random.default_rng(p)
     shapes = ((4, k), (k, 5), (4, 5))
     if fill is None:
@@ -613,11 +616,65 @@ def test_product_limb_path_is_exact(p, fill, monkeypatch):
     else:
         a, b, c = (np.full(s, p - 1.0) for s in shapes)
     want = _sub_mul_reference(c, a, b, p)
-    for inner_max in (_LIMB_INNER_MAX, 7):
-        monkeypatch.setattr(exactfield, "_LIMB_INNER_MAX", inner_max)
+    plan = exactfield._limb_plan
+    for capped in (plan, lambda q, n: plan(q, n)[:2] + (7,)):
+        monkeypatch.setattr(exactfield, "_limb_plan", capped)
         out = c.copy()
         _sub_mul_mod(out, a, b, p)
         assert out.tolist() == want
+
+
+# for each limb count the plan takes at p, from k = 1 up, the most terms
+# one chunk may sum: one limb is a single gemm, with chunk
+# _single_gemm_max(p), and more limbs come in as long as a chunk would
+# hold fewer than min(k, 512) terms
+LIMB_PLANS = (
+    (4194301, ((1, 512),)),
+    (P_LAZY, ((1, 70), (2, 193904))),
+    (P_SPLIT, ((2, 511), (3, 16399))),
+    ((1 << 31) - 1, ((2, 63), (3, 2047))),
+)
+
+
+@pytest.mark.parametrize("p, plans", LIMB_PLANS)
+def test_product_exact_at_each_chunk_edge(p, plans):
+    # all entries p - 1 at the most terms a chunk of each limb count sums,
+    # and one past it, where a limb is added or a second chunk begins
+    for i, (limbs, chunk) in enumerate(plans):
+        past = plans[i + 1] if i + 1 < len(plans) else (limbs, chunk)
+        assert _limb_plan(p, chunk)[::2] == (limbs, chunk)
+        assert _limb_plan(p, chunk + 1)[::2] == past
+        for k in (chunk, chunk + 1):
+            a = np.full((2, k), p - 1.0)
+            b = np.full((k, 3), p - 1.0)
+            for fill in (0, p - 1):
+                c = np.full((2, 3), float(fill))
+                _sub_mul_mod(c, a, b, p)
+                assert c.tolist() == [[(fill - k) % p] * 3] * 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 4194301, P_FLOAT, P_LAZY, P_SPLIT, (1 << 31) - 1])
+def test_limb_plan_takes_one_limb_where_one_gemm_is_exact_and_at_most_three(p):
+    # each limb costs one gemm per chunk, so three limbs still take fewer
+    # gemms than the four of a 16-bit split of both factors
+    bits = (p - 1).bit_length()
+    for k in (0, 1, 6, 63, 64, 70, 71, 511, 512, 2048, 10**9):
+        limbs, w, chunk = _limb_plan(p, k)
+        assert chunk >= min(k, 512) and limbs * w >= bits
+        assert limbs <= (1 if k <= _single_gemm_max(p) else 3)
+        if p == 32003:
+            assert limbs == 1
+        if k >= 512 and p in (P_LAZY, P_SPLIT, (1 << 31) - 1):
+            assert limbs == (2 if p == P_LAZY else 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, P_LAZY, P_SPLIT, (1 << 31) - 1])
+def test_product_of_inner_dimension_zero_leaves_c(p):
+    # _single_gemm_max(2^31 - 1) is 0, so a chunk loop would step by 0
+    c = np.arange(6.0).reshape(2, 3) % p
+    before = c.copy()
+    _sub_mul_mod(c, np.zeros((2, 0)), np.zeros((0, 3)), p)
+    assert np.array_equal(c, before)
 
 
 def test_rng_frozen_first_draws(fp, vectors):

@@ -448,8 +448,8 @@ def test_mult_map_scatter_exact_at_largest_prime():
 
 
 # the first prime still takes one float64 gemm for an inner dimension of
-# 6 at the worst case 6 (p-1)^2 + p <= 2^53, the next prime up needs the
-# 16-bit limbs
+# 6 at the worst case 6 (p-1)^2 + p <= 2^53, the next prime up splits the
+# left factor into two limbs
 GEMM_EDGE_PRIMES = (38745307, 38745323)
 
 

@@ -260,7 +260,7 @@ def test_restricted_table_quadric_threefold_audited(fp):
 @example(seed=7, n=6, degrees=(2, 2, 2), a=1)
 @example(seed=7, n=6, degrees=(2, 2), a=1)
 def test_restricted_table_matches_les_oracle_on_random_hypersurfaces(seed, n, degrees, a):
-    # 32003 takes single float64 gemms, 2^31 - 1 the 16-bit limbs
+    # 32003 takes single float64 gemms, 2^31 - 1 up to three limbs
     for p in (32003, (1 << 31) - 1):
         fp = FieldSpec.prime(p)
         rng = SeededRng(seed)

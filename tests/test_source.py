@@ -108,3 +108,29 @@ def test_frozen_dataclasses_holding_arrays_compare_by_identity():
         )
     ]
     assert found == []
+
+
+_PRODUCT_CALLS = {"matmul", "dot", "einsum", "tensordot"}
+
+
+def _products(node):
+    """Line numbers of the matrix products under node: @, @= and calls of
+    matmul, dot, einsum or tensordot, as numpy functions or methods."""
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult):
+            yield sub.lineno
+        elif isinstance(sub, ast.Call):
+            if getattr(sub.func, "attr", getattr(sub.func, "id", None)) in _PRODUCT_CALLS:
+                yield sub.lineno
+
+
+def test_every_matrix_product_sits_in_the_exact_product_routines():
+    # float64 holds integers exactly only up to 2^53: _sub_mul_mod keeps
+    # every float64 product within that bound, and _leaf's int64 matvec
+    # keeps its sums below 2^63, so no other code may multiply matrices
+    owners = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            for line in _products(node):
+                owners.add(f"{path.name}:{getattr(node, 'name', line)}")
+    assert owners == {"exactfield.py:_sub_mul_mod", "exactfield.py:_leaf"}
